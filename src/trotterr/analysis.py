@@ -145,9 +145,14 @@ def near_zero_fraction(
 
 def embed_in_sector(vector: CIVector, sector: SectorBasis) -> CIVector:
     """Zero-pad a subset-basis vector onto the enclosing sector basis."""
+    states = vector.basis.states
+    pos = np.minimum(np.searchsorted(sector.states, states), sector.dim - 1)
+    inside = sector.states[pos] == states
+    if not inside.all():
+        missing = int(states[np.argmin(inside)])
+        raise ValidationError(f"state {missing:b} not in basis")
     amplitudes = np.zeros(sector.dim)
-    for idx, state in enumerate(vector.basis.states):
-        amplitudes[sector.index_of(int(state))] = vector.amplitudes[idx]
+    amplitudes[pos] = vector.amplitudes
     return CIVector(sector, amplitudes)
 
 
@@ -282,15 +287,18 @@ def analyze(
 
     levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
     reference = hartree_fock_state(system)
+    # every CI level is embedded into this one sector basis
+    sector = (
+        basis
+        if space == "sector"
+        else SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
+    )
     ci_results = []
     for level in levels:
         trunc = CITruncation(level=level, reference=reference)
         with _stage(f"CI level {level}"):
             ci_energy, ci_vec = ci_ground_state(
                 system, trunc, dense_limit=dense_limit
-            )
-            sector = SectorBasis.sector(
-                system.n_spin_orbitals, system.n_electrons
             )
             level_error = expectation(error.op, embed_in_sector(ci_vec, sector))
         # signed difference: an ansatz with the wrong sign must not look good

@@ -3,13 +3,18 @@
 Basis states are integer bitmasks: bit p set means spin orbital p occupied,
 and the reference ket orders creation operators by ascending orbital, so
 acting with a ladder operator on orbital p contributes the fermionic sign
-(-1)^(number of occupied orbitals below p).  Application of a canonical
-normal-ordered term proceeds annihilations first, each group applied from
-its smallest orbital upward, updating the parity state as it goes.
+(-1)^(number of occupied orbitals below p).  A canonical normal-ordered term
+acts annihilations first, each group applied from its smallest orbital
+upward.
 
-Operators never materialize matrices unless asked: ``apply`` is the
-workhorse, ``to_dense`` exists for small problems and for the dense
-eigensolver paths.
+Every operator action goes through one term-action table: the operator's
+terms are packed into creation and annihilation bitmask arrays and acted on
+all basis states at once, giving ``(rows, cols, vals)`` for every nonzero
+matrix element of every term.  The entries stay unsummed and in term order,
+so ``apply`` and ``to_dense`` accumulate them in exactly the order a
+term-by-term loop would, and their results are bit-identical to it.  The
+eigensolvers build the table once per call and reuse it for the dense
+matrix, the Lanczos matrix-vector product and the residual check.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .fermion import NormalOrderedOperator
+from .fermion import NormalOrderedOperator, _mask_of
 
 log = logging.getLogger(__name__)
 
@@ -137,58 +142,98 @@ def _check_operator(op: NormalOrderedOperator, basis: SectorBasis) -> None:
         )
 
 
-def _term_action(key, states: np.ndarray):
-    """Vectorized action of one canonical key on an array of bitmasks.
+# Term actions are computed in chunks of about this many (term, state)
+# pairs, which bounds the temporaries whatever the operator or basis size.
+_CHUNK_ELEMENTS = 1 << 20
 
-    Returns (source positions, image bitmasks, signs); sources whose image
-    vanishes are dropped.
+
+def _prefix_parity(states: np.ndarray) -> np.ndarray:
+    """Bit p of the result is the parity of the occupied orbitals below p."""
+    x = states << 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        x ^= x << shift
+    return x
+
+
+def _action_table(
+    op: NormalOrderedOperator, basis: SectorBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero matrix element of every term of ``op`` on ``basis``.
+
+    Returns ``(rows, cols, vals)``, unsummed, in the order of ``op.terms``
+    and by ascending source state within a term; images outside the basis
+    are dropped.  A term maps distinct sources to distinct images, so within
+    one term no row repeats, and accumulating the entries in table order
+    reproduces term-by-term accumulation exactly.
+
+    With C and A the term's creation and annihilation masks, the term acts
+    on |s> when s & (A|C) == A and gives (s & ~A) | C.  Annihilating from the
+    smallest orbital up, then creating from the smallest up, the sign parity
+    is
+
+        sum_{p in A} |s below p| + sum_{q in C} |(s & ~A) below q|
+            + l(l-1)/2 + k(k-1)/2
+
+    for |C| = k and |A| = l.  Since A is inside s, |(s & ~A) below q| =
+    |s below q| - |A below q|; with P(s) the prefix-parity mask of s the
+    state-dependent part reduces to popcount(P(s) & (A ^ C)), and the rest
+    is one constant per term.
     """
-    creations, annihilations = key
-    amask = 0
-    for p in annihilations:
-        amask |= 1 << p
-    cmask = 0
-    for p in creations:
-        cmask |= 1 << p
-    occupied = (states & amask) == amask
-    stripped = states[occupied] & ~np.int64(amask)
-    creatable = (stripped & cmask) == 0
-    src = np.flatnonzero(occupied)[creatable]
-    cur = stripped[creatable]
-    sign = np.ones(len(cur), dtype=np.int64)
-    # annihilations act smallest orbital first (rightmost in the string)
-    for p in reversed(annihilations):
-        bit = np.int64(1 << p)
-        below = np.int64((1 << p) - 1)
-        parity = np.bitwise_count(cur & below) & 1
-        sign = np.where(parity, -sign, sign)
-        cur = cur & ~bit
-    for p in reversed(creations):
-        bit = np.int64(1 << p)
-        below = np.int64((1 << p) - 1)
-        parity = np.bitwise_count(cur & below) & 1
-        sign = np.where(parity, -sign, sign)
-        cur = cur | bit
-    return src, cur, sign
+    n_terms = len(op.terms)
+    cre = np.empty(n_terms, dtype=np.int64)
+    ann = np.empty(n_terms, dtype=np.int64)
+    coeff = np.empty(n_terms, dtype=np.float64)
+    const = np.empty(n_terms, dtype=np.int64)
+    for i, ((creations, annihilations), c) in enumerate(op.terms.items()):
+        cmask = _mask_of(creations)
+        amask = _mask_of(annihilations)
+        k, l = len(creations), len(annihilations)
+        crossed = sum((amask & ((1 << q) - 1)).bit_count() for q in creations)
+        cre[i], ann[i], coeff[i] = cmask, amask, c
+        const[i] = k * (k - 1) // 2 + l * (l - 1) // 2 + crossed
+    states = basis.states
+    parity = _prefix_parity(states)
+    step = max(1, _CHUNK_ELEMENTS // basis.dim)
+    rows, cols, vals = [], [], []
+    for lo in range(0, n_terms, step):
+        c, a = cre[lo : lo + step], ann[lo : lo + step]
+        term, src = np.nonzero((states & (a | c)[:, None]) == a[:, None])
+        image = (states[src] & ~a[term]) | c[term]
+        pos = np.searchsorted(states, image)
+        pos[pos == basis.dim] = 0
+        found = states[pos] == image
+        term, src = term[found] + lo, src[found]
+        flips = np.bitwise_count(parity[src] & (ann[term] ^ cre[term])) + const[term]
+        rows.append(pos[found])
+        cols.append(src)
+        # popcount is uint8: take the sign in float64, never in the popcount type
+        vals.append(coeff[term] * (1.0 - 2.0 * (flips & 1)))
+    if not rows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _table_apply(table, v: np.ndarray) -> np.ndarray:
+    rows, cols, vals = table
+    out = np.zeros(len(v))
+    np.add.at(out, rows, vals * v[cols])
+    return out
+
+
+def _table_dense(table, dim: int) -> np.ndarray:
+    rows, cols, vals = table
+    mat = np.zeros((dim, dim))
+    np.add.at(mat, (rows, cols), vals)
+    return mat
 
 
 def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
     """Matrix-free ``op @ vector``; components leaving a subset basis are
     projected away (that is exactly the subspace-restricted operator)."""
-    basis = vector.basis
-    _check_operator(op, basis)
-    out = np.zeros(basis.dim)
-    v = vector.amplitudes
-    states = basis.states
-    for key, coeff in op.terms.items():
-        src, images, sign = _term_action(key, states)
-        if not len(src):
-            continue
-        pos = np.searchsorted(states, images)
-        pos[pos >= basis.dim] = basis.dim - 1
-        found = states[pos] == images
-        out[pos[found]] += coeff * sign[found] * v[src[found]]
-    return CIVector(basis, out)
+    _check_operator(op, vector.basis)
+    table = _action_table(op, vector.basis)
+    return CIVector(vector.basis, _table_apply(table, vector.amplitudes))
 
 
 def to_dense(
@@ -203,17 +248,7 @@ def to_dense(
         raise ResourceLimitError(
             f"dense matrix of dim {basis.dim} exceeds limit {dense_limit}"
         )
-    states = basis.states
-    mat = np.zeros((basis.dim, basis.dim))
-    for key, coeff in op.terms.items():
-        src, images, sign = _term_action(key, states)
-        if not len(src):
-            continue
-        pos = np.searchsorted(states, images)
-        pos[pos >= basis.dim] = basis.dim - 1
-        found = states[pos] == images
-        mat[pos[found], src[found]] += coeff * sign[found]
-    return mat
+    return _table_dense(_action_table(op, basis), basis.dim)
 
 
 def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:
@@ -232,12 +267,9 @@ def _require_hermitian(op: NormalOrderedOperator) -> None:
         raise ValidationError(f"operator is not Hermitian (defect {defect:.3e})")
 
 
-def _linear_operator(op: NormalOrderedOperator, basis: SectorBasis):
-    def matvec(x):
-        return apply(op, CIVector(basis, x)).amplitudes
-
+def _linear_operator(table, dim: int):
     return scipy.sparse.linalg.LinearOperator(
-        (basis.dim, basis.dim), matvec=matvec, dtype=float
+        (dim, dim), matvec=lambda x: _table_apply(table, x), dtype=float
     )
 
 
@@ -256,20 +288,23 @@ def ground_state(
     """
     _check_operator(op, basis)
     _require_hermitian(op)
+    table = _action_table(op, basis)
     if basis.dim <= dense_limit:
-        mat = to_dense(op, basis, dense_limit=dense_limit)
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh(_table_dense(table, basis.dim))
         energy, vec = float(vals[0]), vecs[:, 0]
     else:
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                _linear_operator(op, basis), k=1, which="SA", tol=residual_tol / 10
+                _linear_operator(table, basis.dim),
+                k=1,
+                which="SA",
+                tol=residual_tol / 10,
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"Lanczos did not converge: {exc}") from exc
         energy, vec = float(vals[0]), vecs[:, 0]
     state = CIVector(basis, vec)
-    residual = apply(op, state).amplitudes - energy * state.amplitudes
+    residual = _table_apply(table, state.amplitudes) - energy * state.amplitudes
     rnorm = float(np.linalg.norm(residual))
     if rnorm > residual_tol * max(1.0, abs(energy)):
         raise NumericalError(f"eigenpair residual {rnorm:.3e} too large")
@@ -286,10 +321,11 @@ def spectral_norm(
     """Largest |eigenvalue| of a Hermitian operator on ``basis``."""
     _check_operator(op, basis)
     _require_hermitian(op)
+    table = _action_table(op, basis)
     if basis.dim <= dense_limit:
-        vals = np.linalg.eigvalsh(to_dense(op, basis, dense_limit=dense_limit))
+        vals = np.linalg.eigvalsh(_table_dense(table, basis.dim))
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
-    linop = _linear_operator(op, basis)
+    linop = _linear_operator(table, basis.dim)
     try:
         hi = scipy.sparse.linalg.eigsh(
             linop, k=1, which="LA", tol=rel_tol, return_eigenvectors=False

@@ -49,3 +49,64 @@ def dense_operator(n_orbitals: int, op: NormalOrderedOperator) -> np.ndarray:
         )
         mat += dense_term(n_orbitals, coeff, ladder_ops)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Per-term reference for the occupation-basis action.
+#
+# One term at a time, one ladder operator at a time: the loop the vectorized
+# term-action table in ``trotterr.fock`` replaces.  Images are accumulated
+# term by term in ``op.terms`` order, so the package must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _term_action(key, states: np.ndarray):
+    """(source positions, image bitmasks, signs) of one canonical key; sources
+    whose image vanishes are dropped."""
+    creations, annihilations = key
+    amask = sum(1 << p for p in annihilations)
+    cmask = sum(1 << p for p in creations)
+    occupied = (states & amask) == amask
+    stripped = states[occupied] & ~np.int64(amask)
+    creatable = (stripped & cmask) == 0
+    src = np.flatnonzero(occupied)[creatable]
+    cur = stripped[creatable]
+    sign = np.ones(len(cur), dtype=np.int64)
+    # annihilations act smallest orbital first (rightmost in the string)
+    for p in reversed(annihilations):
+        parity = np.bitwise_count(cur & np.int64((1 << p) - 1)) & 1
+        sign = np.where(parity, -sign, sign)
+        cur = cur & ~np.int64(1 << p)
+    for p in reversed(creations):
+        parity = np.bitwise_count(cur & np.int64((1 << p) - 1)) & 1
+        sign = np.where(parity, -sign, sign)
+        cur = cur | np.int64(1 << p)
+    return src, cur, sign
+
+
+def _per_term(op: NormalOrderedOperator, states: np.ndarray):
+    """Yield (image positions, source positions, coeff * sign) per term, with
+    images outside ``states`` projected away."""
+    dim = len(states)
+    for key, coeff in op.terms.items():
+        src, images, sign = _term_action(key, states)
+        if not len(src):
+            continue
+        pos = np.searchsorted(states, images)
+        pos[pos >= dim] = dim - 1
+        found = states[pos] == images
+        yield pos[found], src[found], coeff * sign[found]
+
+
+def per_term_apply(op: NormalOrderedOperator, basis, v: np.ndarray) -> np.ndarray:
+    out = np.zeros(basis.dim)
+    for rows, cols, vals in _per_term(op, basis.states):
+        out[rows] += vals * v[cols]
+    return out
+
+
+def per_term_dense(op: NormalOrderedOperator, basis) -> np.ndarray:
+    mat = np.zeros((basis.dim, basis.dim))
+    for rows, cols, vals in _per_term(op, basis.states):
+        mat[rows, cols] += vals
+    return mat

@@ -237,6 +237,16 @@ class TestAnsatzError:
         assert padded.amplitudes[sector.index_of(0b1100)] == 0.8
         assert np.count_nonzero(padded.amplitudes) == 2
 
+    def test_embed_rejects_state_outside_sector(self):
+        sector = SectorBasis.subset(4, 2, [0b0011, 0b0101, 0b1100])
+        vec = CIVector(SectorBasis.subset(4, 2, [0b0011, 0b1010]), np.ones(2))
+        with pytest.raises(ValidationError, match="1010 not in basis"):
+            embed_in_sector(vec, sector)
+        past_the_end = CIVector(SectorBasis.subset(4, 2, [0b1100]), np.ones(1))
+        embed_in_sector(past_the_end, sector)
+        with pytest.raises(ValidationError):
+            embed_in_sector(past_the_end, SectorBasis.subset(4, 2, [0b0011]))
+
 
 # ---------------------------------------------------------------------------
 # The analyze pipeline.

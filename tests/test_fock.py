@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trotterr.ci import CITruncation, excitation_basis, hartree_fock_state
 from trotterr.errors import NumericalError, ResourceLimitError, ValidationError
 from trotterr.fermion import (
     LadderTerm,
@@ -25,8 +26,11 @@ from trotterr.fock import (
     spectral_norm,
     to_dense,
 )
+from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
+from trotterr.synthetic import random_system
+from trotterr.trotter import build_error_operator
 
-from bruteforce import dense_operator
+from bruteforce import dense_operator, per_term_apply, per_term_dense
 
 
 def op_strings(n_orbitals=4, max_len=5):
@@ -155,6 +159,8 @@ def test_apply_matches_dense_on_full_space(term):
     v = probe_vector(basis.dim)
     got = apply(op, CIVector(basis, v)).amplitudes
     assert np.allclose(got, dense_operator(4, op) @ v, atol=1e-10)
+    # particle number need not be conserved here
+    _assert_matches_per_term(op, basis, term)
 
 
 def test_apply_matches_dense_on_sector():
@@ -208,6 +214,48 @@ def test_to_dense_matches_bruteforce():
         ref = dense_operator(4, op)
         assert np.allclose(to_dense(op, full), ref, atol=1e-12)
         assert np.allclose(to_dense(op, sector), ref[np.ix_(idx, idx)], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The term-action table against the per-term reference, bit for bit.
+# ---------------------------------------------------------------------------
+
+FIXTURES = ("h2_sto6g_local", "h2_sto6g_canonical", "h2_sto6g_natural", "h4_sto6g_local")
+
+
+def _systems(fixture_dir):
+    for name in FIXTURES:
+        kind = name.rsplit("_", 1)[1]
+        yield name, load_fcidump(fixture_dir / f"{name}.fcidump", orbital_kind=kind)
+    for n_spatial in range(1, 5):
+        yield f"random n={n_spatial}", random_system(
+            np.random.default_rng(n_spatial), n_spatial
+        )
+
+
+def _bases(system):
+    n = system.n_spin_orbitals
+    yield SectorBasis.full(n)
+    yield SectorBasis.sector(n, system.n_electrons)
+    # singles around the reference: H and V lead out of it, so the images
+    # outside the basis must be projected away
+    if 0 < system.n_electrons < n:
+        yield excitation_basis(CITruncation(1, hartree_fock_state(system)), n)
+
+
+def _assert_matches_per_term(op, basis, label):
+    v = probe_vector(basis.dim)
+    got = apply(op, CIVector(basis, v)).amplitudes
+    assert np.array_equal(got, per_term_apply(op, basis, v)), label
+    assert np.array_equal(to_dense(op, basis), per_term_dense(op, basis)), label
+
+
+def test_term_actions_equal_per_term_reference(fixture_dir):
+    for name, system in _systems(fixture_dir):
+        error = build_error_operator(build_trotter_sequence(system), 1.0)
+        for basis in _bases(system):
+            for op in (system.hamiltonian(), error.op):
+                _assert_matches_per_term(op, basis, (name, basis))
 
 
 def test_to_dense_respects_resource_limit():
@@ -275,6 +323,20 @@ class TestEigensolvers:
         # dense_limit below dim forces the iterative solver
         energy, _ = ground_state(op, basis, dense_limit=1)
         assert energy == pytest.approx(float(np.linalg.eigvalsh(ref)[0]), abs=1e-7)
+
+    def test_lanczos_path_on_fixture_hamiltonian(self, fixture_dir):
+        system = load_fcidump(
+            fixture_dir / "h4_sto6g_local.fcidump", orbital_kind="local"
+        )
+        h = system.hamiltonian()
+        basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
+        dense_energy, dense_state = ground_state(h, basis)
+        energy, state = ground_state(h, basis, dense_limit=basis.dim // 4)
+        assert energy == pytest.approx(dense_energy, abs=1e-9)
+        assert abs(state.dot(dense_state)) == pytest.approx(1.0, abs=1e-6)
+        assert spectral_norm(h, basis, dense_limit=basis.dim // 4) == pytest.approx(
+            spectral_norm(h, basis), rel=1e-8
+        )
 
     def test_spectral_norm_both_paths(self, hermitian_case):
         op, basis, ref = hermitian_case

@@ -5,10 +5,10 @@ import pytest
 
 from bruteforce import dense_operator
 from trotterr.errors import ValidationError
-from trotterr.fermion import NormalOrderedOperator, commutator
+from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
 from trotterr.hamiltonian import TrotterSequence, build_trotter_sequence, parse_fcidump
 from trotterr.synthetic import random_system
-from trotterr.trotter import build_error_operator, estimate_trotter_number
+from trotterr.trotter import ErrorOperator, build_error_operator, estimate_trotter_number
 
 
 def _sequence_of(ops):
@@ -91,6 +91,37 @@ def test_invariants_on_random_systems():
         assert err.hermitian_defect() <= 1e-10 * scale
         assert err.trace_residual() <= 1e-10 * scale
         assert err.number_commutator_residual() <= 1e-10 * scale
+
+
+def test_validate_rejects_injected_nonconserving_term():
+    syst = random_system(np.random.default_rng(2), 3)
+    err = build_error_operator(build_trotter_sequence(syst), 0.1)
+    assert err.number_commutator_residual() == 0.0
+    budget = 1e-8 * err.coefficient_l1()
+    # a Hermitian pair a+_2 a+_1 a_0 + h.c. keeps the Hermitian and trace
+    # checks quiet, so only the particle-number check can catch it
+    leak = NormalOrderedOperator({((2, 1), (0,)): 1e3 * budget})
+    broken = ErrorOperator(
+        op=err.op + leak + leak.adjoint(),
+        delta_t=err.delta_t,
+        ordering_label=err.ordering_label,
+        n_fragments=err.n_fragments,
+        n_spin_orbitals=err.n_spin_orbitals,
+    )
+    assert broken.number_commutator_residual() == pytest.approx(1e3 * budget)
+    with pytest.raises(ValidationError, match="particle number"):
+        broken.validate()
+
+
+def test_number_residual_matches_explicit_commutator():
+    op = NormalOrderedOperator(
+        {((2, 1), (0,)): 0.3, ((1,), (2, 0)): -0.7, ((3,), (1,)): 1.1, ((), (2,)): 0.2}
+    )
+    err = ErrorOperator(
+        op=op, delta_t=1.0, ordering_label="x", n_fragments=0, n_spin_orbitals=4
+    )
+    explicit = commutator(number_operator(4), op).max_abs_coefficient()
+    assert err.number_commutator_residual() == pytest.approx(explicit, rel=1e-14)
 
 
 def test_permutation_changes_v_but_not_invariants():
