@@ -335,7 +335,7 @@ def analyze(
         ground_state_error=gs_error,
         spectral_norm=norm,
         ratio=ratio,
-        error_term_count=len(error.op.terms),
+        error_term_count=len(error.op),
         error_l1=error.coefficient_l1(),
         ci_results=tuple(ci_results),
         evolution_time=evolution_time,

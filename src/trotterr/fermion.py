@@ -5,16 +5,30 @@ annihilation operators obeying
 
     {a_p, a_q^+} = delta_pq,   {a_p, a_q} = {a_p^+, a_q^+} = 0.
 
-Every operator is stored in canonical normal-ordered form: each term is a
+Every operator is kept in canonical normal-ordered form: each term is a
 string of creation operators followed by annihilation operators, with the
 orbital indices inside each group strictly descending.  A term with a
 repeated index inside a group is identically zero and is never stored.  The
 canonical key for ``a_3^+ a_1^+ a_2 a_1`` is ``((3, 1), (2, 1))``.
 
-Products and commutators are reduced by iterated anticommutation:
-``a_p a_q^+ = delta_pq - a_q^+ a_p`` swaps a defect (an annihilator directly
-left of a creator), and sorting within a group flips the coefficient sign
-once per transposition.  The classic small case
+An operator is stored as three parallel arrays, one entry per term:
+``cre`` and ``ann`` hold the creation and annihilation orbitals as int64
+bitmasks (bit p is spin orbital p, so orbitals stop at 62) and ``val`` the
+coefficient.  Every operation works on these arrays; the dict ``terms`` is
+built only on request, for inspection and serialization.
+
+Term order fixes the floating-point order of every later sum over terms
+(Fock-space matrices, orbital marginals, the coefficient one-norm), so
+reports are reproducible to the byte only while it is.  Two rules define it:
+a product (``multiply``, each product inside ``commutator``) lists its keys
+ascending by ``(cre, ann)``; a sum (``+``, ``-``, ``operator_sum``, the
+``ab - ba`` of ``commutator``) lists them in order of first appearance over
+its inputs and adds each key's values in input order, starting from 0.0.
+
+Ladder strings are reduced at ingestion by iterated anticommutation:
+``a_p a_q^+ = delta_pq - a_q^+ a_p`` swaps a defect (an annihilator
+directly left of a creator), and sorting within a group flips the
+coefficient sign once per transposition.  The classic small case
 
     a_2 a_1 a_1^+ a_3^+  =  a_1^+ a_3^+ a_2 a_1  -  a_3^+ a_2
 
@@ -34,7 +48,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_DROP_TOLERANCE = 1e-12
 
@@ -42,6 +56,9 @@ DEFAULT_DROP_TOLERANCE = 1e-12
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 IDENTITY_KEY: Key = ((), ())
+
+# Orbital masks are non-negative int64, so bits 0..62 are usable.
+_MASK_ORBITALS = 63
 
 
 class LadderOp(NamedTuple):
@@ -140,28 +157,48 @@ def _normal_order_codes(codes: tuple[int, ...], start: int = 0) -> dict[Key, int
     return {k: v for k, v in out.items() if v}
 
 
-def _key_codes(key: Key) -> tuple[int, ...]:
-    creations, annihilations = key
-    return tuple(o << 1 | 1 for o in creations) + tuple(o << 1 for o in annihilations)
-
-
-@lru_cache(maxsize=1 << 18)
-def _key_product(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
-    """Canonical expansion of the product of two canonical keys.
-
-    The coefficients are pure signs/multiplicities, so the expansion is
-    cacheable independently of the terms' numerical coefficients.
-    """
-    codes = _key_codes(k1) + _key_codes(k2)
-    boundary = len(k1[0]) + len(k1[1])
-    return tuple(_normal_order_codes(codes, max(0, boundary - 1)).items())
-
-
 def _as_ops(term) -> tuple[float, tuple[LadderOp, ...]]:
     if isinstance(term, LadderTerm):
         return float(term.coeff), tuple(term.ops)
     coeff, ops = term
     return float(coeff), tuple(LadderOp(o.orbital, o.creation) for o in ops)
+
+
+def _check_orbital(o) -> None:
+    if not isinstance(o, int) or o < 0:
+        raise ValidationError(f"orbital index {o!r} is not a non-negative int")
+    if o >= _MASK_ORBITALS:
+        raise ResourceLimitError(
+            f"orbital index {o} exceeds the {_MASK_ORBITALS}-orbital mask width"
+        )
+
+
+def _check_key(key: Key) -> None:
+    creations, annihilations = key
+    for group in (creations, annihilations):
+        for i, o in enumerate(group):
+            _check_orbital(o)
+            if i and group[i - 1] <= o:
+                raise ValidationError(
+                    f"key group {group} is not strictly descending"
+                )
+
+
+def _mask_of(orbitals: tuple[int, ...]) -> int:
+    m = 0
+    for p in orbitals:
+        m |= 1 << p
+    return m
+
+
+@lru_cache(maxsize=None)
+def _bits_desc(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        p = mask.bit_length() - 1
+        out.append(p)
+        mask ^= 1 << p
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +209,38 @@ def _as_ops(term) -> tuple[float, tuple[LadderOp, ...]]:
 class NormalOrderedOperator:
     """A real linear combination of canonical normal-ordered terms.
 
-    The term map is keyed by ``(creations, annihilations)`` tuples, each
-    strictly descending.  Instances are immutable by convention: every
-    operation returns a new object and ``terms`` must not be mutated.
+    Term i is ``val[i]`` times the creations in bitmask ``cre[i]`` followed
+    by the annihilations in bitmask ``ann[i]``, each group in descending
+    orbital order; keys are unique and ordered by the module's two rules.
+    The constructor validates a ``{(creations, annihilations): coeff}`` map
+    and keeps its order.  Treat instances and their arrays as read-only.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("cre", "ann", "val")
 
     def __init__(
         self,
         terms: Mapping[Key, float] | None = None,
         *,
         drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
-        _trusted: bool = False,
     ):
-        if terms is None:
-            self._terms: dict[Key, float] = {}
-        elif _trusted:
-            self._terms = dict(terms)
-        else:
-            cleaned: dict[Key, float] = {}
-            for key, coeff in terms.items():
-                _check_key(key)
-                c = float(coeff)
-                if abs(c) >= drop_tolerance:
-                    cleaned[key] = c
-            self._terms = cleaned
+        cmasks, amasks, coeffs = [], [], []
+        for key, coeff in (terms or {}).items():
+            _check_key(key)
+            c = float(coeff)
+            if abs(c) >= drop_tolerance:
+                cmasks.append(_mask_of(key[0]))
+                amasks.append(_mask_of(key[1]))
+                coeffs.append(c)
+        self.cre = np.array(cmasks, dtype=np.int64)
+        self.ann = np.array(amasks, dtype=np.int64)
+        self.val = np.array(coeffs, dtype=np.float64)
+
+    @classmethod
+    def _from_arrays(cls, cmasks, amasks, coeffs) -> "NormalOrderedOperator":
+        op = cls.__new__(cls)
+        op.cre, op.ann, op.val = cmasks, amasks, coeffs
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -207,7 +250,7 @@ class NormalOrderedOperator:
 
     @classmethod
     def identity(cls, coeff: float = 1.0) -> "NormalOrderedOperator":
-        return cls({IDENTITY_KEY: float(coeff)}, _trusted=True)
+        return cls({IDENTITY_KEY: coeff}, drop_tolerance=0.0)
 
     @classmethod
     def from_key(cls, key: Key, coeff: float = 1.0) -> "NormalOrderedOperator":
@@ -217,69 +260,56 @@ class NormalOrderedOperator:
 
     @property
     def terms(self) -> dict[Key, float]:
-        """The canonical term map.  Treat as read-only."""
-        return self._terms
+        """The canonical term map, built on each access in term order."""
+        return {
+            (_bits_desc(c), _bits_desc(a)): v
+            for c, a, v in zip(self.cre.tolist(), self.ann.tolist(), self.val.tolist())
+        }
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.val)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return len(self.val) > 0
 
     def coefficient(self, key: Key) -> float:
-        return self._terms.get(key, 0.0)
+        hit = (self.cre == _mask_of(key[0])) & (self.ann == _mask_of(key[1]))
+        return float(self.val[hit][0]) if hit.any() else 0.0
 
     def coefficient_l1(self) -> float:
-        """Sum of absolute coefficients."""
-        return sum(abs(c) for c in self._terms.values())
+        """Sum of absolute coefficients, accumulated sequentially in term
+        order (builtin ``sum``, not numpy's pairwise sum)."""
+        return sum(np.abs(self.val).tolist())
 
     def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        return float(np.abs(self.val).max(initial=0.0))
 
     def max_orbital(self) -> int:
         """Largest orbital index touched, or -1 for a scalar operator."""
-        m = -1
-        for creations, annihilations in self._terms:
-            for o in creations:
-                if o > m:
-                    m = o
-            for o in annihilations:
-                if o > m:
-                    m = o
-        return m
+        return int(np.bitwise_or.reduce(self.cre | self.ann)).bit_length() - 1
 
     def conserves_particle_number(self) -> bool:
-        return all(len(c) == len(a) for c, a in self._terms)
+        return np.array_equal(np.bitwise_count(self.cre), np.bitwise_count(self.ann))
 
     def __repr__(self) -> str:
-        return f"NormalOrderedOperator({len(self._terms)} terms)"
+        return f"NormalOrderedOperator({len(self)} terms)"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "NormalOrderedOperator") -> "NormalOrderedOperator":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return NormalOrderedOperator(_prune(out), _trusted=True)
+        return _sum((self, other), DEFAULT_DROP_TOLERANCE)
 
     def __sub__(self, other: "NormalOrderedOperator") -> "NormalOrderedOperator":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0.0) - c
-        return NormalOrderedOperator(_prune(out), _trusted=True)
+        return _sum((self, -other), DEFAULT_DROP_TOLERANCE)
 
     def __neg__(self) -> "NormalOrderedOperator":
-        return NormalOrderedOperator(
-            {k: -c for k, c in self._terms.items()}, _trusted=True
-        )
+        return NormalOrderedOperator._from_arrays(self.cre, self.ann, -self.val)
 
     def scaled(self, factor: float) -> "NormalOrderedOperator":
         factor = float(factor)
         if factor == 0.0:
             return NormalOrderedOperator.zero()
-        return NormalOrderedOperator(
-            {k: c * factor for k, c in self._terms.items()}, _trusted=True
-        )
+        return NormalOrderedOperator._from_arrays(self.cre, self.ann, self.val * factor)
 
     def __mul__(self, other):
         if isinstance(other, NormalOrderedOperator):
@@ -292,59 +322,86 @@ class NormalOrderedOperator:
     # -- structure ---------------------------------------------------------
 
     def adjoint(self) -> "NormalOrderedOperator":
-        """Hermitian adjoint (real coefficients, so no conjugation)."""
-        out: dict[Key, float] = {}
-        for (creations, annihilations), c in self._terms.items():
-            key, sign = _adjoint_key(creations, annihilations)
-            out[key] = out.get(key, 0.0) + sign * c
-        return NormalOrderedOperator(out, _trusted=True)
+        """Hermitian adjoint (real coefficients, so no conjugation).
+
+        ``(C^+ A)^+ = A^+ C`` with both groups reversed to ascending order;
+        restoring descending order costs k(k-1)/2 + l(l-1)/2 transpositions
+        for |C| = k and |A| = l.
+        """
+        k = np.bitwise_count(self.cre).astype(np.int64)
+        l = np.bitwise_count(self.ann).astype(np.int64)
+        flips = (k * (k - 1) // 2 + l * (l - 1) // 2) & 1
+        return NormalOrderedOperator._from_arrays(
+            self.ann, self.cre, self.val * (1.0 - 2.0 * flips)
+        )
 
     def hermitian_defect(self) -> float:
         """Max coefficient deviation between the operator and its adjoint."""
-        adj = self.adjoint()._terms
-        keys = self._terms.keys() | adj.keys()
-        return max(
-            (abs(self._terms.get(k, 0.0) - adj.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
+        return _max_difference(self, self.adjoint())
 
     def pruned(self, drop_tolerance: float = DEFAULT_DROP_TOLERANCE) -> "NormalOrderedOperator":
-        return NormalOrderedOperator(
-            {k: c for k, c in self._terms.items() if abs(c) >= drop_tolerance},
-            _trusted=True,
+        keep = np.abs(self.val) >= drop_tolerance
+        return NormalOrderedOperator._from_arrays(
+            self.cre[keep], self.ann[keep], self.val[keep]
         )
 
     def allclose(self, other: "NormalOrderedOperator", atol: float = 1e-12) -> bool:
-        keys = self._terms.keys() | other._terms.keys()
-        return all(
-            abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= atol
-            for k in keys
-        )
+        return _max_difference(self, other) <= atol
 
 
-def _check_key(key: Key) -> None:
-    creations, annihilations = key
-    for group in (creations, annihilations):
-        for i, o in enumerate(group):
-            if not isinstance(o, int) or o < 0:
-                raise ValidationError(f"orbital index {o!r} is not a non-negative int")
-            if i and group[i - 1] <= o:
-                raise ValidationError(
-                    f"key group {group} is not strictly descending"
-                )
+# ---------------------------------------------------------------------------
+# Accumulation on the term arrays.
+# ---------------------------------------------------------------------------
 
 
-def _prune(terms: dict[Key, float], tol: float = DEFAULT_DROP_TOLERANCE) -> dict[Key, float]:
-    return {k: c for k, c in terms.items() if abs(c) >= tol}
+def _combine(
+    cmasks: np.ndarray,
+    amasks: np.ndarray,
+    coeffs: np.ndarray,
+    drop_tolerance: float,
+    *,
+    first_seen: bool,
+) -> NormalOrderedOperator:
+    """Add up the coefficients of equal keys and drop the small sums.
+
+    Keys come out ascending by ``(cre, ann)``, or with ``first_seen`` in
+    order of first appearance.  Either way ``np.bincount`` adds each key's
+    coefficients in input order starting from 0.0, which is bit for bit what
+    ``out[key] = out.get(key, 0.0) + c`` over the same input gives.
+    """
+    if not len(coeffs):
+        return NormalOrderedOperator.zero()
+    order = np.lexsort((amasks, cmasks))  # stable, so ties keep input order
+    c, a = cmasks[order], amasks[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (c[1:] != c[:-1]) | (a[1:] != a[:-1])
+    first = order[head]  # each key's earliest input position
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(head) - 1
+    sums = np.bincount(group, weights=coeffs)
+    if first_seen:
+        by_position = np.argsort(first)
+        first, sums = first[by_position], sums[by_position]
+    keep = np.abs(sums) >= drop_tolerance
+    first = first[keep]
+    return NormalOrderedOperator._from_arrays(cmasks[first], amasks[first], sums[keep])
 
 
-def _adjoint_key(creations: tuple[int, ...], annihilations: tuple[int, ...]) -> tuple[Key, int]:
-    # (c1..ck)^+ (a1..al) dagger -> creations=annihilations reversed ascending;
-    # restoring descending order costs one transposition parity per group.
-    k = len(creations)
-    l = len(annihilations)
-    parity = (k * (k - 1) // 2 + l * (l - 1) // 2) & 1
-    return (annihilations, creations), (-1 if parity else 1)
+def _stacked(ops: Iterable[NormalOrderedOperator]) -> tuple[np.ndarray, ...]:
+    ops = [NormalOrderedOperator.zero(), *ops]  # typed arrays even for no ops
+    return (
+        np.concatenate([op.cre for op in ops]),
+        np.concatenate([op.ann for op in ops]),
+        np.concatenate([op.val for op in ops]),
+    )
+
+
+def _sum(ops: Iterable[NormalOrderedOperator], drop_tolerance: float) -> NormalOrderedOperator:
+    return _combine(*_stacked(ops), drop_tolerance, first_seen=True)
+
+
+def _max_difference(a: NormalOrderedOperator, b: NormalOrderedOperator) -> float:
+    return _combine(*_stacked((a, -b)), 0.0, first_seen=False).max_abs_coefficient()
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +422,7 @@ def normal_order(
     coeff, ops = _as_ops(term)
     codes = []
     for op in ops:
-        if op.orbital < 0:
-            raise ValidationError(f"orbital index {op.orbital} is negative")
+        _check_orbital(op.orbital)
         codes.append(op.orbital << 1 | (1 if op.creation else 0))
     out: dict[Key, float] = {}
     for key, sign in _normal_order_codes(tuple(codes)).items():
@@ -380,39 +436,20 @@ def multiply(
     *,
     drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
 ) -> NormalOrderedOperator:
-    """Operator product, re-reduced to canonical normal-ordered form."""
-    out = _multiply_raw(a, b)
-    return NormalOrderedOperator(_prune(out, drop_tolerance), _trusted=True)
-
-
-def _multiply_raw(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict[Key, float]:
-    if not a._terms or not b._terms:
-        return {}
-    if a.max_orbital() < _MASK_ORBITALS and b.max_orbital() < _MASK_ORBITALS:
-        return _multiply_masked(a, b)
-    return _multiply_scalar(a, b)
-
-
-def _multiply_scalar(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict[Key, float]:
-    out: dict[Key, float] = {}
-    bterms = b._terms
-    for k1, c1 in a._terms.items():
-        for k2, c2 in bterms.items():
-            c = c1 * c2
-            for key, sign in _key_product(k1, k2):
-                out[key] = out.get(key, 0.0) + sign * c
-    return out
+    """Operator product, re-reduced to canonical normal-ordered form, with
+    keys ascending by ``(cre, ann)``."""
+    return _combine(*_product_terms(a, b), drop_tolerance, first_seen=False)
 
 
 # -- bitmask product kernel --------------------------------------------------
 #
-# For orbitals below _MASK_ORBITALS a key half fits one machine-word bitmask
-# and a whole product A.B vectorizes over B's term array.  Writing a term of
-# A as C1^+ A1 and one of B as C2^+ A2, normal ordering only has to push the
-# string A1 through C2.  Processing A1's orbitals in ascending order, each
-# one either contracts on a partner in C2 (one delta branch per shared
-# orbital) or anticommutes through all of C2, which gives one product term
-# per contraction subset T of A1 n C2:
+# Each key half is one machine-word bitmask, so a whole product A.B
+# vectorizes over B's term arrays.  Writing a term of A as C1^+ A1 and one of
+# B as C2^+ A2, normal ordering only has to push the string A1 through C2.
+# Processing A1's orbitals in ascending order, each one either contracts on
+# a partner in C2 (one delta branch per shared orbital) or anticommutes
+# through all of C2, which gives one product term per contraction subset T
+# of A1 n C2:
 #
 #     C1^+ A1 C2^+ A2 = sum_T sign(T) (C1 u (C2\T))^+ ((A1\T) u A2)
 #
@@ -429,30 +466,10 @@ def _multiply_scalar(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict
 # popcount over masks, so each (term-of-A, T) pair is a handful of array
 # operations over all of B at once.
 
-_MASK_ORBITALS = 31  # packed (cre << 32 | ann) keys must stay inside int64
-
-_FULL_MASK = (1 << _MASK_ORBITALS) - 1
-
 _ABOVE = tuple(
-    np.int64(_FULL_MASK & ~((1 << (p + 1)) - 1)) for p in range(_MASK_ORBITALS)
+    np.int64(((1 << _MASK_ORBITALS) - 1) & ~((1 << (p + 1)) - 1))
+    for p in range(_MASK_ORBITALS)
 )
-
-
-def _mask_of(orbitals: tuple[int, ...]) -> int:
-    m = 0
-    for p in orbitals:
-        m |= 1 << p
-    return m
-
-
-@lru_cache(maxsize=None)
-def _bits_desc(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        p = mask.bit_length() - 1
-        out.append(p)
-        mask ^= 1 << p
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -466,21 +483,16 @@ def _submasks(mask: int) -> tuple[int, ...]:
         s = (s - 1) & mask
 
 
-def _multiply_masked(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict[Key, float]:
-    bn = len(b._terms)
-    b_cre = np.empty(bn, dtype=np.int64)
-    b_ann = np.empty(bn, dtype=np.int64)
-    b_val = np.empty(bn, dtype=np.float64)
-    for i, (key, c) in enumerate(b._terms.items()):
-        b_cre[i] = _mask_of(key[0])
-        b_ann[i] = _mask_of(key[1])
-        b_val[i] = c
-    key_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for (c1, a1), ca in a._terms.items():
-        c1m = _mask_of(c1)
-        a1m = _mask_of(a1)
-        k = len(a1)
+def _product_terms(
+    a: NormalOrderedOperator, b: NormalOrderedOperator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsummed ``(cre, ann, val)`` of every term of ``a b``."""
+    b_cre, b_ann, b_val = b.cre, b.ann, b.val
+    cre_chunks = [np.empty(0, dtype=np.int64)]
+    ann_chunks = [np.empty(0, dtype=np.int64)]
+    val_chunks = [np.empty(0)]
+    for c1m, a1m, ca in zip(a.cre.tolist(), a.ann.tolist(), a.val.tolist()):
+        k = a1m.bit_count()
         for t in _submasks(a1m):
             rest_ann = a1m ^ t  # A1 \ T, row-independent
             ok = (b_cre & t) == t
@@ -505,16 +517,10 @@ def _multiply_masked(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict
             for x in _bits_desc(t):  # (c) contracted partners below A1\T
                 const += (rest_ann >> (x + 1)).bit_count()
             sign = 1.0 - 2.0 * ((par + const) & 1)
-            key_chunks.append(((np.int64(c1m) | rem_rows) << 32) | (rest_ann | ann_rows))
+            cre_chunks.append(c1m | rem_rows)
+            ann_chunks.append(rest_ann | ann_rows)
             val_chunks.append(ca * sign * b_val[ok])
-    if not key_chunks:
-        return {}
-    uniq, inverse = np.unique(np.concatenate(key_chunks), return_inverse=True)
-    sums = np.bincount(inverse, weights=np.concatenate(val_chunks), minlength=len(uniq))
-    out: dict[Key, float] = {}
-    for packed, v in zip(uniq.tolist(), sums.tolist()):
-        out[(_bits_desc(packed >> 32), _bits_desc(packed & _FULL_MASK))] = v
-    return out
+    return np.concatenate(cre_chunks), np.concatenate(ann_chunks), np.concatenate(val_chunks)
 
 
 def commutator(
@@ -529,11 +535,9 @@ def commutator(
     term, which makes ``commutator(a, b)`` the exact floating-point negation
     of ``commutator(b, a)``.
     """
-    ab = _multiply_raw(a, b)
-    ba = _multiply_raw(b, a)
-    for key, c in ba.items():
-        ab[key] = ab.get(key, 0.0) - c
-    return NormalOrderedOperator(_prune(ab, drop_tolerance), _trusted=True)
+    ab = multiply(a, b, drop_tolerance=0.0)
+    ba = multiply(b, a, drop_tolerance=0.0)
+    return _sum((ab, -ba), drop_tolerance)
 
 
 def operator_sum(
@@ -542,11 +546,7 @@ def operator_sum(
     drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
 ) -> NormalOrderedOperator:
     """Sum many operators with a single accumulation pass."""
-    out: dict[Key, float] = {}
-    for op in ops:
-        for key, c in op._terms.items():
-            out[key] = out.get(key, 0.0) + c
-    return NormalOrderedOperator(_prune(out, drop_tolerance), _trusted=True)
+    return _sum(ops, drop_tolerance)
 
 
 def trace(
@@ -561,17 +561,16 @@ def trace(
     ``(-1)^(k(k-1)/2) * prod n_p``, so it contributes its coefficient times
     that sign once per basis configuration containing all k orbitals:
     ``2^(N-k)`` configurations in full Fock space, ``C(N-k, n-k)`` in the
-    n-electron sector.
+    n-electron sector.  The contributions are added in term order.
     """
     if n_orbitals <= op.max_orbital():
         raise ValidationError(
             f"operator touches orbital {op.max_orbital()} but n_orbitals={n_orbitals}"
         )
+    diagonal = op.cre == op.ann
     total = 0.0
-    for (creations, annihilations), c in op._terms.items():
-        if creations != annihilations:
-            continue
-        k = len(creations)
+    for mask, c in zip(op.cre[diagonal].tolist(), op.val[diagonal].tolist()):
+        k = mask.bit_count()
         sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
         if n_electrons is None:
             count = 1 << (n_orbitals - k)
@@ -585,6 +584,4 @@ def trace(
 
 def number_operator(n_orbitals: int) -> NormalOrderedOperator:
     """Total particle-number operator on ``n_orbitals`` spin orbitals."""
-    return NormalOrderedOperator(
-        {((p,), (p,)): 1.0 for p in range(n_orbitals)}, _trusted=True
-    )
+    return NormalOrderedOperator({((p,), (p,)): 1.0 for p in range(n_orbitals)})

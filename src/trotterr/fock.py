@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .fermion import NormalOrderedOperator, _mask_of
+from .fermion import NormalOrderedOperator
 
 log = logging.getLogger(__name__)
 
@@ -160,8 +160,9 @@ def _action_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every nonzero matrix element of every term of ``op`` on ``basis``.
 
-    Returns ``(rows, cols, vals)``, unsummed, in the order of ``op.terms``
-    and by ascending source state within a term; images outside the basis
+    Returns ``(rows, cols, vals)``, unsummed, in the order of the term
+    arrays ``op.cre``/``op.ann``/``op.val`` (the order of ``op.terms``) and
+    by ascending source state within a term; images outside the basis
     are dropped.  A term maps distinct sources to distinct images, so within
     one term no row repeats, and accumulating the entries in table order
     reproduces term-by-term accumulation exactly.
@@ -179,18 +180,13 @@ def _action_table(
     state-dependent part reduces to popcount(P(s) & (A ^ C)), and the rest
     is one constant per term.
     """
-    n_terms = len(op.terms)
-    cre = np.empty(n_terms, dtype=np.int64)
-    ann = np.empty(n_terms, dtype=np.int64)
-    coeff = np.empty(n_terms, dtype=np.float64)
-    const = np.empty(n_terms, dtype=np.int64)
-    for i, ((creations, annihilations), c) in enumerate(op.terms.items()):
-        cmask = _mask_of(creations)
-        amask = _mask_of(annihilations)
-        k, l = len(creations), len(annihilations)
-        crossed = sum((amask & ((1 << q) - 1)).bit_count() for q in creations)
-        cre[i], ann[i], coeff[i] = cmask, amask, c
-        const[i] = k * (k - 1) // 2 + l * (l - 1) // 2 + crossed
+    n_terms = len(op)
+    cre, ann, coeff = op.cre, op.ann, op.val
+    k = np.bitwise_count(cre).astype(np.int64)
+    l = np.bitwise_count(ann).astype(np.int64)
+    const = k * (k - 1) // 2 + l * (l - 1) // 2
+    for q in range(basis.n_orbitals):  # pairs (q in C, p in A) with p < q
+        const += ((cre >> q) & 1) * np.bitwise_count(ann & np.int64((1 << q) - 1))
     states = basis.states
     parity = _prefix_parity(states)
     step = max(1, _CHUNK_ELEMENTS // basis.dim)

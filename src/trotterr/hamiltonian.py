@@ -156,18 +156,19 @@ def parse_fcidump(
     indices: two-electron ``(ij|kl)`` when all indices are positive,
     one-electron when ``k == l == 0``, the core energy when all four are
     zero.  Orbital-energy records (``i > 0``, ``j == k == l == 0``) are
-    skipped.  Anything else raises with its line number.
+    skipped.  Anything else, and any non-finite value, raises with its line
+    number.
     """
     lines = text.splitlines()
     fields, first_record = _parse_namelist(lines)
     try:
         norb = int(fields["NORB"])
         nelec = int(fields["NELEC"])
+        ms2 = int(fields.get("MS2", "0").rstrip(","))
     except KeyError as exc:
         raise FcidumpError(f"namelist missing required key {exc}", line=1) from None
     except ValueError as exc:
         raise FcidumpError(f"bad namelist integer: {exc}", line=1) from None
-    ms2 = int(fields.get("MS2", "0").rstrip(","))
     if norb <= 0:
         raise FcidumpError(f"NORB must be positive, got {norb}", line=1)
 
@@ -189,6 +190,8 @@ def parse_fcidump(
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError:
             raise FcidumpError(f"unparseable record {line!r}", line=offset) from None
+        if not math.isfinite(value):
+            raise FcidumpError(f"non-finite value in {line!r}", line=offset)
         if min(i, j, k, l) < 0 or max(i, j, k, l) > norb:
             raise FcidumpError(
                 f"orbital index out of range 1..{norb} in {line!r}", line=offset
@@ -287,7 +290,7 @@ GRANULARITIES = ("integral", "term")
 
 
 def _is_diagonal(frag: NormalOrderedOperator) -> bool:
-    return all(creations == annihilations for creations, annihilations in frag.terms)
+    return bool(np.all(frag.cre == frag.ann))
 
 
 @dataclass
@@ -429,18 +432,19 @@ def _fragments_by_term(system, drop_threshold):
         normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
         for (p, q, r, s), v in system.h2.items()
     )
+    terms = acc.terms
     seen = set()
-    for key, coeff in acc.terms.items():
+    for key in terms:
         if key in seen:
             continue
         creations, annihilations = key
         adj_key = (annihilations, creations)
         group = {key}
-        if adj_key != key and adj_key in acc.terms:
+        if adj_key != key and adj_key in terms:
             group.add(adj_key)
         seen |= group
         frag = NormalOrderedOperator(
-            {k: acc.terms[k] for k in group}, _trusted=True
+            {k: terms[k] for k in group}, drop_tolerance=0.0
         )
         rep = min(k[0] + k[1] for k in group)
         out.append(((1,) + rep, f"g{rep}", frag))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import MolecularSystem, spin_expand
+from .hamiltonian import MolecularSystem, _chemist_orbit, spin_expand
 
 
 def random_system(
@@ -47,10 +47,7 @@ def random_system(
                     v = rng.normal(scale=two_body_scale)
                     if abs(v) <= drop_threshold:
                         continue
-                    for perm in {
-                        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-                        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-                    }:
+                    for perm in _chemist_orbit(i, j, k, l):
                         chem[perm] = v
 
     spin_h1, spin_h2 = spin_expand(n_spatial, h1, chem, drop_threshold=drop_threshold)

@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .fermion import (
     DEFAULT_DROP_TOLERANCE,
@@ -81,10 +83,9 @@ class ErrorOperator:
         [N, a+_C a_A] = (|C| - |A|) a+_C a_A, so the largest coefficient is
         read off term by term without forming the product.
         """
-        return max(
-            (abs((len(c) - len(a)) * coeff) for (c, a), coeff in self.op.terms.items()),
-            default=0.0,
-        )
+        op = self.op
+        excess = np.bitwise_count(op.cre).astype(np.int64) - np.bitwise_count(op.ann)
+        return float(np.abs(excess * op.val).max(initial=0.0))
 
     def validate(self, rel_tol: float = 1e-8) -> None:
         scale = self.coefficient_l1()

@@ -1,15 +1,24 @@
-"""Dense brute-force reference implementations used only by the test suite.
+"""Reference implementations used only by the test suite.
 
-Everything here works on explicit 2^N x 2^N matrices built from first
+The dense references work on explicit 2^N x 2^N matrices built from first
 principles (occupation bitmasks and per-orbital parity counting) so the
 package's sparse algebra can be checked against an independent code path.
+The per-term and term-map references below are the straightforward loops
+the package's vectorized kernels replace.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from trotterr.fermion import LadderOp, NormalOrderedOperator
+from trotterr.fermion import (
+    DEFAULT_DROP_TOLERANCE,
+    LadderOp,
+    LadderTerm,
+    NormalOrderedOperator,
+    multiply,
+    normal_order,
+)
 
 
 def dense_ladder(n_orbitals: int, orbital: int, creation: bool) -> np.ndarray:
@@ -110,3 +119,84 @@ def per_term_dense(op: NormalOrderedOperator, basis) -> np.ndarray:
     for rows, cols, vals in _per_term(op, basis.states):
         mat[rows, cols] += vals
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Term-map references for the packed operator arithmetic.
+#
+# The dict arithmetic the array core replaces.  Key order and the order in
+# which each key's values are added decide the bits of every later sum over
+# terms, so the package must match these in order and value, not just as
+# sets.
+# ---------------------------------------------------------------------------
+
+
+def scalar_multiply(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict:
+    """Product term map of ``a b``: every pair of terms is written out as a
+    ladder string and reduced by the public ``normal_order``."""
+    out: dict = {}
+    for (c1, a1), v1 in a.terms.items():
+        for (c2, a2), v2 in b.terms.items():
+            ops = (
+                tuple(LadderOp(p, True) for p in c1)
+                + tuple(LadderOp(p, False) for p in a1)
+                + tuple(LadderOp(p, True) for p in c2)
+                + tuple(LadderOp(p, False) for p in a2)
+            )
+            reduced = normal_order(LadderTerm(v1 * v2, ops), drop_tolerance=0.0)
+            for key, c in reduced.terms.items():
+                out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def _pruned(terms: dict, tol: float) -> dict:
+    return {k: c for k, c in terms.items() if abs(c) >= tol}
+
+
+def dict_add(a: dict, b: dict, tol: float = DEFAULT_DROP_TOLERANCE) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0.0) + c
+    return _pruned(out, tol)
+
+
+def dict_sub(a: dict, b: dict, tol: float = DEFAULT_DROP_TOLERANCE) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0.0) - c
+    return _pruned(out, tol)
+
+
+def dict_sum(ops, tol: float = DEFAULT_DROP_TOLERANCE) -> dict:
+    out: dict = {}
+    for terms in ops:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0.0) + c
+    return _pruned(out, tol)
+
+
+def dict_adjoint(a: dict) -> dict:
+    out: dict = {}
+    for (creations, annihilations), c in a.items():
+        k, l = len(creations), len(annihilations)
+        sign = -1 if (k * (k - 1) // 2 + l * (l - 1) // 2) & 1 else 1
+        key = (annihilations, creations)
+        out[key] = out.get(key, 0.0) + sign * c
+    return out
+
+
+def dict_commutator(
+    a: NormalOrderedOperator, b: NormalOrderedOperator, tol: float = DEFAULT_DROP_TOLERANCE
+) -> dict:
+    """``ab - ba`` as a term-map subtraction of the package's two products
+    (which ``scalar_multiply`` checks separately)."""
+    ab = multiply(a, b, drop_tolerance=0.0).terms
+    ba = multiply(b, a, drop_tolerance=0.0).terms
+    return dict_sub(ab, ba, tol)
+
+
+def mask_order(terms: dict) -> list:
+    """Keys ascending by (creation mask, annihilation mask): product order."""
+    return sorted(
+        terms, key=lambda k: (sum(1 << p for p in k[0]), sum(1 << p for p in k[1]))
+    )

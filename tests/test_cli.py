@@ -92,6 +92,13 @@ class TestAnalyzeCommand:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_non_integer_ms2_is_parse(self, tmp_path, capsys):
+        bad = tmp_path / "ms2.fcidump"
+        bad.write_text("&FCI NORB=1,NELEC=2,MS2=x /\n 0.5 1 1 1 1\n")
+        code, _, err = run(capsys, "analyze", "--fcidump", str(bad))
+        assert code == EXIT_PARSE
+        assert "line 1" in err
+
     def test_unknown_flag_value_is_argparse_usage(self, h2_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--fcidump", h2_path, "--ordering", "bogus"])

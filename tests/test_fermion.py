@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trotterr.errors import ValidationError
+from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import (
     LadderTerm,
     NormalOrderedOperator,
@@ -16,10 +16,23 @@ from trotterr.fermion import (
     multiply,
     normal_order,
     number_operator,
+    operator_sum,
     trace,
 )
+from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
 
-from bruteforce import dense_ladder, dense_operator, dense_term
+from bruteforce import (
+    dense_ladder,
+    dense_operator,
+    dense_term,
+    dict_add,
+    dict_adjoint,
+    dict_commutator,
+    dict_sub,
+    dict_sum,
+    mask_order,
+    scalar_multiply,
+)
 
 
 def op_strings(n_orbitals=4, max_len=6):
@@ -256,7 +269,7 @@ def test_number_operator():
 
 
 # ---------------------------------------------------------------------------
-# The bitmask product kernel against the scalar reduction.
+# The packed arrays against the term-map references.
 # ---------------------------------------------------------------------------
 
 
@@ -279,22 +292,77 @@ def keyed_operator(rng, n_orbitals, n_terms, max_half=3):
 
 
 def test_masked_product_matches_scalar_exactly():
-    from trotterr.fermion import _multiply_masked, _multiply_scalar
-
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(1, 10))
         a = keyed_operator(rng, n, int(rng.integers(1, 13)))
         b = keyed_operator(rng, n, int(rng.integers(1, 13)))
-        scalar = {k: v for k, v in _multiply_scalar(a, b).items() if v != 0.0}
-        masked = {k: v for k, v in _multiply_masked(a, b).items() if v != 0.0}
+        scalar = {k: v for k, v in scalar_multiply(a, b).items() if v != 0.0}
+        product = multiply(a, b, drop_tolerance=0.0).terms
+        masked = {k: v for k, v in product.items() if v != 0.0}
         assert scalar == masked
 
 
+def _bits(terms):
+    return [(key, c.hex()) for key, c in terms.items()]
+
+
+def _assert_same_sums(a, b):
+    """Sums and adjoints equal their term-map references in key order and in
+    the bits of every coefficient."""
+    ta, tb = a.terms, b.terms
+    assert _bits((a + b).terms) == _bits(dict_add(ta, tb))
+    assert _bits((a - b).terms) == _bits(dict_sub(ta, tb))
+    assert _bits(operator_sum([a, b, a]).terms) == _bits(dict_sum([ta, tb, ta]))
+    assert _bits(a.adjoint().terms) == _bits(dict_adjoint(ta))
+
+
+def _assert_same_arithmetic(a, b):
+    _assert_same_sums(a, b)
+    product = multiply(a, b, drop_tolerance=0.0).terms
+    assert list(product) == mask_order(product)
+    assert _bits(commutator(a, b).terms) == _bits(dict_commutator(a, b))
+
+
+def test_term_order_matches_dict_arithmetic_on_random_operators():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        a, b = (
+            NormalOrderedOperator(
+                {k: float(rng.normal()) for k in keyed_operator(rng, n, 8).terms}
+            )
+            for _ in range(2)
+        )
+        _assert_same_arithmetic(a, b)
+
+
+@pytest.mark.parametrize("name", ["h2_sto6g_local", "h4_sto6g_local"])
+def test_term_order_matches_dict_arithmetic_on_fragments(fixture_dir, name):
+    # the steps of the error-operator build: running prefix sums, products
+    # against them, and their adjoint reflections
+    seq = build_trotter_sequence(load_fcidump(fixture_dir / f"{name}.fcidump"))
+    frags = seq.fragments
+    assert _bits(operator_sum(frags).terms) == _bits(dict_sum(f.terms for f in frags))
+    prefix = NormalOrderedOperator.zero()
+    for frag in frags:
+        _assert_same_arithmetic(frag, prefix)
+        m = multiply(frag, prefix, drop_tolerance=0.0)
+        _assert_same_sums(m, m.adjoint())
+        prefix = prefix + frag
+
+
+def test_orbital_beyond_mask_width_raises():
+    assert NormalOrderedOperator({((62,), (0,)): 1.0}).max_orbital() == 62
+    with pytest.raises(ResourceLimitError):
+        NormalOrderedOperator({((63,), (0,)): 1.0})
+    with pytest.raises(ResourceLimitError):
+        normal_order(LadderTerm(1.0, (cre(63), ann(0))))
+
+
 def test_high_orbital_product_matches_shifted():
-    # orbitals beyond the mask width fall back to the scalar path; the
-    # algebra is shift-invariant, so comparing against a shifted copy
-    # exercises both routes on the same problem
+    # the algebra is shift-invariant, so a product up to the top of the
+    # 63-orbital mask width must equal the shifted low-orbital product
     def shift(op, offset):
         return NormalOrderedOperator(
             {
@@ -312,5 +380,6 @@ def test_high_orbital_product_matches_shifted():
         a = keyed_operator(rng, 4, 5)
         b = keyed_operator(rng, 4, 5)
         low = multiply(a, b, drop_tolerance=0.0)
-        high = multiply(shift(a, 40), shift(b, 40), drop_tolerance=0.0)
-        assert shift(low, 40).terms == high.terms
+        for offset in (40, 59):
+            high = multiply(shift(a, offset), shift(b, offset), drop_tolerance=0.0)
+            assert shift(low, offset).terms == high.terms

@@ -91,6 +91,17 @@ class TestParser:
         with pytest.raises(FcidumpError):
             parse_fcidump("&FCI NORB=2,NELEC=2,MS2=1 /\n 0.0 0 0 0 0\n")
 
+    def test_non_integer_ms2_is_fcidump_error(self):
+        with pytest.raises(FcidumpError, match="line 1"):
+            parse_fcidump("&FCI NORB=1,NELEC=2,MS2=x /\n 0.0 0 0 0 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("indices", ["1 1 1 1", "1 1 0 0", "0 0 0 0"])
+    def test_non_finite_value_reports_line(self, value, indices):
+        text = f"&FCI NORB=1,NELEC=2,MS2=0 /\n 0.5 1 1 1 1\n {value} {indices}\n"
+        with pytest.raises(FcidumpError, match="line 3"):
+            parse_fcidump(text)
+
     def test_eightfold_unfolding(self, fixture_dir):
         text = (fixture_dir / "h2_sto6g_local.fcidump").read_text()
         syst = parse_fcidump(text)
