@@ -9,135 +9,81 @@ Haar-random states (:mod:`trotterr.fock`, :mod:`trotterr.ci`,
 preparation (:mod:`trotterr.stateprep`).  :mod:`trotterr.oracle` holds the
 dense brute-force cross-checks and :mod:`trotterr.cli` the command-line
 front end.
+
+The public names below are bound lazily (PEP 562): ``import trotterr``
+loads no numerical library, and the first access to a name imports only
+the module that defines it.  ``import trotterr.cli`` therefore loads
+neither numpy nor scipy, so a ``--threads`` cap is in place before any
+worker pool starts; scipy itself is imported only by the Lanczos branches
+of :mod:`trotterr.fock` and by :mod:`trotterr.oracle`.
 """
 
-from ._version import __version__
-from .analysis import (
-    ErrorAnalysisReport,
-    PowerLawFit,
-    analyze,
-    ansatz_error,
-    fit_power_law,
-    near_zero_fraction,
-    orbital_marginals,
-)
-from .ci import CITruncation, ci_ground_state, hartree_fock_state
-from .errors import (
-    FcidumpError,
-    NumericalError,
-    ResourceLimitError,
-    TrotterrError,
-    ValidationError,
-)
-from .fermion import (
-    LadderOp,
-    LadderTerm,
-    NormalOrderedOperator,
-    ann,
-    commutator,
-    cre,
-    multiply,
-    normal_order,
-    number_operator,
-    operator_sum,
-    trace,
-)
-from .fock import (
-    CIVector,
-    SectorBasis,
-    apply,
-    expectation,
-    full_spectrum,
-    ground_state,
-    spectral_norm,
-    to_dense,
-)
-from .haar import (
-    EigenstateReport,
-    HaarReport,
-    eigenstate_error_distribution,
-    haar_error_distribution,
-    haar_quadratic_form_stats,
-    sample_haar_vector,
-)
-from .hamiltonian import (
-    MolecularSystem,
-    TrotterSequence,
-    build_trotter_sequence,
-    load_fcidump,
-    parse_fcidump,
-    spin_expand,
-)
-from .oracle import measured_trotter_shift, trotter_propagator
-from .stateprep import (
-    StatePrepCost,
-    cisd_support_dimension,
-    prep_cost_report,
-    qubit_count,
-    select_k,
-    t_count_cisd,
-)
-from .synthetic import random_system
-from .trotter import ErrorOperator, build_error_operator, estimate_trotter_number
+import importlib
+import sys
+import types
 
-__all__ = [
-    "__version__",
-    "ErrorAnalysisReport",
-    "PowerLawFit",
-    "analyze",
-    "ansatz_error",
-    "fit_power_law",
-    "near_zero_fraction",
-    "orbital_marginals",
-    "CITruncation",
-    "ci_ground_state",
-    "hartree_fock_state",
-    "FcidumpError",
-    "NumericalError",
-    "ResourceLimitError",
-    "TrotterrError",
-    "ValidationError",
-    "LadderOp",
-    "LadderTerm",
-    "NormalOrderedOperator",
-    "ann",
-    "commutator",
-    "cre",
-    "multiply",
-    "normal_order",
-    "number_operator",
-    "operator_sum",
-    "trace",
-    "CIVector",
-    "SectorBasis",
-    "apply",
-    "expectation",
-    "full_spectrum",
-    "ground_state",
-    "spectral_norm",
-    "to_dense",
-    "EigenstateReport",
-    "HaarReport",
-    "eigenstate_error_distribution",
-    "haar_error_distribution",
-    "haar_quadratic_form_stats",
-    "sample_haar_vector",
-    "MolecularSystem",
-    "TrotterSequence",
-    "build_trotter_sequence",
-    "load_fcidump",
-    "parse_fcidump",
-    "spin_expand",
-    "measured_trotter_shift",
-    "trotter_propagator",
-    "StatePrepCost",
-    "cisd_support_dimension",
-    "prep_cost_report",
-    "qubit_count",
-    "select_k",
-    "t_count_cisd",
-    "random_system",
-    "ErrorOperator",
-    "build_error_operator",
-    "estimate_trotter_number",
-]
+from ._version import __version__
+
+# Public names, by the module that defines them.
+_EXPORTS = {
+    "analysis": (
+        "ErrorAnalysisReport", "PowerLawFit", "analyze", "ansatz_error",
+        "fit_power_law", "near_zero_fraction", "orbital_marginals",
+    ),
+    "ci": ("CITruncation", "ci_ground_state", "hartree_fock_state"),
+    "errors": (
+        "FcidumpError", "NumericalError", "ResourceLimitError", "TrotterrError",
+        "ValidationError",
+    ),
+    "fermion": (
+        "LadderOp", "LadderTerm", "NormalOrderedOperator", "ann", "commutator",
+        "cre", "multiply", "normal_order", "number_operator", "operator_sum",
+        "trace",
+    ),
+    "fock": (
+        "CIVector", "SectorBasis", "apply", "expectation", "full_spectrum",
+        "ground_state", "spectral_norm", "to_dense",
+    ),
+    "haar": (
+        "EigenstateReport", "HaarReport", "eigenstate_error_distribution",
+        "haar_error_distribution", "haar_quadratic_form_stats",
+        "sample_haar_vector",
+    ),
+    "hamiltonian": (
+        "MolecularSystem", "TrotterSequence", "build_trotter_sequence",
+        "load_fcidump", "parse_fcidump", "spin_expand",
+    ),
+    "oracle": ("measured_trotter_shift", "trotter_propagator"),
+    "stateprep": (
+        "StatePrepCost", "cisd_support_dimension", "prep_cost_report",
+        "qubit_count", "select_k", "t_count_cisd",
+    ),
+    "synthetic": ("random_system",),
+    "trotter": ("ErrorOperator", "build_error_operator", "estimate_trotter_number"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Reading the namespace dict directly (``vars(trotterr)``, ``dir()``,
+    or a patcher that saves ``trotterr.__dict__[name]`` to restore it later)
+    bypasses ``__getattr__``, so it binds every public name first."""
+
+    @property
+    def __dict__(self):
+        for name in _OWNER:
+            getattr(self, name)
+        return globals()
+
+
+sys.modules[__name__].__class__ = _Package

@@ -6,10 +6,12 @@ full JSON report, ``spectrum``/``marginals`` export CSV for plotting,
 from tabulated data, and ``prep-cost`` prices state preparation.
 
 Exit codes: 0 success, 2 usage or domain error, 3 integral-file parse
-error, 4 resource limit, 5 numerical failure, 6 file I/O.  Heavy modules
-are imported inside the handlers so a ``--threads`` cap (or the
-TROTTERR_THREADS variable) is in place before any numerical library
-starts its worker pool.
+error, 4 resource limit, 5 numerical failure, 6 file I/O.  Importing
+this module loads neither numpy nor scipy (the package namespace is lazy);
+heavy modules are imported inside the handlers, so a ``--threads`` cap (or
+the TROTTERR_THREADS variable) is in place before any numerical library
+starts its worker pool.  scipy is imported only by the Lanczos solvers,
+which run above ``--dense-limit``.
 
 Each JSON payload embeds the schema version, tool version, input file
 hash, and every parameter that influenced the numbers, so a rerun with

@@ -14,7 +14,9 @@ matrix element of every term.  The entries stay unsummed and in term order,
 so ``apply`` and ``to_dense`` accumulate them in exactly the order a
 term-by-term loop would, and their results are bit-identical to it.  The
 eigensolvers build the table once per call and reuse it for the dense
-matrix, the Lanczos matrix-vector product and the residual check.
+matrix, the Lanczos matrix-vector product and the residual check.  scipy
+is imported only by the Lanczos branches (above ``dense_limit``), so the
+dense path never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .fermion import NormalOrderedOperator
@@ -264,6 +265,8 @@ def _require_hermitian(op: NormalOrderedOperator) -> None:
 
 
 def _linear_operator(table, dim: int):
+    import scipy.sparse.linalg
+
     return scipy.sparse.linalg.LinearOperator(
         (dim, dim), matvec=lambda x: _table_apply(table, x), dtype=float
     )
@@ -289,6 +292,8 @@ def ground_state(
         vals, vecs = np.linalg.eigh(_table_dense(table, basis.dim))
         energy, vec = float(vals[0]), vecs[:, 0]
     else:
+        import scipy.sparse.linalg
+
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
                 _linear_operator(table, basis.dim),
@@ -321,6 +326,8 @@ def spectral_norm(
     if basis.dim <= dense_limit:
         vals = np.linalg.eigvalsh(_table_dense(table, basis.dim))
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
+    import scipy.sparse.linalg
+
     linop = _linear_operator(table, basis.dim)
     try:
         hi = scipy.sparse.linalg.eigsh(

@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FcidumpError, ValidationError
+from .errors import FcidumpError, ResourceLimitError, ValidationError
 from .fermion import (
+    _MASK_ORBITALS,
     LadderTerm,
     NormalOrderedOperator,
     ann,
@@ -157,7 +158,8 @@ def parse_fcidump(
     one-electron when ``k == l == 0``, the core energy when all four are
     zero.  Orbital-energy records (``i > 0``, ``j == k == l == 0``) are
     skipped.  Anything else, and any non-finite value, raises with its line
-    number.
+    number.  A NORB whose spin orbitals exceed the operator mask width raises
+    :class:`ResourceLimitError` before any record is read.
     """
     lines = text.splitlines()
     fields, first_record = _parse_namelist(lines)
@@ -171,6 +173,11 @@ def parse_fcidump(
         raise FcidumpError(f"bad namelist integer: {exc}", line=1) from None
     if norb <= 0:
         raise FcidumpError(f"NORB must be positive, got {norb}", line=1)
+    if 2 * norb > _MASK_ORBITALS:
+        raise ResourceLimitError(
+            f"NORB={norb} gives {2 * norb} spin orbitals, beyond the "
+            f"{_MASK_ORBITALS}-orbital mask width"
+        )
 
     h1_spatial = np.zeros((norb, norb))
     chem: dict[tuple[int, int, int, int], float] = {}

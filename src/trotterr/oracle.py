@@ -5,12 +5,13 @@ the fragment matrices explicitly, measures eigenphase shifts of the
 resulting unitary, and extrapolates them to the leading-order prediction.
 Everything here is meant for small bases (the dense limit), where it serves
 as the ground truth that the perturbative machinery is checked against.
+scipy (``expm``, ``schur``) is imported by the functions that call it, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .fock import DENSE_LIMIT, SectorBasis, to_dense
@@ -34,6 +35,8 @@ def trotter_propagator(
         raise ResourceLimitError(
             f"propagator of dim {basis.dim} exceeds limit {dense_limit}"
         )
+    import scipy.linalg
+
     halves = [
         scipy.linalg.expm(-0.5j * delta_t * to_dense(f, basis, dense_limit=dense_limit))
         for f in seq.fragments
@@ -56,6 +59,8 @@ def _unitary_eigensystem(u: np.ndarray):
     eigendecomposition with orthonormal vectors, which is far better
     conditioned than a generic eigensolver.
     """
+    import scipy.linalg
+
     t, z = scipy.linalg.schur(u, output="complex")
     off = np.linalg.norm(t - np.diag(np.diag(t)))
     if off > 1e-8:

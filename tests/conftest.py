@@ -1,14 +1,44 @@
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import trotterr
 
 # make the sibling brute-force helpers importable from every test module
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
+# the directory holding the package under test, for fresh interpreters
+PACKAGE_ROOT = str(Path(trotterr.__file__).resolve().parent.parent)
+
 
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:
     return FIXTURE_DIR
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a script in a new interpreter that imports the package under
+    test; ``drop`` names environment variables to unset.  Fails the test
+    with the child's stderr unless the script exits 0."""
+
+    def run(script: str, drop: tuple[str, ...] = ()) -> None:
+        env = {k: v for k, v in os.environ.items() if k not in drop}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    return run

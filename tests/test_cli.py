@@ -99,6 +99,26 @@ class TestAnalyzeCommand:
         assert code == EXIT_PARSE
         assert "line 1" in err
 
+    def test_oversized_norb_is_resource(self, tmp_path, fixture_dir, capsys):
+        text = (fixture_dir / H2).read_text()
+        assert "NORB=2," in text
+        big = tmp_path / "norb32.fcidump"
+        big.write_text(text.replace("NORB=2,", "NORB=32,", 1))
+        code, _, err = run(capsys, "analyze", "--fcidump", str(big))
+        assert code == EXIT_RESOURCE
+        assert "NORB=32" in err
+
+    def test_lanczos_no_convergence_is_numerical(self, h2_path, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        code, _, err = run(capsys, "analyze", "--fcidump", h2_path, "--dense-limit", "1")
+        assert code == EXIT_NUMERICAL
+        assert "Lanczos did not converge" in err
+
     def test_unknown_flag_value_is_argparse_usage(self, h2_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--fcidump", h2_path, "--ordering", "bogus"])
@@ -303,6 +323,22 @@ class TestThreadCap:
         code, _, err = run(capsys, "spectrum", "--fcidump", h2_path)
         assert code == EXIT_USAGE
         assert "TROTTERR_THREADS" in err
+
+    def test_cap_is_set_before_numpy_loads(self, h2_path, fresh_python):
+        # the cap only works if importing the CLI and parsing the arguments
+        # leave numpy (and with it BLAS) unloaded
+        fresh_python(
+            f"""
+            import os, sys
+            import trotterr.cli
+            assert "numpy" not in sys.modules and "scipy" not in sys.modules
+            argv = ["spectrum", "--fcidump", {h2_path!r}, "--threads", "2"]
+            assert trotterr.cli.main(argv) == 0
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+            assert "numpy" in sys.modules and "scipy" not in sys.modules
+            """,
+            drop=BLAS_VARS + ("TROTTERR_THREADS",),
+        )
 
     def test_nonpositive_flag_is_usage(self, h2_path, capsys):
         code, _, _ = run(

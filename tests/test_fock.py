@@ -346,6 +346,20 @@ class TestEigensolvers:
             expected, rel=1e-6
         )
 
+    @pytest.mark.parametrize("solver", [ground_state, spectral_norm])
+    def test_lanczos_no_convergence_is_numerical_error(
+        self, hermitian_case, solver, monkeypatch
+    ):
+        import scipy.sparse.linalg
+
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        op, basis, _ = hermitian_case
+        with pytest.raises(NumericalError, match="Lanczos did not converge"):
+            solver(op, basis, dense_limit=1)
+
     def test_full_spectrum_ascending_and_exact(self, hermitian_case):
         op, basis, ref = hermitian_case
         spec = full_spectrum(op, basis)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import dense_operator
-from trotterr.errors import FcidumpError, ValidationError
+from trotterr.errors import FcidumpError, ResourceLimitError, ValidationError
 from trotterr.fermion import NormalOrderedOperator
 from trotterr.hamiltonian import (
     MolecularSystem,
@@ -102,6 +102,20 @@ class TestParser:
         with pytest.raises(FcidumpError, match="line 3"):
             parse_fcidump(text)
 
+    def test_norb_beyond_mask_width_rejected_before_records(self):
+        # 64 spin orbitals; the record is out of range and would be a parse
+        # error if it were read
+        text = "&FCI NORB=32,NELEC=2,MS2=0 /\n 1.0 99 1 0 0\n"
+        with pytest.raises(ResourceLimitError, match="NORB=32"):
+            parse_fcidump(text)
+        with pytest.raises(ResourceLimitError, match="mask width"):
+            parse_fcidump("&FCI NORB=1000000000,NELEC=2,MS2=0 /\n")
+
+    def test_norb_at_mask_width_accepted(self):
+        syst = parse_fcidump("&FCI NORB=31,NELEC=2,MS2=0 /\n 0.5 31 31 31 31\n")
+        assert syst.n_spin_orbitals == 62
+        assert syst.h2[(60, 61, 61, 60)] == 0.5
+
     def test_eightfold_unfolding(self, fixture_dir):
         text = (fixture_dir / "h2_sto6g_local.fcidump").read_text()
         syst = parse_fcidump(text)
@@ -110,6 +124,67 @@ class TestParser:
         for (p, q, r, s), v in syst.h2.items():
             assert syst.h2[(q, p, s, r)] == pytest.approx(v, rel=1e-12)
             assert syst.h2[(s, r, q, p)] == pytest.approx(v, rel=1e-12)
+
+
+# Tokens that move the parser between its branches: digits, signs,
+# exponents, non-finite spellings and the namelist punctuation.
+_TOKEN = st.text(alphabet="0123456789.-+eEdDnaifNORB&/=,x", max_size=6)
+
+
+def _mostly(data, choices: list[str]) -> str:
+    """One of ``choices``, or a random token about one time in ten."""
+    if data.draw(st.integers(0, 9)) == 5:  # hypothesis favours the ends
+        return data.draw(_TOKEN)
+    return data.draw(st.sampled_from(choices))
+
+
+def _mutated(line: str, data) -> str:
+    """``line``, or three times in ten with one field replaced or dropped or
+    a random token inserted."""
+    fields = line.split()
+    i = data.draw(st.integers(0, len(fields)))
+    action = data.draw(st.sampled_from(["keep"] * 7 + ["replace", "drop", "insert"]))
+    if action == "replace" and i < len(fields):
+        fields[i] = data.draw(_TOKEN)
+    elif action == "drop" and i < len(fields):
+        del fields[i]
+    elif action == "insert":
+        fields.insert(i, data.draw(_TOKEN))
+    return " ".join(fields)
+
+
+def _fcidump_text(data, records: list[str]) -> str:
+    """An H2-like FCIDUMP file with header values and records garbled."""
+    fields = {
+        "NORB": _mostly(data, ["2", "1", "3", "0", "-1", "32", "2000", "1000000000"]),
+        "NELEC": _mostly(data, ["2", "0", "1", "3", "4", "7", "-1"]),
+        "MS2": _mostly(data, ["0", "1", "-1", "2", "3"]),
+    }
+    for key in data.draw(st.sets(st.sampled_from(["ORBSYM", "ISYM", "UHF"]))):
+        fields[key] = _mostly(data, ["1", "1,1", "0"])
+    if data.draw(st.integers(0, 9)) == 5:
+        del fields[data.draw(st.sampled_from(sorted(fields)))]
+    header = (
+        _mostly(data, ["&FCI ", "&fci "])
+        + ",".join(f"{k}={v}" for k, v in fields.items())
+        + _mostly(data, [",\n &END", " /", ",\n&end"])
+    )
+    lines = data.draw(st.lists(st.sampled_from(records), max_size=10))
+    lines = [_mutated(line, data) for line in lines]
+    return "\n".join([header, *lines]) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parse_fcidump_validates_or_raises_documented_errors(fixture_dir, data):
+    text = (fixture_dir / "h2_sto6g_local.fcidump").read_text()
+    records = [line for line in text.splitlines() if "&" not in line and "=" not in line]
+    try:
+        syst = parse_fcidump(_fcidump_text(data, records))
+    except (FcidumpError, ResourceLimitError):
+        return
+    syst.validate()
+    assert syst.n_spin_orbitals <= 62
 
 
 class TestSpinExpansion:
