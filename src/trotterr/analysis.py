@@ -273,9 +273,9 @@ def analyze(
     else:
         basis = SectorBasis.full(system.n_spin_orbitals)
     with _stage("ground state"):
-        energy, psi0 = ground_state(
-            system.hamiltonian(), basis, dense_limit=dense_limit
-        )
+        # one Hamiltonian for the exact ground state and every CI level
+        hamiltonian = system.hamiltonian()
+        energy, psi0 = ground_state(hamiltonian, basis, dense_limit=dense_limit)
     with _stage("ground-state error"):
         signed_error = expectation(error.op, psi0)
     gs_error = abs(signed_error)
@@ -298,7 +298,7 @@ def analyze(
         trunc = CITruncation(level=level, reference=reference)
         with _stage(f"CI level {level}"):
             ci_energy, ci_vec = ci_ground_state(
-                system, trunc, dense_limit=dense_limit
+                system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
             )
             level_error = expectation(error.op, embed_in_sector(ci_vec, sector))
         # signed difference: an ansatz with the wrong sign must not look good

@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ValidationError
+from .fermion import NormalOrderedOperator
 from .fock import DENSE_LIMIT, CIVector, SectorBasis, ground_state
 from .hamiltonian import MolecularSystem
 
@@ -79,11 +80,15 @@ def ci_ground_state(
     trunc: CITruncation,
     *,
     dense_limit: int = DENSE_LIMIT,
+    hamiltonian: NormalOrderedOperator | None = None,
 ) -> tuple[float, CIVector]:
     """Minimal eigenpair of H restricted to the truncated excitation space.
 
     Restriction happens naturally: applying H on a subset basis projects
-    away every component that leaves the space.
+    away every component that leaves the space.  ``hamiltonian`` is
+    ``system.hamiltonian()`` when the caller has already built it.
     """
+    if hamiltonian is None:
+        hamiltonian = system.hamiltonian()
     basis = excitation_basis(trunc, system.n_spin_orbitals)
-    return ground_state(system.hamiltonian(), basis, dense_limit=dense_limit)
+    return ground_state(hamiltonian, basis, dense_limit=dense_limit)

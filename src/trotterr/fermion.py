@@ -25,6 +25,16 @@ ascending by ``(cre, ann)``; a sum (``+``, ``-``, ``operator_sum``, the
 ``ab - ba`` of ``commutator``) lists them in order of first appearance over
 its inputs and adds each key's values in input order, starting from 0.0.
 
+Both rules rest on one accumulation routine that groups terms by a single
+int64 sort key.  With ``w`` the bit length of the largest annihilation mask,
+the key is ``cre << w | ann`` whenever that fits in 63 bits (every operator
+of up to 31 spin orbitals); since every ``ann < 2**w``, ascending key order
+is exactly ascending ``(cre, ann)`` order.  Wider operators use the dense
+rank of their ``(cre, ann)`` pairs as the key instead.  The key sort need
+not be stable: each key's values are added by ``np.bincount`` in input
+order, and its first appearance is the smallest input position in its
+group, neither of which depends on how the sort ordered equal keys.
+
 Ladder strings are reduced at ingestion by iterated anticommutation:
 ``a_p a_q^+ = delta_pq - a_q^+ a_p`` swaps a defect (an annihilator
 directly left of a creator), and sorting within a group flips the
@@ -364,27 +374,66 @@ def _combine(
 ) -> NormalOrderedOperator:
     """Add up the coefficients of equal keys and drop the small sums.
 
-    Keys come out ascending by ``(cre, ann)``, or with ``first_seen`` in
-    order of first appearance.  Either way ``np.bincount`` adds each key's
-    coefficients in input order starting from 0.0, which is bit for bit what
-    ``out[key] = out.get(key, 0.0) + c`` over the same input gives.
+    Terms are grouped by one int64 sort key per term (``_sort_key``), whose
+    ascending order is the ``(cre, ann)`` order.  Keys come out in that
+    order, or with ``first_seen`` in order of first appearance.  The sort
+    need not be stable: ``np.bincount`` adds each key's coefficients in
+    input order starting from 0.0 whatever order the sort left equal keys
+    in, which is bit for bit what ``out[key] = out.get(key, 0.0) + c`` over
+    the same input gives.
     """
-    if not len(coeffs):
+    n = len(coeffs)
+    if not n:
         return NormalOrderedOperator.zero()
-    order = np.lexsort((amasks, cmasks))  # stable, so ties keep input order
-    c, a = cmasks[order], amasks[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (c[1:] != c[:-1]) | (a[1:] != a[:-1])
-    first = order[head]  # each key's earliest input position
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(head) - 1
+    # inputs can be millions of unsummed product terms, so each temporary
+    # is dropped as soon as it is used to keep the peak memory down
+    key = _sort_key(cmasks, amasks)
+    order = np.argsort(key)
+    ordered = key[order]
+    del key
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    del ordered
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.cumsum(head)  # labels from 1: sums[0] stays unused
     sums = np.bincount(group, weights=coeffs)
     if first_seen:
-        by_position = np.argsort(first)
-        first, sums = first[by_position], sums[by_position]
+        # mark each key's earliest input position; reading the marks in
+        # input order lists the keys in order of first appearance
+        mark = np.zeros(n, dtype=bool)
+        mark[np.minimum.reduceat(order, np.flatnonzero(head))] = True
+        rows = np.flatnonzero(mark)
+        sums = sums[group[rows]]
+    else:
+        rows = order[head]  # one input position per key, ascending by key
+        sums = sums[1:]
     keep = np.abs(sums) >= drop_tolerance
-    first = first[keep]
-    return NormalOrderedOperator._from_arrays(cmasks[first], amasks[first], sums[keep])
+    rows = rows[keep]
+    return NormalOrderedOperator._from_arrays(cmasks[rows], amasks[rows], sums[keep])
+
+
+def _sort_key(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
+    """One int64 per term, ascending in the same order as ``(cre, ann)``.
+
+    Masks are non-negative, so while both halves fit in 63 bits together
+    (every operator of up to 31 spin orbitals) the key is the creation mask
+    shifted above the annihilation mask.  Wider operators get the dense rank
+    of their ``(cre, ann)`` pairs instead.
+    """
+    width = int(amasks.max()).bit_length()
+    if int(cmasks.max()).bit_length() + width <= _MASK_ORBITALS:
+        key = cmasks << width
+        key |= amasks
+        return key
+    order = np.lexsort((amasks, cmasks))
+    c, a = cmasks[order], amasks[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    new[1:] = (c[1:] != c[:-1]) | (a[1:] != a[:-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(new)
+    return rank
 
 
 def _stacked(ops: Iterable[NormalOrderedOperator]) -> tuple[np.ndarray, ...]:

@@ -272,6 +272,15 @@ def _linear_operator(table, dim: int):
     )
 
 
+def _start_vector(dim: int) -> np.ndarray:
+    """Fixed Lanczos start vector, so reruns give the same bits.
+
+    ARPACK's own start is random per call.  A constant vector can be
+    orthogonal to a symmetric eigenvector, so this one is seeded noise.
+    """
+    return np.random.default_rng(0).standard_normal(dim)
+
+
 def ground_state(
     op: NormalOrderedOperator,
     basis: SectorBasis,
@@ -300,6 +309,7 @@ def ground_state(
                 k=1,
                 which="SA",
                 tol=residual_tol / 10,
+                v0=_start_vector(basis.dim),
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"Lanczos did not converge: {exc}") from exc
@@ -329,12 +339,13 @@ def spectral_norm(
     import scipy.sparse.linalg
 
     linop = _linear_operator(table, basis.dim)
+    v0 = _start_vector(basis.dim)
     try:
         hi = scipy.sparse.linalg.eigsh(
-            linop, k=1, which="LA", tol=rel_tol, return_eigenvectors=False
+            linop, k=1, which="LA", tol=rel_tol, v0=v0, return_eigenvectors=False
         )
         lo = scipy.sparse.linalg.eigsh(
-            linop, k=1, which="SA", tol=rel_tol, return_eigenvectors=False
+            linop, k=1, which="SA", tol=rel_tol, v0=v0, return_eigenvectors=False
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NumericalError(f"Lanczos did not converge: {exc}") from exc

@@ -264,7 +264,13 @@ def spin_expand(
     *,
     drop_threshold: float = TERM_DROP_THRESHOLD,
 ) -> tuple[np.ndarray, dict[tuple[int, int, int, int], float]]:
-    """Expand spatial integrals to spin orbitals (physicist convention)."""
+    """Expand spatial integrals to spin orbitals (physicist convention).
+
+    Each chemist entry (ij|kl) above ``drop_threshold`` gives the four spin
+    assignments ``h2[(2i+a, 2k+b, 2l+b, 2j+a)]`` for spins a, b, so the cost
+    is linear in the number of entries.  ``h2`` lists its keys ascending by
+    ``(p, q, r, s)``; that order becomes the Hamiltonian's term order.
+    """
     n = 2 * norb
     h1 = np.zeros((n, n))
     for i in range(norb):
@@ -273,19 +279,14 @@ def spin_expand(
             if abs(v) > drop_threshold:
                 h1[2 * i, 2 * j] = v
                 h1[2 * i + 1, 2 * j + 1] = v
-    h2: dict[tuple[int, int, int, int], float] = {}
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                if q % 2 != r % 2:
-                    continue
-                for s in range(n):
-                    if p % 2 != s % 2:
-                        continue
-                    v = chem.get((p // 2, s // 2, q // 2, r // 2), 0.0)
-                    if abs(v) > drop_threshold:
-                        h2[(p, q, r, s)] = v
-    return h1, h2
+    entries = []
+    for (i, j, k, l), v in chem.items():
+        if abs(v) > drop_threshold:
+            for a in (0, 1):
+                for b in (0, 1):
+                    entries.append(((2 * i + a, 2 * k + b, 2 * l + b, 2 * j + a), v))
+    entries.sort(key=lambda entry: entry[0])
+    return h1, dict(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,35 @@ def mask_order(terms: dict) -> list:
     return sorted(
         terms, key=lambda k: (sum(1 << p for p in k[0]), sum(1 << p for p in k[1]))
     )
+
+
+# ---------------------------------------------------------------------------
+# Spin expansion reference.
+# ---------------------------------------------------------------------------
+
+
+def loop_spin_expand(norb: int, h1_spatial: np.ndarray, chem: dict, *, drop_threshold: float):
+    """Spin-orbital integrals by a scan over every (2 norb)^4 index quadruple:
+    the loop ``trotterr.hamiltonian.spin_expand`` replaces.  Its ``h2`` key
+    order is the scan order, ascending by (p, q, r, s)."""
+    n = 2 * norb
+    h1 = np.zeros((n, n))
+    for i in range(norb):
+        for j in range(norb):
+            v = h1_spatial[i, j]
+            if abs(v) > drop_threshold:
+                h1[2 * i, 2 * j] = v
+                h1[2 * i + 1, 2 * j + 1] = v
+    h2: dict = {}
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                if q % 2 != r % 2:
+                    continue
+                for s in range(n):
+                    if p % 2 != s % 2:
+                        continue
+                    v = chem.get((p // 2, s // 2, q // 2, r // 2), 0.0)
+                    if abs(v) > drop_threshold:
+                        h2[(p, q, r, s)] = v
+    return h1, h2

@@ -26,9 +26,10 @@ def fixture_dir() -> Path:
 def fresh_python():
     """Run a script in a new interpreter that imports the package under
     test; ``drop`` names environment variables to unset.  Fails the test
-    with the child's stderr unless the script exits 0."""
+    with the child's stderr unless the script exits 0, else returns its
+    stdout."""
 
-    def run(script: str, drop: tuple[str, ...] = ()) -> None:
+    def run(script: str, drop: tuple[str, ...] = ()) -> str:
         env = {k: v for k, v in os.environ.items() if k not in drop}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
@@ -40,5 +41,6 @@ def fresh_python():
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
 
     return run

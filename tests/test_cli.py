@@ -65,6 +65,21 @@ class TestAnalyzeCommand:
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_lanczos_reruns_are_byte_identical(self, fixture_dir, capsys, fresh_python):
+        # dimension 70 > 20: the ground state, the norm and the doubles level
+        # take the Lanczos path, whose start vector must not vary per run
+        argv = ["analyze", "--fcidump", str(fixture_dir / "h4_sto6g_local.fcidump"),
+                "--dense-limit", "20"]
+        script = f"""
+            import sys
+            from trotterr.cli import main
+            sys.exit(main({argv!r}))
+            """
+        runs = [fresh_python(script) for _ in range(2)]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert runs == [stdout, stdout]
+
     def test_ci_level_selection(self, h2_path, capsys):
         code, stdout, _ = run(
             capsys, "analyze", "--fcidump", h2_path, "--ci-levels", "0,2"

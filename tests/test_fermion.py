@@ -1,6 +1,7 @@
 """Normal-ordered ladder algebra against the dense brute-force oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import (
     LadderTerm,
     NormalOrderedOperator,
+    _sort_key,
     ann,
     commutator,
     cre,
@@ -350,6 +352,89 @@ def test_term_order_matches_dict_arithmetic_on_fragments(fixture_dir, name):
         m = multiply(frag, prefix, drop_tolerance=0.0)
         _assert_same_sums(m, m.adjoint())
         prefix = prefix + frag
+
+
+# Orbital ranges that put the grouping on each of its two sort keys: halves
+# below orbital 31 pack into one int64, halves above orbital 31 do not and
+# are ranked by a lexsort.
+KEY_BRANCHES = {"packed": (0, 30), "ranked": (32, 62)}
+
+# Coefficients whose sums depend on the order they are added in
+# (1e16 + 1 - 1e16 is 0, 1 + 1e16 - 1e16 is not), that cancel exactly, or
+# that sit below the drop tolerance.
+ORDER_SENSITIVE = st.sampled_from(
+    [1e16, -1e16, 1.0, -1.0, 0.5, 3.0, 1e-13, -1e-13]
+) | st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def operator_lists(draw, lo, hi, values, min_ops=2, max_ops=6):
+    """Operators over a small shared pool of keys on orbitals ``lo..hi``, so
+    most keys recur across operators.  The first operator leads with a key
+    that has both halves set."""
+    def group(min_size):
+        orbitals = st.sets(st.integers(lo, hi), min_size=min_size, max_size=3)
+        return orbitals.map(lambda s: tuple(sorted(s, reverse=True)))
+
+    pool = [
+        draw(st.tuples(group(1), group(1))),
+        *draw(st.lists(st.tuples(group(0), group(0)), max_size=5)),
+    ]
+    maps = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(pool), values, max_size=len(pool)),
+            min_size=min_ops,
+            max_size=max_ops,
+        )
+    )
+    maps[0] = {pool[0]: draw(values), **maps[0]}
+    return [NormalOrderedOperator(m, drop_tolerance=0.0) for m in maps]
+
+
+@pytest.mark.parametrize("branch", sorted(KEY_BRANCHES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grouping_matches_term_maps(branch, data):
+    ops = data.draw(operator_lists(*KEY_BRANCHES[branch], ORDER_SENSITIVE))
+    maps = [op.terms for op in ops]
+    a, b = ops[0], ops[1]
+    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+        assert _bits((a + b).terms) == _bits(dict_add(maps[0], maps[1]))
+        assert _bits(operator_sum(ops).terms) == _bits(dict_sum(maps))
+        assert _bits(commutator(a, b).terms) == _bits(dict_commutator(a, b))
+    assert lexsort.called == (branch == "ranked")
+
+
+@pytest.mark.parametrize("branch", sorted(KEY_BRANCHES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_grouping_matches_scalar_reference(branch, data):
+    # small integer coefficients keep every sum exact, whatever order the
+    # two references add the product terms in
+    a, b = data.draw(
+        operator_lists(*KEY_BRANCHES[branch], st.integers(-5, 5).map(float), max_ops=2)
+    )
+    scalar = scalar_multiply(a, b)
+    expected = [(k, scalar[k].hex()) for k in mask_order(scalar) if scalar[k] != 0.0]
+    assert _bits(multiply(a, b).terms) == expected
+
+
+def test_sort_key_orders_like_the_two_halves():
+    rng = np.random.default_rng(14)
+    for lo, hi in KEY_BRANCHES.values():
+        bits = np.int64(1) << rng.integers(lo, hi + 1, size=(2, 500, 2))
+        cmasks, amasks = np.bitwise_or.reduce(bits, axis=2)
+        cmasks[::7], amasks[::5] = 0, 0
+        key = _sort_key(cmasks, amasks)
+        assert np.array_equal(
+            np.argsort(key, kind="stable"), np.lexsort((amasks, cmasks))
+        )
+        if hi < 31:
+            width = int(amasks.max()).bit_length()
+            assert np.array_equal(key, (cmasks << width) | amasks)
+        else:
+            pairs = sorted(set(zip(cmasks.tolist(), amasks.tolist())))
+            assert key.max() == len(pairs) < len(key)
 
 
 def test_orbital_beyond_mask_width_raises():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import dense_operator
+from bruteforce import dense_operator, loop_spin_expand
 from trotterr.errors import FcidumpError, ResourceLimitError, ValidationError
 from trotterr.fermion import NormalOrderedOperator
 from trotterr.hamiltonian import (
@@ -198,6 +198,44 @@ class TestSpinExpansion:
         chem = {(0, 0, 0, 0): 2.0}
         _, h2 = spin_expand(1, np.zeros((1, 1)), chem)
         assert set(h2) == {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)}
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "h2_sto6g_local",
+            "h2_sto6g_canonical",
+            "h2_sto6g_natural",
+            "h4_sto6g_local",
+            *((n, seed, 1.0) for n in range(1, 6) for seed in (0, 1)),
+            (4, 2, 0.5),
+        ],
+        ids=str,
+    )
+    def test_matches_quadruple_scan(self, fixture_dir, monkeypatch, source):
+        # h2's key order becomes the Hamiltonian's term order, so the entries
+        # must come out in the scan's order, not just as the same set
+        import trotterr.hamiltonian
+        import trotterr.synthetic
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = spin_expand(*args, **kwargs)
+            calls.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(trotterr.hamiltonian, "spin_expand", recording)
+        monkeypatch.setattr(trotterr.synthetic, "spin_expand", recording)
+        if isinstance(source, tuple):
+            n, seed, density = source
+            random_system(np.random.default_rng(seed), n, density=density)
+        else:
+            parse_fcidump((fixture_dir / f"{source}.fcidump").read_text())
+        (args, kwargs, (h1, h2)), = calls
+        ref_h1, ref_h2 = loop_spin_expand(*args, **kwargs)
+        assert h2
+        assert np.array_equal(h1, ref_h1)
+        assert list(h2.items()) == list(ref_h2.items())
 
 
 class TestSequences:
