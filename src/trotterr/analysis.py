@@ -28,9 +28,12 @@ from .fock import (
     DENSE_LIMIT,
     CIVector,
     SectorBasis,
-    expectation,
+    _operator_table,
+    _table_expectation,
+    _table_spectral_norm,
+    expectation,  # noqa: F401  looked up here by bench/tracing.py
     ground_state,
-    spectral_norm,
+    spectral_norm,  # noqa: F401  looked up here by bench/tracing.py
 )
 from .hamiltonian import MolecularSystem, build_trotter_sequence
 from .trotter import ErrorOperator, build_error_operator, estimate_trotter_number
@@ -169,9 +172,28 @@ def ansatz_error(
     into the full particle-number sector so the error operator acts without
     any projection.
     """
-    _, ci_vec = ci_ground_state(system, trunc, dense_limit=dense_limit)
     sector = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-    return expectation(error.op, embed_in_sector(ci_vec, sector))
+    table = _operator_table(error.op, sector)
+    return _ci_level(system, trunc, sector, table, dense_limit=dense_limit)[2]
+
+
+def _ci_level(
+    system: MolecularSystem,
+    trunc: CITruncation,
+    sector: SectorBasis,
+    error_table,
+    *,
+    dense_limit: int,
+    hamiltonian=None,
+) -> tuple[float, CIVector, float]:
+    """``(energy, vector, <V>)`` of one truncated-CI level, with ``<V>``
+    taken from the error operator's action table on ``sector``."""
+    energy, ci_vec = ci_ground_state(
+        system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
+    )
+    return energy, ci_vec, _table_expectation(
+        error_table, embed_in_sector(ci_vec, sector)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +299,13 @@ def analyze(
         hamiltonian = system.hamiltonian()
         energy, psi0 = ground_state(hamiltonian, basis, dense_limit=dense_limit)
     with _stage("ground-state error"):
-        signed_error = expectation(error.op, psi0)
+        # one action table of V on the working basis serves the expectation
+        # and the norm
+        error_table = _operator_table(error.op, basis, hermitian=True)
+        signed_error = _table_expectation(error_table, psi0)
     gs_error = abs(signed_error)
     with _stage("spectral norm"):
-        norm = spectral_norm(error.op, basis, dense_limit=dense_limit)
+        norm = _table_spectral_norm(error_table, basis.dim, dense_limit=dense_limit)
     ratio = gs_error / norm if norm > 0.0 else 0.0
     if ratio > 1.0 + 1e-12:
         raise NumericalError(f"Rayleigh bound violated: ratio {ratio}")
@@ -288,19 +313,22 @@ def analyze(
     levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
     reference = hartree_fock_state(system)
     # every CI level is embedded into this one sector basis
-    sector = (
-        basis
-        if space == "sector"
-        else SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-    )
+    sector, sector_table = basis, error_table
+    if space == "full" and levels:
+        sector = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
+        sector_table = _operator_table(error.op, sector)
     ci_results = []
     for level in levels:
         trunc = CITruncation(level=level, reference=reference)
         with _stage(f"CI level {level}"):
-            ci_energy, ci_vec = ci_ground_state(
-                system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
+            ci_energy, ci_vec, level_error = _ci_level(
+                system,
+                trunc,
+                sector,
+                sector_table,
+                dense_limit=dense_limit,
+                hamiltonian=hamiltonian,
             )
-            level_error = expectation(error.op, embed_in_sector(ci_vec, sector))
         # signed difference: an ansatz with the wrong sign must not look good
         residual = (
             abs(signed_error - level_error) / gs_error if gs_error > 0.0 else None

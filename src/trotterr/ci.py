@@ -34,14 +34,31 @@ class CITruncation:
 
 
 def hartree_fock_state(system: MolecularSystem) -> int:
-    """Reference determinant: the n lowest spin orbitals occupied.
+    """Reference determinant: the lowest orbitals of each spin occupied.
 
-    Orbitals are assumed energy-ordered in the integral file; that is the
-    fixture's responsibility and is documented there.
+    ``n_alpha = (N + MS2) / 2`` electrons fill the lowest alpha (even) spin
+    orbitals and ``n_beta = (N - MS2) / 2`` the lowest beta (odd) ones, so
+    the determinant has the system's MS2; when MS2 = N mod 2 that is the N
+    lowest spin orbitals, ``(1 << N) - 1``.  Orbitals are assumed
+    energy-ordered in the integral file; that is the fixture's
+    responsibility and is documented there.
     """
-    if system.n_electrons > system.n_spin_orbitals:
-        raise ValidationError("more electrons than spin orbitals")
-    return (1 << system.n_electrons) - 1
+    n, ms2 = system.n_electrons, system.ms2
+    norb = system.n_spin_orbitals // 2
+    if (n + ms2) % 2:
+        raise ValidationError(f"MS2={ms2} inconsistent with {n} electrons")
+    n_alpha, n_beta = (n + ms2) // 2, (n - ms2) // 2
+    if not (0 <= n_alpha <= norb and 0 <= n_beta <= norb):
+        raise ValidationError(
+            f"{n_alpha} alpha and {n_beta} beta electrons do not fit in "
+            f"{norb} spatial orbitals"
+        )
+    state = 0
+    for i in range(n_alpha):
+        state |= 1 << (2 * i)
+    for i in range(n_beta):
+        state |= 1 << (2 * i + 1)
+    return state
 
 
 def excitation_count(n_orbitals: int, n_electrons: int, level: int) -> int:

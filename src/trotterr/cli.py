@@ -15,8 +15,12 @@ which run above ``--dense-limit``.
 
 Each JSON payload embeds the schema version, tool version, input file
 hash, and every parameter that influenced the numbers, so a rerun with
-the same flags is byte-identical.  CSV outputs carry a single ``#``
-header line naming columns and units.
+the same flags is byte-identical, provided the BLAS thread count is the
+same too (fix it with ``--threads``): dense LAPACK reductions add in a
+thread-dependent order, so ``analyze --space full`` on the H4 fixture
+prints ``ratio`` 0.11276632381654865 with one thread and
+0.11276632381654818 with two.  CSV outputs carry a single ``#`` header
+line naming columns and units.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ matrix element of every term.  The entries stay unsummed and in term order,
 so ``apply`` and ``to_dense`` accumulate them in exactly the order a
 term-by-term loop would, and their results are bit-identical to it.  The
 eigensolvers build the table once per call and reuse it for the dense
-matrix, the Lanczos matrix-vector product and the residual check.  scipy
+matrix, the Lanczos matrix-vector product and the residual check; a caller
+that evaluates one operator several times on one basis builds it once
+(``_operator_table``) and uses the ``_table_*`` evaluators, which are the
+public functions' arithmetic, so the bits do not change.  scipy
 is imported only by the Lanczos branches (above ``dense_limit``), so the
 dense path never loads it.
 """
@@ -225,11 +228,21 @@ def _table_dense(table, dim: int) -> np.ndarray:
     return mat
 
 
+def _operator_table(
+    op: NormalOrderedOperator, basis: SectorBasis, *, hermitian: bool = False
+):
+    """The action table of ``op`` on ``basis`` after the public entry
+    points' checks; ``hermitian`` adds the eigensolvers' Hermiticity check."""
+    _check_operator(op, basis)
+    if hermitian:
+        _require_hermitian(op)
+    return _action_table(op, basis)
+
+
 def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
     """Matrix-free ``op @ vector``; components leaving a subset basis are
     projected away (that is exactly the subspace-restricted operator)."""
-    _check_operator(op, vector.basis)
-    table = _action_table(op, vector.basis)
+    table = _operator_table(op, vector.basis)
     return CIVector(vector.basis, _table_apply(table, vector.amplitudes))
 
 
@@ -250,12 +263,17 @@ def to_dense(
 
 def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:
     """<v|op|v> / <v|v>; warns when the input was not normalized."""
-    nrm2 = float(vector.amplitudes @ vector.amplitudes)
+    return _table_expectation(_operator_table(op, vector.basis), vector)
+
+
+def _table_expectation(table, vector: CIVector) -> float:
+    v = vector.amplitudes
+    nrm2 = float(v @ v)
     if nrm2 == 0.0:
         raise ValidationError("expectation of the zero vector")
     if abs(nrm2 - 1.0) > 1e-8:
         log.warning("expectation input norm %.6f != 1; normalizing", math.sqrt(nrm2))
-    return vector.dot(apply(op, vector)) / nrm2
+    return float(v @ _table_apply(table, v)) / nrm2
 
 
 def _require_hermitian(op: NormalOrderedOperator) -> None:
@@ -294,9 +312,7 @@ def ground_state(
     residual norm ||H v - E v|| is verified against ``residual_tol`` either
     way.
     """
-    _check_operator(op, basis)
-    _require_hermitian(op)
-    table = _action_table(op, basis)
+    table = _operator_table(op, basis, hermitian=True)
     if basis.dim <= dense_limit:
         vals, vecs = np.linalg.eigh(_table_dense(table, basis.dim))
         energy, vec = float(vals[0]), vecs[:, 0]
@@ -330,16 +346,22 @@ def spectral_norm(
     rel_tol: float = 1e-8,
 ) -> float:
     """Largest |eigenvalue| of a Hermitian operator on ``basis``."""
-    _check_operator(op, basis)
-    _require_hermitian(op)
-    table = _action_table(op, basis)
-    if basis.dim <= dense_limit:
-        vals = np.linalg.eigvalsh(_table_dense(table, basis.dim))
+    table = _operator_table(op, basis, hermitian=True)
+    return _table_spectral_norm(
+        table, basis.dim, dense_limit=dense_limit, rel_tol=rel_tol
+    )
+
+
+def _table_spectral_norm(
+    table, dim: int, *, dense_limit: int, rel_tol: float = 1e-8
+) -> float:
+    if dim <= dense_limit:
+        vals = np.linalg.eigvalsh(_table_dense(table, dim))
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
     import scipy.sparse.linalg
 
-    linop = _linear_operator(table, basis.dim)
-    v0 = _start_vector(basis.dim)
+    linop = _linear_operator(table, dim)
+    v0 = _start_vector(dim)
     try:
         hi = scipy.sparse.linalg.eigsh(
             linop, k=1, which="LA", tol=rel_tol, v0=v0, return_eigenvectors=False

@@ -49,6 +49,10 @@ ENSEMBLES = ("complex", "real")
 # (seed, block_size), so changing the default would change output streams
 SAMPLE_BLOCK = 8192
 
+# rows of the complex ensemble's second Gaussian drawn at a time, which
+# keeps that buffer cache-sized; the stream does not depend on it
+_GAUSS_CHUNK = 256
+
 
 def _check_ensemble(ensemble: str) -> None:
     if ensemble not in ENSEMBLES:
@@ -122,19 +126,30 @@ def _sample_quadratic_form(
 
     Blocks of ``block_size`` samples each get their own child seed, so the
     stream is reproducible for a fixed (seed, block_size) no matter how
-    blocks are scheduled.
+    blocks are scheduled.  One block buffer is reused for every block, and
+    the complex ensemble's second Gaussian goes through a small chunk
+    buffer; the draws and the arithmetic are those of drawing whole
+    ``(count, dim)`` arrays, so the samples are too.
     """
     out = np.empty(n_samples)
     n_blocks = -(-n_samples // block_size)
+    w_block = np.empty((min(block_size, n_samples), lam.size))
+    if ensemble == "complex":
+        g_chunk = np.empty((min(_GAUSS_CHUNK, len(w_block)), lam.size))
     start = 0
     for child in np.random.SeedSequence(seed).spawn(n_blocks):
         rng = np.random.default_rng(child)
         count = min(block_size, n_samples - start)
-        g = rng.standard_normal((count, lam.size))
-        w = g * g
+        w = w_block[:count]
+        rng.standard_normal(out=w)
+        np.square(w, out=w)
         if ensemble == "complex":
-            g = rng.standard_normal((count, lam.size))
-            w += g * g
+            for lo in range(0, count, _GAUSS_CHUNK):
+                rows = w[lo : lo + _GAUSS_CHUNK]
+                g = g_chunk[: len(rows)]
+                rng.standard_normal(out=g)
+                np.square(g, out=g)
+                rows += g
         out[start : start + count] = (w @ lam) / w.sum(axis=1)
         start += count
     return out

@@ -31,11 +31,9 @@ import numpy as np
 from .errors import FcidumpError, ResourceLimitError, ValidationError
 from .fermion import (
     _MASK_ORBITALS,
-    LadderTerm,
+    DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
-    ann,
-    cre,
-    normal_order,
+    _combine,
     operator_sum,
 )
 
@@ -90,21 +88,23 @@ class MolecularSystem:
 
     def hamiltonian(self, *, include_core: bool = False) -> NormalOrderedOperator:
         """The second-quantized operator; the scalar core energy is excluded
-        unless requested, since it only shifts every eigenvalue."""
-        pieces = []
-        n = self.n_spin_orbitals
-        for p in range(n):
-            for q in range(n):
-                v = float(self.h1[p, q])
-                if abs(v) > TERM_DROP_THRESHOLD:
-                    pieces.append(normal_order(LadderTerm(v, (cre(p), ann(q)))))
-        for (p, q, r, s), v in self.h2.items():
-            pieces.append(
-                normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
-            )
+        unless requested, since it only shifts every eigenvalue.
+
+        Terms are listed in order of first appearance over the ``h1`` scan
+        (row by row, ascending ``(p, q)``), then ``h2`` in dict order, then
+        the core energy.
+        """
+        cre, ann, val, _ = _integral_terms(self)
+        # one-body terms come first; ascending (cre, ann) is the row scan
+        n_one = int(np.count_nonzero(np.bitwise_count(cre) == 1))
+        order = np.concatenate(
+            [np.lexsort((ann[:n_one], cre[:n_one])), np.arange(n_one, len(val))]
+        )
+        cre, ann, val = cre[order], ann[order], val[order]
         if include_core and self.core_energy:
-            pieces.append(NormalOrderedOperator.identity(self.core_energy))
-        return operator_sum(pieces)
+            cre, ann = np.append(cre, 0), np.append(ann, 0)
+            val = np.append(val, float(self.core_energy))
+        return _combine(cre, ann, val, DEFAULT_DROP_TOLERANCE, first_seen=True)
 
 
 # ---------------------------------------------------------------------------
@@ -395,64 +395,134 @@ def build_trotter_sequence(
     return sequence
 
 
+def _integral_terms(system, drop_threshold=TERM_DROP_THRESHOLD):
+    """Every Hamiltonian term as packed ``(cre, ann, val, label)`` arrays.
+
+    One-body terms come first: each pair ``p <= q`` with
+    ``|h1[p, q]| > drop_threshold``, row by row, followed by its mirror
+    ``a+_q a_p`` when ``p != q``; both carry ``h1[p, q]``, so every pair is
+    exactly Hermitian (the two halves of ``h1`` agree exactly for parsed and
+    generated systems; ``validate`` allows them to differ by 1e-12).  Then
+    ``h2`` in dict order: ``a+_p a+_q a_r a_s`` has masks
+    ``cre = 1<<p | 1<<q``, ``ann = 1<<r | 1<<s`` and value
+    ``(0.5 * h2[pqrs]) * (-1)^[p<q] * (-1)^[r<s]``, the sign of sorting
+    each half descending, and vanishes when ``p == q`` or ``r == s``.
+    Values below the operator drop tolerance are left out, as reducing each
+    term on its own would.
+
+    ``label`` names the term's integral fragment as one integer, ascending
+    in the same order as the fragment keys: ``i * norb + j`` for the
+    one-body spatial pair ``i <= j``, ``norb**2`` plus the base-``norb``
+    digits of the chemist class representative ``(ij|kl)`` for a two-body
+    term, and -1 for a one-body term that couples opposite spins, which no
+    integral fragment holds.
+    """
+    norb = system.n_spin_orbitals // 2
+    p, q = np.nonzero(np.triu(np.abs(system.h1) > drop_threshold))
+    mirror = p != q
+    one_cre = np.stack([p, q], axis=1).ravel()
+    one_ann = np.stack([q, p], axis=1).ravel()
+    one_val = np.repeat(system.h1[p, q], 2)
+    one_label = np.repeat(
+        np.where(p % 2 == q % 2, (p // 2) * norb + q // 2, -1), 2
+    )
+    one_keep = np.stack([np.ones_like(mirror), mirror], axis=1).ravel()
+
+    index = np.array(list(system.h2), dtype=np.int64).reshape(-1, 4)
+    value = np.fromiter(system.h2.values(), dtype=np.float64, count=len(index))
+    p, q, r, s = index.T
+    flips = (p < q).astype(np.int64) + (r < s)
+    two_val = (0.5 * value) * (1.0 - 2.0 * (flips & 1))
+    # electron 1 pairs (p, s), electron 2 pairs (q, r): the class of (PS|QR)
+    elec1 = np.minimum(p, s) // 2 * norb + np.maximum(p, s) // 2
+    elec2 = np.minimum(q, r) // 2 * norb + np.maximum(q, r) // 2
+    two_label = norb * norb + np.minimum(
+        elec1 * norb * norb + elec2, elec2 * norb * norb + elec1
+    )
+
+    bit = np.int64(1)
+    cre = np.concatenate([bit << one_cre, (bit << p) | (bit << q)])
+    ann = np.concatenate([bit << one_ann, (bit << r) | (bit << s)])
+    val = np.concatenate([one_val, two_val])
+    label = np.concatenate([one_label, two_label])
+    keep = np.concatenate([one_keep, (p != q) & (r != s)])
+    keep &= np.abs(val) >= DEFAULT_DROP_TOLERANCE
+    return cre[keep], ann[keep], val[keep], label[keep]
+
+
+def _groups(label: np.ndarray):
+    """``(label, rows)`` per distinct label, rows in input order."""
+    if not len(label):
+        return []
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [(int(label[rows[0]]), rows) for rows in np.split(order, cuts)]
+
+
 def _fragments_by_integral(system, drop_threshold):
-    n = system.n_spin_orbitals
-    norb = n // 2
+    """One fragment per spatial integral: a one-body pair ``h[i,j]`` or a
+    chemist class ``(ij|kl)``, each the first-seen sum of its own terms.
+
+    A single sum per fragment matches adding the terms one at a time except
+    where a partial sum of a key falls below the drop tolerance while its
+    total does not: the running sum drops the key and re-adds it last,
+    without the dropped part, and the single sum keeps it whole and in
+    place.  Within one chemist class the terms of a key arrive as
+    +A, -B, -B, +A for two integrals A and B, so that takes A - B or A - 2B
+    within the tolerance of zero; no shipped or generated system has one.
+    """
+    norb = system.n_spin_orbitals // 2
+    cre, ann, val, label = _integral_terms(system, drop_threshold)
     out = []
-    # one-body spatial pairs i <= j
-    for i in range(norb):
-        for j in range(i, norb):
-            frag = NormalOrderedOperator.zero()
-            for (p, q) in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
-                vv = float(system.h1[p, q])
-                if abs(vv) <= drop_threshold:
-                    continue
-                frag = frag + normal_order(LadderTerm(vv, (cre(p), ann(q))))
-                if p != q:
-                    frag = frag + normal_order(LadderTerm(vv, (cre(q), ann(p))))
+    for code, rows in _groups(label):
+        if code < 0:
+            continue
+        frag = _combine(
+            cre[rows], ann[rows], val[rows], DEFAULT_DROP_TOLERANCE, first_seen=True
+        )
+        if code < norb * norb:
+            i, j = divmod(code, norb)
             out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
-    # two-body chemist classes
-    buckets: dict[tuple, NormalOrderedOperator] = {}
-    for (p, q, r, s), v in system.h2.items():
-        rep = min(_chemist_orbit(p // 2, s // 2, q // 2, r // 2))
-        term = normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
-        buckets[rep] = buckets.get(rep, NormalOrderedOperator.zero()) + term
-    for rep, frag in buckets.items():
-        i, j, k, l = rep
-        out.append(((1,) + rep, f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
+            continue
+        code -= norb * norb
+        i, j, k, l = (code // norb**e % norb for e in (3, 2, 1, 0))
+        out.append(((1, i, j, k, l), f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
     return out
 
 
 def _fragments_by_term(system, drop_threshold):
-    n = system.n_spin_orbitals
+    """One fragment per one-body pair ``p <= q`` and per canonical two-body
+    key paired with its adjoint key."""
+    cre, ann, val, _ = _integral_terms(system, drop_threshold)
+    is_one = np.bitwise_count(cre) == 1
     out = []
-    for p in range(n):
-        for q in range(p, n):
-            v = float(system.h1[p, q])
-            if abs(v) <= drop_threshold:
-                continue
-            frag = normal_order(LadderTerm(v, (cre(p), ann(q))))
-            if p != q:
-                frag = frag + normal_order(LadderTerm(v, (cre(q), ann(p))))
-            out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
-    # accumulate canonical two-body keys, then pair each with its adjoint
-    acc = operator_sum(
-        normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
-        for (p, q, r, s), v in system.h2.items()
-    )
-    terms = acc.terms
+    # a one-body term and its mirror share the orbital mask cre | ann
+    for code, rows in _groups(np.where(is_one, cre | ann, -1)):
+        if code < 0:
+            continue
+        p, q = (int(m).bit_length() - 1 for m in (cre[rows[0]], ann[rows[0]]))
+        frag = _combine(
+            cre[rows], ann[rows], val[rows], DEFAULT_DROP_TOLERANCE, first_seen=True
+        )
+        out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
+    two = ~is_one
+    acc = _combine(cre[two], ann[two], val[two], DEFAULT_DROP_TOLERANCE, first_seen=True)
+    keys = list(acc.terms)
+    position = {key: i for i, key in enumerate(keys)}
     seen = set()
-    for key in terms:
+    for key in keys:
         if key in seen:
             continue
         creations, annihilations = key
         adj_key = (annihilations, creations)
         group = {key}
-        if adj_key != key and adj_key in terms:
+        if adj_key != key and adj_key in position:
             group.add(adj_key)
         seen |= group
-        frag = NormalOrderedOperator(
-            {k: terms[k] for k in group}, drop_tolerance=0.0
+        # the set's iteration order is the fragment's term order
+        rows = [position[k] for k in group]
+        frag = NormalOrderedOperator._from_arrays(
+            acc.cre[rows], acc.ann[rows], acc.val[rows]
         )
         rep = min(k[0] + k[1] for k in group)
         out.append(((1,) + rep, f"g{rep}", frag))

@@ -16,9 +16,13 @@ from trotterr.fermion import (
     LadderOp,
     LadderTerm,
     NormalOrderedOperator,
+    ann,
+    cre,
     multiply,
     normal_order,
+    operator_sum,
 )
+from trotterr.hamiltonian import TERM_DROP_THRESHOLD, _chemist_orbit
 
 
 def dense_ladder(n_orbitals: int, orbital: int, creation: bool) -> np.ndarray:
@@ -232,3 +236,111 @@ def loop_spin_expand(norb: int, h1_spatial: np.ndarray, chem: dict, *, drop_thre
                     if abs(v) > drop_threshold:
                         h2[(p, q, r, s)] = v
     return h1, h2
+
+
+# ---------------------------------------------------------------------------
+# Per-integral references for the Hamiltonian and its fragments.
+#
+# Every integral is reduced by the public ``normal_order`` and the pieces are
+# summed with ``+`` or ``operator_sum``: the construction that
+# ``trotterr.hamiltonian._integral_terms`` replaces.  Fragments are returned
+# as the package's ``(key, label, fragment)`` triples.
+# ---------------------------------------------------------------------------
+
+
+def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrderedOperator:
+    pieces = []
+    n = system.n_spin_orbitals
+    for p in range(n):
+        for q in range(n):
+            v = float(system.h1[p, q])
+            if abs(v) > TERM_DROP_THRESHOLD:
+                pieces.append(normal_order(LadderTerm(v, (cre(p), ann(q)))))
+    for (p, q, r, s), v in system.h2.items():
+        pieces.append(normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s)))))
+    if include_core and system.core_energy:
+        pieces.append(NormalOrderedOperator.identity(system.core_energy))
+    return operator_sum(pieces)
+
+
+def per_integral_fragments_by_integral(system, drop_threshold):
+    n = system.n_spin_orbitals
+    norb = n // 2
+    out = []
+    for i in range(norb):
+        for j in range(i, norb):
+            frag = NormalOrderedOperator.zero()
+            for (p, q) in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
+                vv = float(system.h1[p, q])
+                if abs(vv) <= drop_threshold:
+                    continue
+                frag = frag + normal_order(LadderTerm(vv, (cre(p), ann(q))))
+                if p != q:
+                    frag = frag + normal_order(LadderTerm(vv, (cre(q), ann(p))))
+            out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
+    buckets: dict = {}
+    for (p, q, r, s), v in system.h2.items():
+        rep = min(_chemist_orbit(p // 2, s // 2, q // 2, r // 2))
+        term = normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
+        buckets[rep] = buckets.get(rep, NormalOrderedOperator.zero()) + term
+    for rep, frag in buckets.items():
+        i, j, k, l = rep
+        out.append(((1,) + rep, f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
+    return out
+
+
+def per_integral_fragments_by_term(system, drop_threshold):
+    n = system.n_spin_orbitals
+    out = []
+    for p in range(n):
+        for q in range(p, n):
+            v = float(system.h1[p, q])
+            if abs(v) <= drop_threshold:
+                continue
+            frag = normal_order(LadderTerm(v, (cre(p), ann(q))))
+            if p != q:
+                frag = frag + normal_order(LadderTerm(v, (cre(q), ann(p))))
+            out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
+    acc = operator_sum(
+        normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
+        for (p, q, r, s), v in system.h2.items()
+    )
+    terms = acc.terms
+    seen = set()
+    for key in terms:
+        if key in seen:
+            continue
+        creations, annihilations = key
+        adj_key = (annihilations, creations)
+        group = {key}
+        if adj_key != key and adj_key in terms:
+            group.add(adj_key)
+        seen |= group
+        frag = NormalOrderedOperator({k: terms[k] for k in group}, drop_tolerance=0.0)
+        rep = min(k[0] + k[1] for k in group)
+        out.append(((1,) + rep, f"g{rep}", frag))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Haar sampler reference.
+# ---------------------------------------------------------------------------
+
+
+def loop_sample_quadratic_form(lam, n_samples, seed, ensemble, block_size):
+    """Fresh ``(count, dim)`` Gaussian arrays per block: the loop
+    ``trotterr.haar._sample_quadratic_form`` replaces with reused buffers."""
+    out = np.empty(n_samples)
+    n_blocks = -(-n_samples // block_size)
+    start = 0
+    for child in np.random.SeedSequence(seed).spawn(n_blocks):
+        rng = np.random.default_rng(child)
+        count = min(block_size, n_samples - start)
+        g = rng.standard_normal((count, lam.size))
+        w = g * g
+        if ensemble == "complex":
+            g = rng.standard_normal((count, lam.size))
+            w += g * g
+        out[start : start + count] = (w @ lam) / w.sum(axis=1)
+        start += count
+    return out

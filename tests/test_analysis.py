@@ -341,6 +341,23 @@ class TestAnalyze:
         assert rep.ci_results[0].subspace_dim == 1
         assert rep.ground_state_error <= rep.spectral_norm + 1e-15
 
+    @pytest.mark.parametrize("space, bases", [("sector", [6]), ("full", [16, 6])])
+    def test_error_table_built_once_per_basis(self, h2_local, h2_error, monkeypatch, space, bases):
+        import trotterr.fock
+
+        built = []
+        original = trotterr.fock._action_table
+
+        def recording(op, basis):
+            if np.array_equal(op.val, h2_error.op.val):
+                built.append(basis.dim)
+            return original(op, basis)
+
+        monkeypatch.setattr(trotterr.fock, "_action_table", recording)
+        rep = analyze(h2_local, space=space)
+        assert len(rep.ci_results) == 3
+        assert built == bases
+
     def test_stage_labels_in_errors(self, h2_local):
         with pytest.raises(ValidationError, match="fragment sequence"):
             analyze(h2_local, ordering="no-such-ordering")

@@ -32,6 +32,36 @@ class TestReference:
         syst = random_system(rng, 2, n_electrons=0)
         assert hartree_fock_state(syst) == 0
 
+    @pytest.mark.parametrize("n_electrons, ms2", [(3, -1), (3, 1), (4, 2), (2, 2), (5, -3)])
+    def test_reference_has_the_system_ms2(self, n_electrons, ms2):
+        syst = random_system(np.random.default_rng(0), 4, n_electrons=n_electrons, ms2=ms2)
+        ref = hartree_fock_state(syst)
+        alpha = bin(ref & 0x55).count("1")  # even spin orbitals
+        beta = bin(ref & 0xAA).count("1")
+        assert (alpha + beta, alpha - beta) == (n_electrons, ms2)
+        # the lowest orbitals of each spin
+        assert ref & 0x55 == sum(1 << (2 * i) for i in range(alpha))
+        assert ref & 0xAA == sum(1 << (2 * i + 1) for i in range(beta))
+
+    def test_triplet_examples(self):
+        syst = random_system(np.random.default_rng(0), 3, n_electrons=4, ms2=2)
+        assert hartree_fock_state(syst) == 0b010111
+        syst = random_system(np.random.default_rng(0), 3, n_electrons=3, ms2=-1)
+        assert hartree_fock_state(syst) == 0b001011
+
+    @pytest.mark.parametrize("n_electrons", range(0, 9))
+    def test_lowest_spin_orbitals_when_ms2_is_the_parity(self, n_electrons):
+        syst = random_system(
+            np.random.default_rng(0), 4, n_electrons=n_electrons, ms2=n_electrons % 2
+        )
+        assert hartree_fock_state(syst) == (1 << n_electrons) - 1
+
+    def test_spin_that_does_not_fit_is_rejected(self):
+        syst = random_system(np.random.default_rng(0), 2, n_electrons=3, ms2=1)
+        syst.ms2 = 3  # three alpha electrons, two alpha orbitals
+        with pytest.raises(ValidationError):
+            hartree_fock_state(syst)
+
 
 class TestExcitationBasis:
     def test_level_zero(self):

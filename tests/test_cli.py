@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +361,59 @@ class TestThreadCap:
             capsys, "spectrum", "--fcidump", h2_path, "--threads", "0"
         )
         assert code == EXIT_USAGE
+
+
+# Every subcommand variant run on every fixture; stdout SHA-256 values are
+# pinned in REPORT_HASHES.  Dense LAPACK reductions depend on the BLAS
+# thread count, so the hashes hold for single-threaded OpenBLAS.
+REPORT_VARIANTS = {
+    "analyze": ["analyze"],
+    "analyze-full": ["analyze", "--space", "full"],
+    "analyze-term": ["analyze", "--granularity", "term"],
+    "analyze-magnitude": ["analyze", "--ordering", "magnitude-descending"],
+    "analyze-flat": ["analyze", "--ordering", "flat-lexicographic", "--dt", "0.5"],
+    "analyze-lanczos": ["analyze", "--dense-limit", "4", "--ci-levels", "0,1"],
+    "spectrum": ["spectrum"],
+    "spectrum-full": ["spectrum", "--full-fock"],
+    "haar": ["haar", "--samples", "10000", "--seed", "3"],
+    "haar-full-real": ["haar", "--full-fock", "--samples", "10000", "--ensemble", "real"],
+    "marginals": ["marginals"],
+    "prep-cost": ["prep-cost", "--delta", "1e-3"],
+    "prep-cost-ci": ["prep-cost", "--delta", "1e-3", "--ci-vector"],
+}
+
+REPORT_HASHES = Path(__file__).resolve().parent / "cli_stdout_sha256.json"
+
+
+def test_report_bytes_are_pinned(fixture_dir, fresh_python):
+    fixtures = sorted(str(p) for p in fixture_dir.glob("*.fcidump"))
+    stdout = fresh_python(
+        f"""
+        import os
+        for var in {BLAS_VARS!r}:
+            os.environ[var] = "1"
+        import contextlib, hashlib, io, json
+        from pathlib import Path
+        from trotterr.cli import main
+
+        hashes = {{}}
+        for path in {fixtures!r}:
+            for name, argv in {REPORT_VARIANTS!r}.items():
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(argv[:1] + ["--fcidump", path] + argv[1:])
+                assert code == 0, (path, name, code)
+                key = f"{{Path(path).stem}} {{name}}"
+                hashes[key] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        print(json.dumps(hashes))
+        """,
+        drop=("TROTTERR_THREADS",),
+    )
+    got = json.loads(stdout)
+    expected = json.loads(REPORT_HASHES.read_text())
+    assert len(got) == len(fixtures) * len(REPORT_VARIANTS) == len(expected)
+    changed = sorted(key for key in expected if got.get(key) != expected[key])
+    assert not changed
 
 
 def test_version_flag(capsys):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bruteforce import loop_sample_quadratic_form
 from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, number_operator
 from trotterr.fock import SectorBasis, full_spectrum
 from trotterr.haar import (
     EigenstateReport,
     HaarReport,
+    _sample_quadratic_form,
     eigenstate_error_distribution,
     haar_error_distribution,
     haar_projection_variance,
@@ -137,6 +139,18 @@ class TestSampler:
         a = np.array([abs(sample_haar_vector(dim, rng1) @ k1) ** 2 for _ in range(n)])
         b = np.array([abs(sample_haar_vector(dim, rng2) @ k2) ** 2 for _ in range(n)])
         assert stats.ks_2samp(a, b).pvalue > 0.01
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("ensemble", ["complex", "real"])
+    @pytest.mark.parametrize("block_size", [1, 7, 8192])
+    def test_matches_fresh_array_loop(self, ensemble, block_size):
+        # reused buffers and chunked draws must leave the stream unchanged
+        lam = np.random.default_rng(3).standard_normal(16)
+        for n_samples in (5, 8193, 20000):
+            got = _sample_quadratic_form(lam, n_samples, 11, ensemble, block_size)
+            ref = loop_sample_quadratic_form(lam, n_samples, 11, ensemble, block_size)
+            assert np.array_equal(got, ref), n_samples
 
 
 class TestHaarDistribution:

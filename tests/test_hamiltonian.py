@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import dense_operator, loop_spin_expand
+import trotterr.hamiltonian
+from bruteforce import (
+    dense_operator,
+    loop_spin_expand,
+    per_integral_fragments_by_integral,
+    per_integral_fragments_by_term,
+    per_integral_hamiltonian,
+)
 from trotterr.errors import FcidumpError, ResourceLimitError, ValidationError
 from trotterr.fermion import NormalOrderedOperator
 from trotterr.hamiltonian import (
+    GRANULARITIES,
+    ORDERINGS,
     MolecularSystem,
     TrotterSequence,
     build_trotter_sequence,
     parse_fcidump,
     sequence_from_json,
     sequence_to_json,
+    load_fcidump,
     spin_expand,
     system_from_json,
     system_to_json,
@@ -320,6 +330,72 @@ class TestSequences:
         total = sum(dense_operator(n, f) for f in seq.fragments)
         href = dense_operator(n, syst.hamiltonian())
         assert np.max(np.abs(total - href)) <= 1e-10
+
+
+INTEGRAL_SYSTEMS = ["h2_sto6g_canonical", "h2_sto6g_local", "h2_sto6g_natural",
+                    "h4_sto6g_local"] + [
+    f"random-{n}-{density}" for n in range(1, 6) for density in (1.0, 0.5)
+]
+
+
+def _integral_system(name, fixture_dir):
+    if name.startswith("random"):
+        _, n, density = name.split("-")
+        return random_system(np.random.default_rng(int(n)), int(n), density=float(density))
+    return load_fcidump(fixture_dir / f"{name}.fcidump")
+
+
+def _hex_terms(op):
+    """Key order and exact values of an operator."""
+    return [(key, float(v).hex()) for key, v in op.terms.items()]
+
+
+class TestIntegralTerms:
+    """The array construction of the Hamiltonian and its fragments against
+    reducing every integral with ``normal_order``: same keys, same order,
+    same bits."""
+
+    @pytest.mark.parametrize("name", INTEGRAL_SYSTEMS)
+    def test_hamiltonian_matches_per_integral(self, name, fixture_dir):
+        syst = _integral_system(name, fixture_dir)
+        for include_core in (False, True):
+            assert _hex_terms(syst.hamiltonian(include_core=include_core)) == _hex_terms(
+                per_integral_hamiltonian(syst, include_core=include_core)
+            )
+
+    @pytest.mark.parametrize("name", INTEGRAL_SYSTEMS)
+    def test_fragments_match_per_integral(self, name, fixture_dir, monkeypatch):
+        syst = _integral_system(name, fixture_dir)
+        built = {
+            (g, o): build_trotter_sequence(syst, o, granularity=g)
+            for g in GRANULARITIES for o in ORDERINGS
+        }
+        monkeypatch.setattr(
+            trotterr.hamiltonian, "_fragments_by_integral",
+            per_integral_fragments_by_integral,
+        )
+        monkeypatch.setattr(
+            trotterr.hamiltonian, "_fragments_by_term", per_integral_fragments_by_term
+        )
+        for (g, o), seq in built.items():
+            ref = build_trotter_sequence(syst, o, granularity=g)
+            assert seq.labels == ref.labels, (g, o)
+            assert [_hex_terms(f) for f in seq.fragments] == [
+                _hex_terms(f) for f in ref.fragments
+            ], (g, o)
+
+    def test_vanishing_and_signed_terms(self):
+        # a+_1 a+_0 a_1 a_0 in all four index orders, plus two that vanish
+        h2 = {(0, 1, 0, 1): 1.0, (1, 0, 1, 0): 1.0, (0, 1, 1, 0): 3.0,
+              (1, 0, 0, 1): 3.0, (0, 0, 1, 1): 5.0, (1, 1, 0, 0): 5.0}
+        syst = MolecularSystem(2, 2, np.zeros((2, 2)), h2)
+        cre, ann, val, label = trotterr.hamiltonian._integral_terms(syst)
+        assert cre.tolist() == [3, 3, 3, 3]
+        assert ann.tolist() == [3, 3, 3, 3]
+        # sorting each half descending: (0,1|0,1) flips twice, (0,1|1,0) once
+        assert val.tolist() == [0.5, 0.5, -1.5, -1.5]
+        # norb**2 plus the class (11|11), whose digits are all zero
+        assert label.tolist() == [1] * 4
 
 
 class TestJson:
