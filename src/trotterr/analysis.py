@@ -29,9 +29,10 @@ from .fock import (
     CIVector,
     SectorBasis,
     _operator_table,
+    _require_hermitian,
     _table_expectation,
     _table_spectral_norm,
-    expectation,  # noqa: F401  looked up here by bench/tracing.py
+    expectation,
     ground_state,
     spectral_norm,  # noqa: F401  looked up here by bench/tracing.py
 )
@@ -172,28 +173,9 @@ def ansatz_error(
     into the full particle-number sector so the error operator acts without
     any projection.
     """
+    _, ci_vec = ci_ground_state(system, trunc, dense_limit=dense_limit)
     sector = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-    table = _operator_table(error.op, sector)
-    return _ci_level(system, trunc, sector, table, dense_limit=dense_limit)[2]
-
-
-def _ci_level(
-    system: MolecularSystem,
-    trunc: CITruncation,
-    sector: SectorBasis,
-    error_table,
-    *,
-    dense_limit: int,
-    hamiltonian=None,
-) -> tuple[float, CIVector, float]:
-    """``(energy, vector, <V>)`` of one truncated-CI level, with ``<V>``
-    taken from the error operator's action table on ``sector``."""
-    energy, ci_vec = ci_ground_state(
-        system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
-    )
-    return energy, ci_vec, _table_expectation(
-        error_table, embed_in_sector(ci_vec, sector)
-    )
+    return expectation(error.op, embed_in_sector(ci_vec, sector))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +265,22 @@ def analyze(
     for comparison.  ``ci_levels`` defaults to reference/singles/doubles
     clamped to what the system supports; explicitly requested levels are
     not clamped and propagate their own errors.
+
+    CI levels need MS2 = N mod 2.  The exact ground state comes from the
+    whole N-electron sector, whose lowest state always has a component of
+    that MS2; the CI reference has the system's MS2, so for any other MS2
+    the residual would compare states of different spin.  Such systems are
+    rejected unless ``ci_levels`` is empty.
     """
     if space not in SPACES:
         raise ValidationError(f"unknown space {space!r}; use one of {SPACES}")
+    levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
+    if levels and system.ms2 != system.n_electrons % 2:
+        raise ValidationError(
+            f"CI levels need MS2 = N mod 2, got MS2={system.ms2} with "
+            f"N={system.n_electrons}: the exact ground state is taken from the "
+            "whole N-electron sector; request no CI levels for this system"
+        )
     with _stage("fragment sequence"):
         sequence = build_trotter_sequence(system, ordering, granularity=granularity)
     with _stage("error operator"):
@@ -301,16 +296,16 @@ def analyze(
     with _stage("ground-state error"):
         # one action table of V on the working basis serves the expectation
         # and the norm
-        error_table = _operator_table(error.op, basis, hermitian=True)
+        error_table = _operator_table(error.op, basis)
         signed_error = _table_expectation(error_table, psi0)
     gs_error = abs(signed_error)
     with _stage("spectral norm"):
+        _require_hermitian(error.op)
         norm = _table_spectral_norm(error_table, basis.dim, dense_limit=dense_limit)
     ratio = gs_error / norm if norm > 0.0 else 0.0
     if ratio > 1.0 + 1e-12:
         raise NumericalError(f"Rayleigh bound violated: ratio {ratio}")
 
-    levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
     reference = hartree_fock_state(system)
     # every CI level is embedded into this one sector basis
     sector, sector_table = basis, error_table
@@ -321,13 +316,11 @@ def analyze(
     for level in levels:
         trunc = CITruncation(level=level, reference=reference)
         with _stage(f"CI level {level}"):
-            ci_energy, ci_vec, level_error = _ci_level(
-                system,
-                trunc,
-                sector,
-                sector_table,
-                dense_limit=dense_limit,
-                hamiltonian=hamiltonian,
+            ci_energy, ci_vec = ci_ground_state(
+                system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
+            )
+            level_error = _table_expectation(
+                sector_table, embed_in_sector(ci_vec, sector)
             )
         # signed difference: an ansatz with the wrong sign must not look good
         residual = (

@@ -228,14 +228,10 @@ def _table_dense(table, dim: int) -> np.ndarray:
     return mat
 
 
-def _operator_table(
-    op: NormalOrderedOperator, basis: SectorBasis, *, hermitian: bool = False
-):
-    """The action table of ``op`` on ``basis`` after the public entry
-    points' checks; ``hermitian`` adds the eigensolvers' Hermiticity check."""
+def _operator_table(op: NormalOrderedOperator, basis: SectorBasis):
+    """The action table of ``op`` on ``basis`` after the operator-basis
+    check of the public entry points."""
     _check_operator(op, basis)
-    if hermitian:
-        _require_hermitian(op)
     return _action_table(op, basis)
 
 
@@ -312,7 +308,9 @@ def ground_state(
     residual norm ||H v - E v|| is verified against ``residual_tol`` either
     way.
     """
-    table = _operator_table(op, basis, hermitian=True)
+    _check_operator(op, basis)
+    _require_hermitian(op)
+    table = _action_table(op, basis)
     if basis.dim <= dense_limit:
         vals, vecs = np.linalg.eigh(_table_dense(table, basis.dim))
         energy, vec = float(vals[0]), vecs[:, 0]
@@ -346,7 +344,9 @@ def spectral_norm(
     rel_tol: float = 1e-8,
 ) -> float:
     """Largest |eigenvalue| of a Hermitian operator on ``basis``."""
-    table = _operator_table(op, basis, hermitian=True)
+    _check_operator(op, basis)
+    _require_hermitian(op)
+    table = _action_table(op, basis)
     return _table_spectral_norm(
         table, basis.dim, dense_limit=dense_limit, rel_tol=rel_tol
     )

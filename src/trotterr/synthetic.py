@@ -17,7 +17,6 @@ def random_system(
     n_spatial: int,
     *,
     n_electrons: int | None = None,
-    ms2: int = 0,
     one_body_scale: float = 1.0,
     two_body_scale: float = 0.5,
     density: float = 1.0,
@@ -26,9 +25,7 @@ def random_system(
     """Draw a particle-conserving Hermitian system on 2*n_spatial spin orbitals.
 
     ``density`` < 1 zeroes a random fraction of the distinct two-body
-    classes, which keeps big instances affordable.  ``ms2`` is recorded on
-    the system (twice the spin projection); it must match the parity of
-    ``n_electrons``.
+    classes, which keeps big instances affordable.
     """
     if n_spatial < 1:
         raise ValueError("need at least one spatial orbital")
@@ -60,7 +57,6 @@ def random_system(
         h1=spin_h1,
         h2=spin_h2,
         core_energy=0.0,
-        ms2=ms2,
         basis_label=f"synthetic-{n_spatial}",
         orbital_kind="synthetic",
     )

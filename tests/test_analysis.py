@@ -364,6 +364,15 @@ class TestAnalyze:
         with pytest.raises(ValidationError):
             analyze(h2_local, space="nowhere")
 
+    def test_ci_levels_need_the_parity_ms2(self):
+        # a triplet reference against the whole-sector ground state would mix spins
+        system = random_system(np.random.default_rng(5), 3)
+        system.ms2 = 2
+        system.validate()
+        with pytest.raises(ValidationError, match="MS2=2"):
+            analyze(system)
+        assert analyze(system, ci_levels=()).ci_results == ()
+
     def test_requested_infeasible_level_propagates(self, h2_local):
         # N - n = 2, so triples are not constructible for this system
         with pytest.raises(ValidationError, match="CI level 3"):

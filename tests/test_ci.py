@@ -16,6 +16,13 @@ from trotterr.hamiltonian import parse_fcidump
 from trotterr.synthetic import random_system
 
 
+def _system_with_spin(n_spatial, n_electrons, ms2):
+    syst = random_system(np.random.default_rng(0), n_spatial)
+    syst.n_electrons, syst.ms2 = n_electrons, ms2
+    syst.validate()
+    return syst
+
+
 class TestReference:
     def test_half_filled(self):
         rng = np.random.default_rng(0)
@@ -34,7 +41,7 @@ class TestReference:
 
     @pytest.mark.parametrize("n_electrons, ms2", [(3, -1), (3, 1), (4, 2), (2, 2), (5, -3)])
     def test_reference_has_the_system_ms2(self, n_electrons, ms2):
-        syst = random_system(np.random.default_rng(0), 4, n_electrons=n_electrons, ms2=ms2)
+        syst = _system_with_spin(4, n_electrons, ms2)
         ref = hartree_fock_state(syst)
         alpha = bin(ref & 0x55).count("1")  # even spin orbitals
         beta = bin(ref & 0xAA).count("1")
@@ -44,20 +51,18 @@ class TestReference:
         assert ref & 0xAA == sum(1 << (2 * i + 1) for i in range(beta))
 
     def test_triplet_examples(self):
-        syst = random_system(np.random.default_rng(0), 3, n_electrons=4, ms2=2)
+        syst = _system_with_spin(3, 4, 2)
         assert hartree_fock_state(syst) == 0b010111
-        syst = random_system(np.random.default_rng(0), 3, n_electrons=3, ms2=-1)
+        syst = _system_with_spin(3, 3, -1)
         assert hartree_fock_state(syst) == 0b001011
 
     @pytest.mark.parametrize("n_electrons", range(0, 9))
     def test_lowest_spin_orbitals_when_ms2_is_the_parity(self, n_electrons):
-        syst = random_system(
-            np.random.default_rng(0), 4, n_electrons=n_electrons, ms2=n_electrons % 2
-        )
+        syst = _system_with_spin(4, n_electrons, n_electrons % 2)
         assert hartree_fock_state(syst) == (1 << n_electrons) - 1
 
     def test_spin_that_does_not_fit_is_rejected(self):
-        syst = random_system(np.random.default_rng(0), 2, n_electrons=3, ms2=1)
+        syst = _system_with_spin(2, 3, 1)
         syst.ms2 = 3  # three alpha electrons, two alpha orbitals
         with pytest.raises(ValidationError):
             hartree_fock_state(syst)

@@ -115,6 +115,18 @@ class TestAnalyzeCommand:
         assert code == EXIT_PARSE
         assert "line 1" in err
 
+    def test_ci_levels_off_the_parity_ms2_are_usage(self, tmp_path, fixture_dir, capsys):
+        triplet = tmp_path / "triplet.fcidump"
+        triplet.write_text((fixture_dir / H2).read_text().replace("MS2=0,", "MS2=2,", 1))
+        code, _, err = run(capsys, "analyze", "--fcidump", str(triplet))
+        assert code == EXIT_USAGE
+        assert "MS2=2" in err
+        code, out, _ = run(
+            capsys, "analyze", "--fcidump", str(triplet), "--ci-levels", ""
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["ci_results"] == []
+
     def test_oversized_norb_is_resource(self, tmp_path, fixture_dir, capsys):
         text = (fixture_dir / H2).read_text()
         assert "NORB=2," in text
@@ -365,7 +377,9 @@ class TestThreadCap:
 
 # Every subcommand variant run on every fixture; stdout SHA-256 values are
 # pinned in REPORT_HASHES.  Dense LAPACK reductions depend on the BLAS
-# thread count, so the hashes hold for single-threaded OpenBLAS.
+# thread count, so the hashes hold for single-threaded BLAS; their last bits
+# also depend on the numpy and BLAS builds and on the CPU kernels BLAS picks,
+# so the file records that numerical stack next to the hashes.
 REPORT_VARIANTS = {
     "analyze": ["analyze"],
     "analyze-full": ["analyze", "--space", "full"],
@@ -394,8 +408,16 @@ def test_report_bytes_are_pinned(fixture_dir, fresh_python):
             os.environ[var] = "1"
         import contextlib, hashlib, io, json
         from pathlib import Path
+        import numpy as np
         from trotterr.cli import main
 
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        stack = {{
+            "numpy": np.__version__,
+            "blas": f"{{blas['name']}} {{blas['version']}}",
+            "cpu_simd": config["SIMD Extensions"]["found"],
+        }}
         hashes = {{}}
         for path in {fixtures!r}:
             for name, argv in {REPORT_VARIANTS!r}.items():
@@ -405,15 +427,22 @@ def test_report_bytes_are_pinned(fixture_dir, fresh_python):
                 assert code == 0, (path, name, code)
                 key = f"{{Path(path).stem}} {{name}}"
                 hashes[key] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        print(json.dumps(hashes))
+        print(json.dumps({{"stack": stack, "sha256": hashes}}))
         """,
         drop=("TROTTERR_THREADS",),
     )
     got = json.loads(stdout)
-    expected = json.loads(REPORT_HASHES.read_text())
-    assert len(got) == len(fixtures) * len(REPORT_VARIANTS) == len(expected)
-    changed = sorted(key for key in expected if got.get(key) != expected[key])
-    assert not changed
+    pinned = json.loads(REPORT_HASHES.read_text())
+    expected = pinned["sha256"]
+    assert len(got["sha256"]) == len(fixtures) * len(REPORT_VARIANTS) == len(expected)
+    changed = sorted(k for k in expected if got["sha256"].get(k) != expected[k])
+    if changed and got["stack"] != pinned["stack"]:
+        pytest.fail(
+            f"the hashes were pinned on a different numerical stack "
+            f"({pinned['stack']}, here {got['stack']}); a mismatch there need "
+            f"not be a code change: {changed}"
+        )
+    assert not changed, "report bytes changed on the pinned numerical stack"
 
 
 def test_version_flag(capsys):
