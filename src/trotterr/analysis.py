@@ -274,6 +274,8 @@ def analyze(
     """
     if space not in SPACES:
         raise ValidationError(f"unknown space {space!r}; use one of {SPACES}")
+    if dense_limit < 0:
+        raise ValidationError(f"dense_limit must be >= 0, got {dense_limit}")
     levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
     if levels and system.ms2 != system.n_electrons % 2:
         raise ValidationError(

@@ -105,6 +105,15 @@ def _error_operator(args, system):
     return build_error_operator(sequence, args.dt)
 
 
+def _dense_limit(args) -> dict:
+    """``dense_limit`` keyword for the solvers, empty when not given."""
+    if args.dense_limit is None:
+        return {}
+    if args.dense_limit < 0:
+        raise ValidationError(f"--dense-limit must be >= 0, got {args.dense_limit}")
+    return {"dense_limit": args.dense_limit}
+
+
 def _working_basis(system, full_fock: bool):
     from .fock import SectorBasis
 
@@ -132,9 +141,7 @@ def _cmd_analyze(args) -> None:
             raise ValidationError(
                 f"--ci-levels must be comma-separated integers, got {args.ci_levels!r}"
             ) from None
-    extra = {}
-    if args.dense_limit is not None:
-        extra["dense_limit"] = args.dense_limit
+    extra = _dense_limit(args)
     report = analyze(
         system,
         delta_t=args.dt,
@@ -154,20 +161,20 @@ def _cmd_spectrum(args) -> None:
     from .analysis import spectrum_csv
     from .fock import full_spectrum
 
+    extra = _dense_limit(args)
     system, _ = _load_system(args)
     error = _error_operator(args, system)
     basis = _working_basis(system, args.full_fock)
-    extra = {} if args.dense_limit is None else {"dense_limit": args.dense_limit}
     _emit(args, spectrum_csv(full_spectrum(error.op, basis, **extra)))
 
 
 def _cmd_haar(args) -> None:
     from .haar import haar_error_distribution
 
+    extra = _dense_limit(args)
     system, digest = _load_system(args)
     error = _error_operator(args, system)
     basis = _working_basis(system, args.full_fock)
-    extra = {} if args.dense_limit is None else {"dense_limit": args.dense_limit}
     report = haar_error_distribution(
         error, basis, args.samples, args.seed, ensemble=args.ensemble, **extra
     )

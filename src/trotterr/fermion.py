@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -69,6 +70,7 @@ IDENTITY_KEY: Key = ((), ())
 
 # Orbital masks are non-negative int64, so bits 0..62 are usable.
 _MASK_ORBITALS = 63
+_ORBITAL_BITS = (1 << _MASK_ORBITALS) - 1
 
 
 class LadderOp(NamedTuple):
@@ -493,7 +495,7 @@ def multiply(
 # -- bitmask product kernel --------------------------------------------------
 #
 # Each key half is one machine-word bitmask, so a whole product A.B
-# vectorizes over B's term arrays.  Writing a term of A as C1^+ A1 and one of
+# vectorizes over the term arrays.  Writing a term of A as C1^+ A1 and one of
 # B as C2^+ A2, normal ordering only has to push the string A1 through C2.
 # Processing A1's orbitals in ascending order, each one either contracts on
 # a partner in C2 (one delta branch per shared orbital) or anticommutes
@@ -511,14 +513,39 @@ def multiply(
 # (a) counts the hops before each contraction, (b) the full pass-throughs,
 # (c) corrects (b) for partners already contracted, and (d)/(e) re-sort the
 # concatenated creation/annihilation strings into descending order.  Terms
-# vanish when the merged halves would repeat an orbital.  Everything is a
-# popcount over masks, so each (term-of-A, T) pair is a handful of array
-# operations over all of B at once.
+# vanish when the merged halves would repeat an orbital.
+#
+# Every count but (b) has the form #{(u in M, v in X) : v > u}.  With
+# below(M) the mask whose bit v is set when an odd number of M's bits lie
+# below v (``_prefix_parity``), its parity is popcount(X & below(M)) & 1,
+# and parities add under XOR.  So (a), (b), (d) and (e) are one popcount of
+#
+#     (C2 & below(T)) ^ ((C2\T) & below(C1)) ^ (A2 & below(A1\T))
+#         ^ (C2 if |A1\T| is odd else 0),
+#
+# where the three C2 parts fold into one mask per (term of A, T) pair since
+# C2\T = C2 & ~T, and (c) = popcount((A1\T) & below(T)) is a constant of
+# the pair.
+#
+# The kernel lays every (term of A, T) pair out as arrays, the subsets of
+# each term in ``_submasks`` order, and tests all pairs against all rows of
+# B at once: a row is admissible when T is inside C2, C2\T misses C1 and A2
+# misses A1\T.  ``np.nonzero`` lists the admissible (pair, row) cells in
+# row-major order, so terms come out by term of A, then T, then row of B.
+# That order is fixed: ``_combine`` adds each key's values in input order,
+# so any other order could move the last bits of a sum, and with them every
+# report.  The pair axis is cut into slices of at most ``_PRODUCT_CELLS``
+# cells, which bounds the temporaries by the product's own output size.
 
-_ABOVE = tuple(
-    np.int64(((1 << _MASK_ORBITALS) - 1) & ~((1 << (p + 1)) - 1))
-    for p in range(_MASK_ORBITALS)
-)
+_PRODUCT_CELLS = 1 << 20
+
+
+def _prefix_parity(masks: np.ndarray) -> np.ndarray:
+    """Bit p of the result is the parity of the set bits below p."""
+    q = masks.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        q ^= q << shift
+    return (q << 1) & _ORBITAL_BITS
 
 
 @lru_cache(maxsize=None)
@@ -535,41 +562,53 @@ def _submasks(mask: int) -> tuple[int, ...]:
 def _product_terms(
     a: NormalOrderedOperator, b: NormalOrderedOperator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unsummed ``(cre, ann, val)`` of every term of ``a b``."""
+    """Unsummed ``(cre, ann, val)`` of every term of ``a b``, by term of
+    ``a``, then contraction subset, then term of ``b``."""
+    subsets = [_submasks(m) for m in a.ann.tolist()]
+    pair = np.repeat(np.arange(len(a)), np.array([len(s) for s in subsets], dtype=np.int64))
+    t = np.fromiter(chain.from_iterable(subsets), dtype=np.int64, count=len(pair))
+    c1, rest = a.cre[pair], a.ann[pair] ^ t  # C1 and A1\T per pair
+    coeff = a.val[pair]
+    allowed = t | c1  # C2 & (T u C1) must be exactly T
+    odd = -(np.bitwise_count(rest).astype(np.int64) & 1)  # all bits when |A1\T| is odd
+    cre_parity = _prefix_parity(t) ^ (_prefix_parity(c1) & ~t) ^ odd  # (a), (b), (d)
+    ann_parity = _prefix_parity(rest)  # (e)
+    const = np.bitwise_count(rest & _prefix_parity(t))  # (c)
+    cre_flip = t ^ c1  # C2 ^ T ^ C1 = C1 u (C2\T)
     b_cre, b_ann, b_val = b.cre, b.ann, b.val
-    cre_chunks = [np.empty(0, dtype=np.int64)]
-    ann_chunks = [np.empty(0, dtype=np.int64)]
-    val_chunks = [np.empty(0)]
-    for c1m, a1m, ca in zip(a.cre.tolist(), a.ann.tolist(), a.val.tolist()):
-        k = a1m.bit_count()
-        for t in _submasks(a1m):
-            rest_ann = a1m ^ t  # A1 \ T, row-independent
-            ok = (b_cre & t) == t
-            rem = b_cre & np.int64(~t)  # C2 \ T
-            ok &= (rem & c1m) == 0
-            ok &= (b_ann & rest_ann) == 0
-            if not np.any(ok):
-                continue
-            cre_rows = b_cre[ok]
-            rem_rows = rem[ok]
-            ann_rows = b_ann[ok]
-            par = np.zeros(cre_rows.shape, dtype=np.int64)
-            for x in _bits_desc(t):  # (a) hops before each contraction
-                par += np.bitwise_count(cre_rows & _ABOVE[x])
-            if (k - t.bit_count()) & 1:  # (b) odd pass-through count
-                par += np.bitwise_count(cre_rows)
-            for u in _bits_desc(c1m):  # (d) creation merge
-                par += np.bitwise_count(rem_rows & _ABOVE[u])
-            for x in _bits_desc(rest_ann):  # (e) annihilation merge
-                par += np.bitwise_count(ann_rows & _ABOVE[x])
-            const = 0
-            for x in _bits_desc(t):  # (c) contracted partners below A1\T
-                const += (rest_ann >> (x + 1)).bit_count()
-            sign = 1.0 - 2.0 * ((par + const) & 1)
-            cre_chunks.append(c1m | rem_rows)
-            ann_chunks.append(rest_ann | ann_rows)
-            val_chunks.append(ca * sign * b_val[ok])
-    return np.concatenate(cre_chunks), np.concatenate(ann_chunks), np.concatenate(val_chunks)
+    n_rows = len(b)
+    step = max(1, _PRODUCT_CELLS // max(1, n_rows))
+    cre_chunks, ann_chunks, val_chunks = [], [], []
+    for lo in range(0, len(t), step):
+        cut = slice(lo, lo + step)
+        ok = (b_cre & allowed[cut, None]) == t[cut, None]
+        ok &= (b_ann & rest[cut, None]) == 0
+        cell = np.flatnonzero(ok)  # row-major: by pair, then by row of b
+        starts = np.arange(len(ok)) * n_rows
+        # cells per pair, from where each pair's block of cells begins
+        count = np.diff(np.searchsorted(cell, starts), append=len(cell))
+        j = cell - np.repeat(starts, count)
+        cre_rows, ann_rows = b_cre[j], b_ann[j]
+
+        def spread(per_pair):
+            return np.repeat(per_pair[cut], count)
+
+        flips = np.bitwise_count(
+            (cre_rows & spread(cre_parity)) ^ (ann_rows & spread(ann_parity))
+        )
+        flips ^= spread(const)
+        # popcount is uint8: take the sign in float64, never in the popcount type
+        sign = 1.0 - 2.0 * (flips & 1)
+        cre_chunks.append(cre_rows ^ spread(cre_flip))
+        ann_chunks.append(ann_rows ^ spread(rest))
+        val_chunks.append(spread(coeff) * sign * b_val[j])
+    return _joined(cre_chunks, np.int64), _joined(ann_chunks, np.int64), _joined(val_chunks, float)
+
+
+def _joined(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate([np.empty(0, dtype=dtype), *chunks])
 
 
 def commutator(

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .fermion import NormalOrderedOperator
+from .fermion import NormalOrderedOperator, _prefix_parity
 
 log = logging.getLogger(__name__)
 
@@ -149,14 +149,6 @@ def _check_operator(op: NormalOrderedOperator, basis: SectorBasis) -> None:
 # Term actions are computed in chunks of about this many (term, state)
 # pairs, which bounds the temporaries whatever the operator or basis size.
 _CHUNK_ELEMENTS = 1 << 20
-
-
-def _prefix_parity(states: np.ndarray) -> np.ndarray:
-    """Bit p of the result is the parity of the occupied orbitals below p."""
-    x = states << 1
-    for shift in (1, 2, 4, 8, 16, 32):
-        x ^= x << shift
-    return x
 
 
 def _action_table(
@@ -304,14 +296,14 @@ def ground_state(
 ) -> tuple[float, CIVector]:
     """Minimal eigenpair of a Hermitian operator on ``basis``.
 
-    Dense diagonalization up to ``dense_limit`` states, Lanczos beyond; the
-    residual norm ||H v - E v|| is verified against ``residual_tol`` either
-    way.
+    Dense diagonalization up to ``dense_limit`` states (and always for a
+    single state), Lanczos beyond; the residual norm ||H v - E v|| is
+    verified against ``residual_tol`` either way.
     """
     _check_operator(op, basis)
     _require_hermitian(op)
     table = _action_table(op, basis)
-    if basis.dim <= dense_limit:
+    if basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
         vals, vecs = np.linalg.eigh(_table_dense(table, basis.dim))
         energy, vec = float(vals[0]), vecs[:, 0]
     else:
@@ -355,7 +347,7 @@ def spectral_norm(
 def _table_spectral_norm(
     table, dim: int, *, dense_limit: int, rel_tol: float = 1e-8
 ) -> float:
-    if dim <= dense_limit:
+    if dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
         vals = np.linalg.eigvalsh(_table_dense(table, dim))
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
     import scipy.sparse.linalg

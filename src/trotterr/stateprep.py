@@ -64,13 +64,18 @@ def select_k(support_dim: int, delta: float) -> int:
         raise ValidationError(f"support dimension must be >= 1, got {support_dim}")
     if not delta > 0 or not math.isfinite(delta):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
-    root = math.sqrt(1.0 + delta) - 1.0
-    k = math.ceil(0.25 * (1.0 + math.log2((support_dim + 2) / (root * root))))
+    # root = sqrt(1 + delta) - 1 = delta / (sqrt(1 + delta) + 1), written
+    # without the cancellation, and taken as a logarithm so that neither it
+    # nor its square underflows for the smallest delta
+    log_root = math.log2(delta) - math.log2(math.sqrt(1.0 + delta) + 1.0)
+    k = math.ceil(0.25 * (1.0 + math.log2(support_dim + 2) - 2.0 * log_root))
     k = max(k, 1)
-    # the ceiling satisfies the bound exactly in real arithmetic; guard the
-    # one-ulp edge where rounding in the logarithm lands just short
+    # the ceiling is exact in real arithmetic; rounding in the logarithms or
+    # in the bound itself can put it one off either way
     while synthesis_error_bound(support_dim, k) > delta:
         k += 1
+    while k > 1 and synthesis_error_bound(support_dim, k - 1) <= delta:
+        k -= 1
     return k
 
 

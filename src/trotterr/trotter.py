@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fermion import (
     DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
@@ -122,7 +122,8 @@ def build_error_operator(
 
     A single-fragment sequence (or any mutually commuting one) yields the
     zero operator.  Pruning below ``drop_tolerance`` happens once, after the
-    full accumulation.
+    full accumulation.  A step so large that a coefficient overflows raises
+    ``NumericalError``, with or without ``validate``.
     """
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
@@ -143,7 +144,13 @@ def build_error_operator(
             m = multiply(frag, weight, drop_tolerance=0.0)
             pieces.append(m + m.adjoint())
     scale = (delta_t * delta_t) / 12.0
-    op = operator_sum(pieces, drop_tolerance=0.0).scaled(scale).pruned(drop_tolerance)
+    op = operator_sum(pieces, drop_tolerance=0.0).scaled(scale)
+    # checked before pruning, which would drop a NaN coefficient silently
+    if not np.isfinite(op.val).all():
+        raise NumericalError(
+            f"error operator coefficients overflow at delta_t={delta_t!r}"
+        )
+    op = op.pruned(drop_tolerance)
     error_op = ErrorOperator(
         op=op,
         delta_t=delta_t,
@@ -169,5 +176,7 @@ def estimate_trotter_number(
         raise ValidationError(f"need time > 0 and delta > 0, got {time}, {delta}")
     if error_expectation < 0:
         raise ValidationError(f"error_expectation must be >= 0, got {error_expectation}")
-    mu = math.ceil(time * math.sqrt(error_expectation / delta))
-    return max(mu, 1)
+    steps = time * math.sqrt(error_expectation / delta)
+    if not math.isfinite(steps):
+        raise NumericalError(f"Trotter number overflows: {steps} steps")
+    return max(math.ceil(steps), 1)

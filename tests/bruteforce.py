@@ -16,6 +16,8 @@ from trotterr.fermion import (
     LadderOp,
     LadderTerm,
     NormalOrderedOperator,
+    _bits_desc,
+    _submasks,
     ann,
     cre,
     multiply,
@@ -204,6 +206,59 @@ def mask_order(terms: dict) -> list:
     return sorted(
         terms, key=lambda k: (sum(1 << p for p in k[0]), sum(1 << p for p in k[1]))
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-pair reference for the bitmask product kernel.
+#
+# One (term of ``a``, contraction subset T) pair at a time over all of ``b``,
+# with one popcount per set bit for the sign: the loop the broadcast pass in
+# ``trotterr.fermion._product_terms`` replaces.  The parities (a)-(e) are the
+# ones in the kernel comment there.  The package must emit the same three
+# arrays, in the same order and to the bit.
+# ---------------------------------------------------------------------------
+
+_ABOVE = tuple(
+    np.int64(((1 << 63) - 1) & ~((1 << (p + 1)) - 1)) for p in range(63)
+)
+
+
+def loop_product_terms(a: NormalOrderedOperator, b: NormalOrderedOperator):
+    """Unsummed ``(cre, ann, val)`` of every term of ``a b``."""
+    b_cre, b_ann, b_val = b.cre, b.ann, b.val
+    cre_chunks = [np.empty(0, dtype=np.int64)]
+    ann_chunks = [np.empty(0, dtype=np.int64)]
+    val_chunks = [np.empty(0)]
+    for c1m, a1m, ca in zip(a.cre.tolist(), a.ann.tolist(), a.val.tolist()):
+        k = a1m.bit_count()
+        for t in _submasks(a1m):
+            rest_ann = a1m ^ t  # A1 \ T, row-independent
+            ok = (b_cre & t) == t
+            rem = b_cre & np.int64(~t)  # C2 \ T
+            ok &= (rem & c1m) == 0
+            ok &= (b_ann & rest_ann) == 0
+            if not np.any(ok):
+                continue
+            cre_rows = b_cre[ok]
+            rem_rows = rem[ok]
+            ann_rows = b_ann[ok]
+            par = np.zeros(cre_rows.shape, dtype=np.int64)
+            for x in _bits_desc(t):  # (a) hops before each contraction
+                par += np.bitwise_count(cre_rows & _ABOVE[x])
+            if (k - t.bit_count()) & 1:  # (b) odd pass-through count
+                par += np.bitwise_count(cre_rows)
+            for u in _bits_desc(c1m):  # (d) creation merge
+                par += np.bitwise_count(rem_rows & _ABOVE[u])
+            for x in _bits_desc(rest_ann):  # (e) annihilation merge
+                par += np.bitwise_count(ann_rows & _ABOVE[x])
+            const = 0
+            for x in _bits_desc(t):  # (c) contracted partners below A1\T
+                const += (rest_ann >> (x + 1)).bit_count()
+            sign = 1.0 - 2.0 * ((par + const) & 1)
+            cre_chunks.append(c1m | rem_rows)
+            ann_chunks.append(rest_ann | ann_rows)
+            val_chunks.append(ca * sign * b_val[ok])
+    return np.concatenate(cre_chunks), np.concatenate(ann_chunks), np.concatenate(val_chunks)
 
 
 # ---------------------------------------------------------------------------

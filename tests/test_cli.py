@@ -154,6 +154,32 @@ class TestAnalyzeCommand:
         capsys.readouterr()
 
 
+# Malformed or extreme inputs and the documented exit code each must map to,
+# with a one-line message and no traceback.
+EDGE_CASES = [
+    (["analyze", "--dt", "1e160"], EXIT_NUMERICAL),
+    (["spectrum", "--dt", "1e160"], EXIT_NUMERICAL),
+    (["haar", "--dt", "1e160"], EXIT_NUMERICAL),
+    (["marginals", "--dt", "1e160"], EXIT_NUMERICAL),
+    (["analyze", "--dt", "1e154"], EXIT_NUMERICAL),
+    (["analyze", "--dense-limit", "-1"], EXIT_USAGE),
+    (["spectrum", "--dense-limit", "-1"], EXIT_USAGE),
+    (["haar", "--dense-limit", "-1"], EXIT_USAGE),
+    (["analyze", "--dense-limit", "0"], EXIT_OK),
+    (["prep-cost", "--delta", "1e-300"], EXIT_OK),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", EDGE_CASES, ids=[" ".join(argv) for argv, _ in EDGE_CASES]
+)
+def test_edge_input_exit_codes(h2_path, capsys, argv, expected):
+    code, _, err = run(capsys, argv[0], "--fcidump", h2_path, *argv[1:])
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (expected != EXIT_OK)
+
+
 class TestSpectrumCommand:
     def test_csv_header_and_ascending_zero_sum(self, h2_path, capsys):
         code, stdout, _ = run(capsys, "spectrum", "--fcidump", h2_path)

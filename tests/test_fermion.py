@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trotterr import fermion
 from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import (
     LadderTerm,
     NormalOrderedOperator,
+    _product_terms,
     _sort_key,
     ann,
     commutator,
@@ -22,6 +24,7 @@ from trotterr.fermion import (
     trace,
 )
 from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
+from trotterr.trotter import build_error_operator
 
 from bruteforce import (
     dense_ladder,
@@ -32,6 +35,7 @@ from bruteforce import (
     dict_commutator,
     dict_sub,
     dict_sum,
+    loop_product_terms,
     mask_order,
     scalar_multiply,
 )
@@ -468,3 +472,77 @@ def test_high_orbital_product_matches_shifted():
         for offset in (40, 59):
             high = multiply(shift(a, offset), shift(b, offset), drop_tolerance=0.0)
             assert shift(low, offset).terms == high.terms
+
+
+# ---------------------------------------------------------------------------
+# The broadcast product kernel against its per-pair loop.
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_arrays(got, want):
+    """The same three arrays, in the same order, to the byte."""
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def kernel_operands(draw, lo, hi):
+    """Two operators on a few orbitals of ``lo..hi``, always including
+    ``hi``, so that creation and annihilation sets often overlap; either
+    may be empty, and the empty groups give the identity key."""
+    orbitals = sorted(draw(st.sets(st.integers(lo, hi), max_size=5)) | {hi})
+    group = st.sets(st.sampled_from(orbitals), max_size=3).map(
+        lambda s: tuple(sorted(s, reverse=True))
+    )
+    values = ORDER_SENSITIVE | st.just(0.0)
+    return [
+        NormalOrderedOperator(
+            draw(st.dictionaries(st.tuples(group, group), values, max_size=8)),
+            drop_tolerance=0.0,
+        )
+        for _ in range(2)
+    ]
+
+
+@pytest.mark.parametrize("cells", [None, 3], ids=["one-slice", "sliced"])
+@pytest.mark.parametrize("branch", sorted(KEY_BRANCHES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_kernel_matches_loop(branch, cells, data):
+    # orbital 62 puts a bit next to the sign bit, where the prefix-parity
+    # shift must drop it; a tiny cell budget cuts the pair axis into slices
+    a, b = data.draw(kernel_operands(*KEY_BRANCHES[branch]))
+    with mock.patch.object(fermion, "_PRODUCT_CELLS", cells or fermion._PRODUCT_CELLS):
+        _assert_same_arrays(_product_terms(a, b), loop_product_terms(a, b))
+
+
+def test_product_kernel_matches_loop_on_empty_and_identity():
+    zero = NormalOrderedOperator.zero()
+    one = NormalOrderedOperator.identity(-2.5)
+    mixed = NormalOrderedOperator(
+        {((3, 1), (3, 0)): 1.5, ((), ()): 0.25, ((2,), (2,)): -1.0, ((0,), ()): 2.0}
+    )
+    # the identity contracts nothing, so it passes the other factor through
+    cases = [(zero, zero, 0), (zero, mixed, 0), (mixed, zero, 0), (one, one, 1),
+             (one, mixed, 4), (mixed, one, 4), (mixed, mixed, None)]
+    for a, b, count in cases:
+        got = _product_terms(a, b)
+        _assert_same_arrays(got, loop_product_terms(a, b))
+        assert count is None or len(got[0]) == count
+
+
+@pytest.mark.parametrize("name", ["h2_sto6g_local", "h4_sto6g_local"])
+def test_product_kernel_matches_loop_on_error_operator_build(fixture_dir, name):
+    seq = build_trotter_sequence(load_fcidump(fixture_dir / f"{name}.fcidump"))
+    products = []
+
+    def checked(a, b):
+        got = _product_terms(a, b)
+        _assert_same_arrays(got, loop_product_terms(a, b))
+        products.append(len(got[0]))
+        return got
+
+    with mock.patch.object(fermion, "_product_terms", checked):
+        build_error_operator(seq, 1.0)
+    assert len(products) == 2 * len(seq.fragments) and sum(products) > 0

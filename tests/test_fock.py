@@ -360,6 +360,14 @@ class TestEigensolvers:
         with pytest.raises(NumericalError, match="Lanczos did not converge"):
             solver(op, basis, dense_limit=1)
 
+    def test_single_state_takes_the_dense_path(self, hermitian_case):
+        # Lanczos cannot run on one state, whatever dense_limit says
+        op, basis, ref = hermitian_case
+        one = SectorBasis.subset(5, 2, [basis.states[3]])
+        energy, state = ground_state(op, one, dense_limit=0)
+        assert energy == ref[3, 3] and state.amplitudes.tolist() == [1.0]
+        assert spectral_norm(op, one, dense_limit=0) == abs(ref[3, 3])
+
     def test_full_spectrum_ascending_and_exact(self, hermitian_case):
         op, basis, ref = hermitian_case
         spec = full_spectrum(op, basis)

@@ -85,6 +85,21 @@ class TestSelectK:
             if k > 1:
                 assert synthesis_error_bound(d, k - 1) > delta
 
+    @pytest.mark.parametrize("support_dim", [1, 10, 100, 10**4])
+    def test_minimal_down_to_the_smallest_delta(self, support_dim):
+        # sqrt(1 + delta) - 1 cancels to 0 below delta ~ 1.1e-16, and the
+        # closed form could land one above the minimum near 1e-15
+        def brute(delta):
+            k = 1
+            while synthesis_error_bound(support_dim, k) > delta:
+                k += 1
+            return k
+
+        deltas = [float(d) for d in np.geomspace(1e-3, 1e-320, 120)]
+        deltas += [1.17e-15, 1.1e-16, 1e-300, 5e-324]
+        for delta in deltas:
+            assert select_k(support_dim, delta) == brute(delta), delta
+
     def test_logarithmic_scaling_slope(self):
         # k grows like log2(D/delta)/4; measure the slope over ten decades
         xs, ys = [], []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import dense_operator
-from trotterr.errors import ValidationError
+from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
 from trotterr.hamiltonian import TrotterSequence, build_trotter_sequence, parse_fcidump
 from trotterr.synthetic import random_system
@@ -162,6 +162,17 @@ def test_diagonal_prefix_order_is_irrelevant(fixture_dir):
         assert diff <= 1e-12
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_overflowing_step_is_numerical_error(fixture_dir, validate):
+    # dt^2/12 overflows to inf; a coefficient of 0 times it is NaN, which
+    # pruning alone would drop without a word
+    syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
+    seq = build_trotter_sequence(syst)
+    with pytest.raises(NumericalError, match="overflow"):
+        build_error_operator(seq, 1e160, validate=validate)
+    assert np.isfinite(build_error_operator(seq, 1e150, validate=validate).op.val).all()
+
+
 class TestTrotterNumber:
     def test_zero_error_floor(self):
         assert estimate_trotter_number(0.0, 10.0, 1e-3) == 1
@@ -180,3 +191,7 @@ class TestTrotterNumber:
 
     def test_at_least_one(self):
         assert estimate_trotter_number(1e-30, 1e-6, 1.0) == 1
+
+    def test_overflow_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            estimate_trotter_number(1e300, 1.0, 1e-10)
