@@ -530,18 +530,20 @@ def multiply(
 # The kernel lays every (term of A, T) pair out as arrays, the subsets of
 # each term in ``_submasks`` order, and tests all pairs against all rows of
 # B at once: a row is admissible when T is inside C2, C2\T misses C1 and A2
-# misses A1\T.  ``np.nonzero`` lists the admissible (pair, row) cells in
-# row-major order, so terms come out by term of A, then T, then row of B.
-# That order is fixed: ``_combine`` adds each key's values in input order,
-# so any other order could move the last bits of a sum, and with them every
-# report.  The pair axis is cut into slices of at most ``_PRODUCT_CELLS``
-# cells, which bounds the temporaries by the product's own output size.
+# misses A1\T.  ``np.flatnonzero`` lists the admissible (pair, row) cells
+# in row-major order, so terms come out by term of A, then T, then row of
+# B.  That order is fixed: ``_combine`` adds each key's values in input
+# order, so any other order could move the last bits of a sum, and with them
+# every report.  The pair axis is cut into slices of at most
+# ``_PRODUCT_CELLS`` cells, so the temporaries beyond the product's own
+# output stay a fixed size however large the operands are.
 
 _PRODUCT_CELLS = 1 << 20
 
 
 def _prefix_parity(masks: np.ndarray) -> np.ndarray:
-    """Bit p of the result is the parity of the set bits below p."""
+    """Bit p of the result is the parity of the set bits below p, for
+    p = 0..62 (an exclusive prefix XOR)."""
     q = masks.copy()
     for shift in (1, 2, 4, 8, 16, 32):
         q ^= q << shift
@@ -606,6 +608,8 @@ def _product_terms(
 
 
 def _joined(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    # a single chunk is returned as is: copying it would double the peak
+    # memory of a large product
     if len(chunks) == 1:
         return chunks[0]
     return np.concatenate([np.empty(0, dtype=dtype), *chunks])

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fermion import NormalOrderedOperator
 from .fock import DENSE_LIMIT, SectorBasis, full_spectrum, to_dense
 from .trotter import ErrorOperator
@@ -213,16 +213,22 @@ def haar_error_distribution(
     if block_size < 1:
         raise ValidationError(f"block_size must be >= 1, got {block_size}")
     lam = full_spectrum(error.op, basis, dense_limit=dense_limit)
-    samples = _sample_quadratic_form(lam, n_samples, seed, ensemble, block_size)
-    mean, var = haar_quadratic_form_stats(lam, ensemble=ensemble)
-    bound = math.sqrt(float(lam @ lam)) / basis.dim
+    # the squares of eigenvalues above ~1e154 overflow long before V itself
+    # does: that is a numerical failure, not a report of inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _sample_quadratic_form(lam, n_samples, seed, ensemble, block_size)
+        mean, var = haar_quadratic_form_stats(lam, ensemble=ensemble)
+        bound = math.sqrt(float(lam @ lam)) / basis.dim
+        empirical_mean, empirical_variance = float(samples.mean()), float(samples.var(ddof=1))
+    if not np.isfinite([empirical_mean, empirical_variance, mean, var, bound]).all():
+        raise NumericalError("Haar statistics overflow: the error operator is too large")
     return HaarReport(
         n_samples=n_samples,
         seed=seed,
         ensemble=ensemble,
         dim=basis.dim,
-        empirical_mean=float(samples.mean()),
-        empirical_variance=float(samples.var(ddof=1)),
+        empirical_mean=empirical_mean,
+        empirical_variance=empirical_variance,
         closed_form_mean=mean,
         closed_form_variance=var,
         component_variance=squared_overlap_moments(basis.dim, ensemble)[1],

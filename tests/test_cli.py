@@ -162,6 +162,7 @@ EDGE_CASES = [
     (["haar", "--dt", "1e160"], EXIT_NUMERICAL),
     (["marginals", "--dt", "1e160"], EXIT_NUMERICAL),
     (["analyze", "--dt", "1e154"], EXIT_NUMERICAL),
+    (["haar", "--dt", "1e100", "--samples", "100"], EXIT_NUMERICAL),
     (["analyze", "--dense-limit", "-1"], EXIT_USAGE),
     (["spectrum", "--dense-limit", "-1"], EXIT_USAGE),
     (["haar", "--dense-limit", "-1"], EXIT_USAGE),
