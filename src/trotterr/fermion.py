@@ -567,10 +567,11 @@ def _product_terms(
     """Unsummed ``(cre, ann, val)`` of every term of ``a b``, by term of
     ``a``, then contraction subset, then term of ``b``."""
     subsets = [_submasks(m) for m in a.ann.tolist()]
-    pair = np.repeat(np.arange(len(a)), np.array([len(s) for s in subsets], dtype=np.int64))
-    t = np.fromiter(chain.from_iterable(subsets), dtype=np.int64, count=len(pair))
-    c1, rest = a.cre[pair], a.ann[pair] ^ t  # C1 and A1\T per pair
-    coeff = a.val[pair]
+    # one entry per (term of a, T) pair from here on
+    term = np.repeat(np.arange(len(a)), np.array([len(s) for s in subsets], dtype=np.int64))
+    t = np.fromiter(chain.from_iterable(subsets), dtype=np.int64, count=len(term))
+    c1, rest = a.cre[term], a.ann[term] ^ t  # C1 and A1\T
+    coeff = a.val[term]
     allowed = t | c1  # C2 & (T u C1) must be exactly T
     odd = -(np.bitwise_count(rest).astype(np.int64) & 1)  # all bits when |A1\T| is odd
     cre_parity = _prefix_parity(t) ^ (_prefix_parity(c1) & ~t) ^ odd  # (a), (b), (d)
