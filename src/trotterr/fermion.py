@@ -30,10 +30,15 @@ int64 sort key.  With ``w`` the bit length of the largest annihilation mask,
 the key is ``cre << w | ann`` whenever that fits in 63 bits (every operator
 of up to 31 spin orbitals); since every ``ann < 2**w``, ascending key order
 is exactly ascending ``(cre, ann)`` order.  Wider operators use the dense
-rank of their ``(cre, ann)`` pairs as the key instead.  The key sort need
-not be stable: each key's values are added by ``np.bincount`` in input
-order, and its first appearance is the smallest input position in its
-group, neither of which depends on how the sort ordered equal keys.
+rank of their ``(cre, ann)`` pairs as the key instead.  The routine shifts
+each key left by the bit length of the largest input position and writes
+the term's position into the freed bits, first replacing the keys by their
+dense rank when the two would not fit in 63 bits together.  A plain
+``np.sort`` of these tagged keys orders the terms by key and, within a key,
+by input position, so no two entries tie and the order is fully fixed.
+Each key's values then reach ``np.bincount`` in input order, which adds
+them from 0.0 exactly as the term-map loop does, and each key's first
+sorted entry is its first appearance.
 
 Ladder strings are reduced at ingestion by iterated anticommutation:
 ``a_p a_q^+ = delta_pq - a_q^+ a_p`` swaps a defect (an annihilator
@@ -376,40 +381,51 @@ def _combine(
 ) -> NormalOrderedOperator:
     """Add up the coefficients of equal keys and drop the small sums.
 
-    Terms are grouped by one int64 sort key per term (``_sort_key``), whose
-    ascending order is the ``(cre, ann)`` order.  Keys come out in that
-    order, or with ``first_seen`` in order of first appearance.  The sort
-    need not be stable: ``np.bincount`` adds each key's coefficients in
-    input order starting from 0.0 whatever order the sort left equal keys
-    in, which is bit for bit what ``out[key] = out.get(key, 0.0) + c`` over
-    the same input gives.
+    Each term's int64 sort key (``_sort_key``, ascending in ``(cre, ann)``
+    order) is shifted left and tagged with the term's input position in the
+    freed low bits, so one plain ``np.sort`` orders the terms by key and,
+    within a key, by input position.  ``np.bincount`` over the sorted
+    labels then adds each key's coefficients in input order starting from
+    0.0, bit for bit what ``out[key] = out.get(key, 0.0) + c`` over the same
+    input gives.  Keys come out ascending, or with ``first_seen`` in order
+    of first appearance.
     """
     n = len(coeffs)
     if not n:
         return NormalOrderedOperator.zero()
-    # inputs can be millions of unsummed product terms, so each temporary
-    # is dropped as soon as it is used to keep the peak memory down
+    # inputs can be millions of unsummed product terms, so the key buffer is
+    # sorted, shifted and relabelled in place, and every n-sized temporary is
+    # dropped before the result's arrays are allocated, to keep the peak and
+    # the retained heap down
     key = _sort_key(cmasks, amasks)
-    order = np.argsort(key)
-    ordered = key[order]
-    del key
+    tag = (n - 1).bit_length()
+    if int(key.max()).bit_length() + tag > _MASK_ORBITALS:
+        key = np.searchsorted(np.unique(key), key)  # dense rank, below n
+    key <<= tag
+    key |= np.arange(n)
+    key.sort()
+    order = key & ((1 << tag) - 1)
+    key >>= tag
     head = np.empty(n, dtype=bool)
     head[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    del ordered
-    group = np.empty(n, dtype=np.int64)
-    group[order] = np.cumsum(head)  # labels from 1: sums[0] stays unused
-    sums = np.bincount(group, weights=coeffs)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    group = np.cumsum(head, out=key)  # labels from 1: sums[0] stays unused
+    sums = np.bincount(group, weights=coeffs[order])
+    rows = order[head]  # each key's first input position, ascending by key
+    del order, head
     if first_seen:
-        # mark each key's earliest input position; reading the marks in
-        # input order lists the keys in order of first appearance
+        # mark each key's first position and give it the key's label (the
+        # sorted labels are spent); reading the marks in input order lists
+        # the keys in order of first appearance
         mark = np.zeros(n, dtype=bool)
-        mark[np.minimum.reduceat(order, np.flatnonzero(head))] = True
+        mark[rows] = True
+        group[rows] = np.arange(1, len(rows) + 1)
         rows = np.flatnonzero(mark)
+        del mark
         sums = sums[group[rows]]
     else:
-        rows = order[head]  # one input position per key, ascending by key
         sums = sums[1:]
+    del key, group
     keep = np.abs(sums) >= drop_tolerance
     rows = rows[keep]
     return NormalOrderedOperator._from_arrays(cmasks[rows], amasks[rows], sums[keep])

@@ -121,9 +121,13 @@ def build_error_operator(
     """Assemble the leading error operator for ``sequence`` at ``delta_t``.
 
     A single-fragment sequence (or any mutually commuting one) yields the
-    zero operator.  Pruning below ``drop_tolerance`` happens once, after the
-    full accumulation.  A step so large that a coefficient overflows raises
-    ``NumericalError``, with or without ``validate``.
+    zero operator.  Pruning happens once, after the full accumulation, and
+    at the ``delta_t = 1`` scale: a term is kept when its unscaled sum times
+    1/12 reaches ``drop_tolerance`` in magnitude, so every step keeps the
+    same terms in the same order.  Each kept coefficient is then its sum
+    times ``delta_t**2 / 12``.  A step at which a kept coefficient overflows,
+    or underflows to zero or a subnormal value, raises ``NumericalError``,
+    with or without ``validate``.
     """
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
@@ -143,14 +147,18 @@ def build_error_operator(
         if weight:
             m = multiply(frag, weight, drop_tolerance=0.0)
             pieces.append(m + m.adjoint())
-    scale = (delta_t * delta_t) / 12.0
-    op = operator_sum(pieces, drop_tolerance=0.0).scaled(scale)
-    # checked before pruning, which would drop a NaN coefficient silently
-    if not np.isfinite(op.val).all():
+    total = operator_sum(pieces, drop_tolerance=0.0)
+    keep = np.abs(total.val * (1.0 / 12.0)) >= drop_tolerance
+    val = total.val[keep] * ((delta_t * delta_t) / 12.0)
+    if not np.isfinite(val).all():
         raise NumericalError(
             f"error operator coefficients overflow at delta_t={delta_t!r}"
         )
-    op = op.pruned(drop_tolerance)
+    if (np.abs(val) < np.finfo(np.float64).tiny).any():
+        raise NumericalError(
+            f"error operator coefficients underflow at delta_t={delta_t!r}"
+        )
+    op = NormalOrderedOperator._from_arrays(total.cre[keep], total.ann[keep], val)
     error_op = ErrorOperator(
         op=op,
         delta_t=delta_t,

@@ -163,6 +163,10 @@ EDGE_CASES = [
     (["marginals", "--dt", "1e160"], EXIT_NUMERICAL),
     (["analyze", "--dt", "1e154"], EXIT_NUMERICAL),
     (["haar", "--dt", "1e100", "--samples", "100"], EXIT_NUMERICAL),
+    (["analyze", "--dt", "1e-170"], EXIT_NUMERICAL),
+    (["spectrum", "--dt", "1e-170"], EXIT_NUMERICAL),
+    (["haar", "--dt", "1e-170"], EXIT_NUMERICAL),
+    (["marginals", "--dt", "1e-170"], EXIT_NUMERICAL),
     (["analyze", "--dense-limit", "-1"], EXIT_USAGE),
     (["spectrum", "--dense-limit", "-1"], EXIT_USAGE),
     (["haar", "--dense-limit", "-1"], EXIT_USAGE),

@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from trotterr import fermion
 from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import (
+    DEFAULT_DROP_TOLERANCE,
     LadderTerm,
     NormalOrderedOperator,
+    _bits_desc,
+    _combine,
     _product_terms,
     _sort_key,
     ann,
@@ -439,6 +442,67 @@ def test_sort_key_orders_like_the_two_halves():
         else:
             pairs = sorted(set(zip(cmasks.tolist(), amasks.tolist())))
             assert key.max() == len(pairs) < len(key)
+
+
+# Orbital ranges for the three ways the grouping reaches its tagged sort:
+# packed keys narrow enough to take the position tag as they are; packed
+# keys with orbital 30 in both halves (62 bits), which leave room for the
+# tag of at most two terms and are ranked by ``np.searchsorted`` beyond
+# that; and halves above orbital 31, ranked by a lexsort.
+COMBINE_BRANCHES = {"packed": (0, 12), "packed-ranked": (0, 30), "lexsorted": (32, 62)}
+
+# 1, 2, 2^k and 2^k + 1 terms: the counts at which the position tag gains a bit.
+COMBINE_SIZES = (1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025)
+
+COMBINE_VALUES = np.array([1e16, -1e16, 1.0, -1.0, 0.5, 3.0, 1e-13, -1e-13, 0.0, -0.0])
+
+
+def _combine_inputs(rng, lo, hi, n, n_keys):
+    """``n`` unsummed terms over ``n_keys`` distinct keys on orbitals
+    ``lo..hi``, the first key with orbital ``hi`` in both halves."""
+    def mask():
+        size = int(rng.integers(0, 4))
+        return sum(1 << int(p) for p in rng.choice(np.arange(lo, hi + 1), size, replace=False))
+
+    keys = {(1 << hi, 1 << hi): None}
+    while len(keys) < n_keys:
+        keys[(mask(), mask())] = None
+    keys = np.array(list(keys), dtype=np.int64)
+    pick = rng.permutation(n) if n_keys == n else rng.integers(0, n_keys, n)
+    coeffs = np.where(
+        rng.random(n) < 0.5, rng.choice(COMBINE_VALUES, n), rng.normal(size=n)
+    )
+    return keys[pick, 0], keys[pick, 1], coeffs
+
+
+def _term_map_reference(cmasks, amasks, coeffs, drop_tolerance, first_seen):
+    """``out[key] = out.get(key, 0.0) + c`` over the terms in input order."""
+    keys = [(_bits_desc(c), _bits_desc(a)) for c, a in zip(cmasks.tolist(), amasks.tolist())]
+    out = dict_sum(({k: c} for k, c in zip(keys, coeffs.tolist())), drop_tolerance)
+    return out if first_seen else {k: out[k] for k in mask_order(out)}
+
+
+@pytest.mark.parametrize("first_seen", [True, False], ids=["first-seen", "ascending"])
+@pytest.mark.parametrize("branch", sorted(COMBINE_BRANCHES))
+def test_combine_matches_term_map_reference(branch, first_seen):
+    lo, hi = COMBINE_BRANCHES[branch]
+    rng = np.random.default_rng(15)
+    for n in COMBINE_SIZES:
+        # all keys equal, a few keys, all keys distinct
+        for n_keys in sorted({1, min(n, 5), n}):
+            cmasks, amasks, coeffs = _combine_inputs(rng, lo, hi, n, n_keys)
+            for tol in (0.0, DEFAULT_DROP_TOLERANCE):
+                with (
+                    mock.patch("numpy.argsort", wraps=np.argsort) as argsort,
+                    mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort,
+                    mock.patch("numpy.searchsorted", wraps=np.searchsorted) as rank,
+                ):
+                    got = _combine(cmasks, amasks, coeffs, tol, first_seen=first_seen)
+                want = _term_map_reference(cmasks, amasks, coeffs, tol, first_seen)
+                assert _bits(got.terms) == _bits(want), (n, n_keys, tol)
+                assert not argsort.called
+                assert lexsort.called == (branch == "lexsorted")
+                assert rank.called == (branch == "packed-ranked" and n > 2)
 
 
 def test_orbital_beyond_mask_width_raises():

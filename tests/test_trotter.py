@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import dense_operator
+from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
 from trotterr.hamiltonian import TrotterSequence, build_trotter_sequence, parse_fcidump
@@ -164,13 +165,52 @@ def test_diagonal_prefix_order_is_irrelevant(fixture_dir):
 
 @pytest.mark.parametrize("validate", [True, False])
 def test_overflowing_step_is_numerical_error(fixture_dir, validate):
-    # dt^2/12 overflows to inf; a coefficient of 0 times it is NaN, which
-    # pruning alone would drop without a word
+    # dt^2/12 overflows to inf and every kept coefficient with it
     syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
     seq = build_trotter_sequence(syst)
     with pytest.raises(NumericalError, match="overflow"):
         build_error_operator(seq, 1e160, validate=validate)
     assert np.isfinite(build_error_operator(seq, 1e150, validate=validate).op.val).all()
+
+
+def _step_systems(fixture_dir):
+    for name in ("h2_sto6g_local", "h4_sto6g_local"):
+        yield name, parse_fcidump((fixture_dir / f"{name}.fcidump").read_text())
+    yield "synthetic-3", random_system(np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("delta_t", [1e-2, 1e-4, 1e-5])
+def test_kept_terms_do_not_depend_on_the_step(fixture_dir, delta_t):
+    # pruned after scaling, small steps would lose terms or all of V: on H2,
+    # 4 of its 24 terms at dt = 1e-4 and every term at 1e-5
+    for name, syst in _step_systems(fixture_dir):
+        seq = build_trotter_sequence(syst)
+        unit = build_error_operator(seq, 1.0).op
+        small = build_error_operator(seq, delta_t).op
+        assert len(unit) > 0, name
+        assert list(small.terms) == list(unit.terms), name
+        np.testing.assert_allclose(
+            small.val, delta_t * delta_t * unit.val, rtol=1e-12, atol=0.0, err_msg=name
+        )
+
+
+def test_analyze_ratio_does_not_depend_on_the_step(fixture_dir):
+    syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
+    unit = analyze(syst, delta_t=1.0, ci_levels=[])
+    for delta_t in (1e-2, 1e-4, 1e-5):
+        small = analyze(syst, delta_t=delta_t, ci_levels=[])
+        assert small.error_term_count == unit.error_term_count == 24
+        assert small.ratio == pytest.approx(unit.ratio, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("delta_t", [1e-155, 1e-170])
+def test_underflowing_step_is_numerical_error(fixture_dir, delta_t):
+    # at 1e-155 the kept coefficients scale to subnormals, at 1e-170 dt^2
+    # itself is 0.0; neither may come back as a silently empty V
+    syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
+    seq = build_trotter_sequence(syst)
+    with pytest.raises(NumericalError, match="underflow"):
+        build_error_operator(seq, delta_t, validate=False)
 
 
 class TestTrotterNumber:
