@@ -285,8 +285,8 @@ def analyze(
         )
     with _stage("fragment sequence"):
         sequence = build_trotter_sequence(system, ordering, granularity=granularity)
-    with _stage("error operator"):
-        error = build_error_operator(sequence, delta_t)
+    # build_error_operator's messages name the operator themselves
+    error = build_error_operator(sequence, delta_t)
     if space == "sector":
         basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
     else:

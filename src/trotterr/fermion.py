@@ -27,28 +27,27 @@ its inputs and adds each key's values in input order, starting from 0.0.
 
 Both rules rest on one accumulation routine that groups terms by a single
 int64 sort key.  With ``w`` the bit length of the largest annihilation mask,
-the key is ``cre << w | ann`` whenever that fits in 63 bits (every operator
-of up to 31 spin orbitals); since every ``ann < 2**w``, ascending key order
-is exactly ascending ``(cre, ann)`` order.  Wider operators use the dense
-rank of their ``(cre, ann)`` pairs as the key instead.  The routine shifts
-each key left by the bit length of the largest input position and writes
-the term's position into the freed bits, first replacing the keys by their
-dense rank when the two would not fit in 63 bits together.  A plain
-``np.sort`` of these tagged keys orders the terms by key and, within a key,
-by input position, so no two entries tie and the order is fully fixed.
-Each key's values then reach ``np.bincount`` in input order, which adds
-them from 0.0 exactly as the term-map loop does, and each key's first
-sorted entry is its first appearance.
+the key is ``cre << w | ann``; since every ``ann < 2**w``, ascending key
+order is exactly ascending ``(cre, ann)`` order.  The routine shifts each
+key left by the bit length of the largest input position and writes the
+term's position into the freed bits.  When the packed key and the position
+tag would need more than 63 bits together (at 21 spin orbitals beyond 2**21
+terms, at 31 from three terms), the key is instead the dense rank of the
+term's ``(cre, ann)`` pair, found by one lexsort.  A plain ``np.sort`` of
+the tagged keys orders the terms by key and, within a key, by input
+position, so no two entries tie and the order is fully fixed.  Each key's values then
+reach ``np.bincount`` in input order, which adds them from 0.0 exactly as
+the term-map loop does, and each key's first sorted entry is its first
+appearance.
 
-Ladder strings are reduced at ingestion by iterated anticommutation:
-``a_p a_q^+ = delta_pq - a_q^+ a_p`` swaps a defect (an annihilator
-directly left of a creator), and sorting within a group flips the
-coefficient sign once per transposition.  The classic small case
+Ladder strings are reduced by the same product kernel: ``normal_order``
+multiplies the identity by one single-operator term per ladder operator,
+left to right, so its keys follow the product rule.  The classic small case
 
     a_2 a_1 a_1^+ a_3^+  =  a_1^+ a_3^+ a_2 a_1  -  a_3^+ a_2
 
-reduces to the keys ``((3, 1), (2, 1))`` (coefficient -1) and
-``((3,), (2,))`` (coefficient -1).
+reduces to the keys ``((3,), (2,))`` (coefficient -1) and
+``((3, 1), (2, 1))`` (coefficient -1), in that order.
 
 Coefficients with magnitude below a drop tolerance (default ``1e-12``) are
 removed after every accumulation pass.  All operations return new objects;
@@ -107,71 +106,6 @@ class LadderTerm(NamedTuple):
 
     coeff: float
     ops: tuple[LadderOp, ...]
-
-
-# ---------------------------------------------------------------------------
-# Low-level reduction on encoded operator strings.
-#
-# An op is encoded as (orbital << 1) | flag with flag 1 for creation; this
-# keeps the worklist below allocation-free apart from tuple slicing.
-# ---------------------------------------------------------------------------
-
-
-def _sort_desc(vals: Iterable[int]) -> tuple[tuple[int, ...] | None, int]:
-    """Sort descending, counting transpositions; None signals a repeat."""
-    lst = list(vals)
-    swaps = 0
-    for i in range(1, len(lst)):
-        j = i
-        while j and lst[j - 1] < lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            swaps += 1
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i - 1] == lst[i]:
-            return None, swaps
-    return tuple(lst), swaps
-
-
-def _normal_order_codes(codes: tuple[int, ...], start: int = 0) -> dict[Key, int]:
-    """Reduce an encoded operator string to canonical keys with integer signs.
-
-    ``start`` is a scan hint: positions left of it are known defect-free.
-    """
-    out: dict[Key, int] = {}
-    stack: list[tuple[int, tuple[int, ...], int]] = [(1, codes, start)]
-    while stack:
-        sign, s, lo = stack.pop()
-        n = len(s)
-        i = lo
-        defect = -1
-        while i < n - 1:
-            if not s[i] & 1 and s[i + 1] & 1:
-                defect = i
-                break
-            i += 1
-        if defect >= 0:
-            i = defect
-            nxt = i - 1 if i else 0
-            swapped = s[:i] + (s[i + 1], s[i]) + s[i + 2:]
-            stack.append((-sign, swapped, nxt))
-            if s[i] >> 1 == s[i + 1] >> 1:
-                stack.append((sign, s[:i] + s[i + 2:], nxt))
-            continue
-        # No defect left: creations all precede annihilations.
-        k = 0
-        while k < n and s[k] & 1:
-            k += 1
-        cre_sorted, sw1 = _sort_desc(c >> 1 for c in s[:k])
-        if cre_sorted is None:
-            continue
-        ann_sorted, sw2 = _sort_desc(c >> 1 for c in s[k:])
-        if ann_sorted is None:
-            continue
-        key = (cre_sorted, ann_sorted)
-        val = -sign if (sw1 + sw2) & 1 else sign
-        out[key] = out.get(key, 0) + val
-    return {k: v for k, v in out.items() if v}
 
 
 def _as_ops(term) -> tuple[float, tuple[LadderOp, ...]]:
@@ -381,14 +315,17 @@ def _combine(
 ) -> NormalOrderedOperator:
     """Add up the coefficients of equal keys and drop the small sums.
 
-    Each term's int64 sort key (``_sort_key``, ascending in ``(cre, ann)``
-    order) is shifted left and tagged with the term's input position in the
-    freed low bits, so one plain ``np.sort`` orders the terms by key and,
-    within a key, by input position.  ``np.bincount`` over the sorted
-    labels then adds each key's coefficients in input order starting from
-    0.0, bit for bit what ``out[key] = out.get(key, 0.0) + c`` over the same
-    input gives.  Keys come out ascending, or with ``first_seen`` in order
-    of first appearance.
+    Each term gets one int64 sort key, ascending in ``(cre, ann)`` order:
+    the creation mask shifted above the annihilation mask while both fit in
+    63 bits beside the position tag below, else the dense rank of the term's
+    ``(cre, ann)`` pair, counted from 1 in lexsort order.  The key is
+    shifted left and tagged with the term's input position in the freed low
+    bits, so one plain ``np.sort`` orders the terms by key and, within a
+    key, by input position.  ``np.bincount`` over the sorted labels then
+    adds each key's coefficients in input order starting from 0.0, bit for
+    bit what ``out[key] = out.get(key, 0.0) + c`` over the same input gives.
+    Keys come out ascending, or with ``first_seen`` in order of first
+    appearance.
     """
     n = len(coeffs)
     if not n:
@@ -397,10 +334,13 @@ def _combine(
     # sorted, shifted and relabelled in place, and every n-sized temporary is
     # dropped before the result's arrays are allocated, to keep the peak and
     # the retained heap down
-    key = _sort_key(cmasks, amasks)
     tag = (n - 1).bit_length()
-    if int(key.max()).bit_length() + tag > _MASK_ORBITALS:
-        key = np.searchsorted(np.unique(key), key)  # dense rank, below n
+    width = int(amasks.max()).bit_length()
+    if int(cmasks.max()).bit_length() + width + tag <= _MASK_ORBITALS:
+        key = cmasks << width
+        key |= amasks
+    else:
+        key = _rank(cmasks, amasks)
     key <<= tag
     key |= np.arange(n)
     key.sort()
@@ -431,19 +371,9 @@ def _combine(
     return NormalOrderedOperator._from_arrays(cmasks[rows], amasks[rows], sums[keep])
 
 
-def _sort_key(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
-    """One int64 per term, ascending in the same order as ``(cre, ann)``.
-
-    Masks are non-negative, so while both halves fit in 63 bits together
-    (every operator of up to 31 spin orbitals) the key is the creation mask
-    shifted above the annihilation mask.  Wider operators get the dense rank
-    of their ``(cre, ann)`` pairs instead.
-    """
-    width = int(amasks.max()).bit_length()
-    if int(cmasks.max()).bit_length() + width <= _MASK_ORBITALS:
-        key = cmasks << width
-        key |= amasks
-        return key
+def _rank(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
+    """Dense rank from 1 of each term's ``(cre, ann)`` pair, ascending in
+    ``(cre, ann)`` order."""
     order = np.lexsort((amasks, cmasks))
     c, a = cmasks[order], amasks[order]
     new = np.empty(len(order), dtype=bool)
@@ -481,20 +411,26 @@ def normal_order(
     *,
     drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
 ) -> NormalOrderedOperator:
-    """Reduce an arbitrary ladder-operator product to canonical form.
+    """Reduce an arbitrary ladder-operator product to canonical form, with
+    keys ascending by ``(cre, ann)`` like any product's.
 
-    Repeated anticommutation terminates because every swap either shortens
-    the string by two or strictly lowers the number of misordered pairs.
+    The string is multiplied out from the identity, one ladder operator at
+    a time, and scaled by the coefficient at the end.  Every intermediate
+    value is an integer, so each sum is exact and each final value is the
+    coefficient times an integer sign count; a tolerance of 0.5 between
+    steps drops exactly the keys that cancel.
     """
     coeff, ops = _as_ops(term)
-    codes = []
+    out = NormalOrderedOperator.identity()
+    none, one = np.zeros(1, dtype=np.int64), np.ones(1)
     for op in ops:
         _check_orbital(op.orbital)
-        codes.append(op.orbital << 1 | (1 if op.creation else 0))
-    out: dict[Key, float] = {}
-    for key, sign in _normal_order_codes(tuple(codes)).items():
-        out[key] = coeff * sign
-    return NormalOrderedOperator(out, drop_tolerance=drop_tolerance)
+        bit = np.array([1 << op.orbital], dtype=np.int64)
+        halves = (bit, none) if op.creation else (none, bit)
+        out = multiply(out, NormalOrderedOperator._from_arrays(*halves, one), drop_tolerance=0.5)
+    return NormalOrderedOperator._from_arrays(out.cre, out.ann, out.val * coeff).pruned(
+        drop_tolerance
+    )
 
 
 def multiply(

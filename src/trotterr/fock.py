@@ -174,15 +174,14 @@ def _action_table(
     for |C| = k and |A| = l.  Since A is inside s, |(s & ~A) below q| =
     |s below q| - |A below q|; with P(s) the prefix-parity mask of s the
     state-dependent part reduces to popcount(P(s) & (A ^ C)), and the rest
-    is one constant per term.
+    is one constant per term, whose pair count sum_{q in C} |A below q| has
+    the parity of popcount(C & P(A)).
     """
     n_terms = len(op)
     cre, ann, coeff = op.cre, op.ann, op.val
     k = np.bitwise_count(cre).astype(np.int64)
     l = np.bitwise_count(ann).astype(np.int64)
-    const = k * (k - 1) // 2 + l * (l - 1) // 2
-    for q in range(basis.n_orbitals):  # pairs (q in C, p in A) with p < q
-        const += ((cre >> q) & 1) * np.bitwise_count(ann & np.int64((1 << q) - 1))
+    const = k * (k - 1) // 2 + l * (l - 1) // 2 + np.bitwise_count(cre & _prefix_parity(ann))
     states = basis.states
     parity = _prefix_parity(states)
     step = max(1, _CHUNK_ELEMENTS // basis.dim)

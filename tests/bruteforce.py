@@ -9,19 +9,23 @@ the package's vectorized kernels replace.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from trotterr.fermion import (
     DEFAULT_DROP_TOLERANCE,
+    Key,
     LadderOp,
     LadderTerm,
     NormalOrderedOperator,
+    _as_ops,
     _bits_desc,
+    _check_orbital,
     _submasks,
     ann,
     cre,
     multiply,
-    normal_order,
     operator_sum,
 )
 from trotterr.hamiltonian import TERM_DROP_THRESHOLD, _chemist_orbit
@@ -128,6 +132,90 @@ def per_term_dense(op: NormalOrderedOperator, basis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# String-rewriting reference for ``normal_order``.
+#
+# Iterated anticommutation: ``a_p a_q^+ = delta_pq - a_q^+ a_p`` swaps a
+# defect (an annihilator directly left of a creator), and sorting within a
+# group flips the sign once per transposition.  It terminates because every
+# swap either shortens the string by two or strictly lowers the number of
+# misordered pairs.  An op is encoded as (orbital << 1) | flag with flag 1
+# for creation.  This is the engine the package's fold over the product
+# kernel replaced; keys come out in the order the rewriting reaches them.
+# ---------------------------------------------------------------------------
+
+
+def _sort_desc(vals: Iterable[int]) -> tuple[tuple[int, ...] | None, int]:
+    """Sort descending, counting transpositions; None signals a repeat."""
+    lst = list(vals)
+    swaps = 0
+    for i in range(1, len(lst)):
+        j = i
+        while j and lst[j - 1] < lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            swaps += 1
+            j -= 1
+    for i in range(1, len(lst)):
+        if lst[i - 1] == lst[i]:
+            return None, swaps
+    return tuple(lst), swaps
+
+
+def _normal_order_codes(codes: tuple[int, ...], start: int = 0) -> dict[Key, int]:
+    """Reduce an encoded operator string to canonical keys with integer signs.
+
+    ``start`` is a scan hint: positions left of it are known defect-free.
+    """
+    out: dict[Key, int] = {}
+    stack: list[tuple[int, tuple[int, ...], int]] = [(1, codes, start)]
+    while stack:
+        sign, s, lo = stack.pop()
+        n = len(s)
+        i = lo
+        defect = -1
+        while i < n - 1:
+            if not s[i] & 1 and s[i + 1] & 1:
+                defect = i
+                break
+            i += 1
+        if defect >= 0:
+            i = defect
+            nxt = i - 1 if i else 0
+            swapped = s[:i] + (s[i + 1], s[i]) + s[i + 2:]
+            stack.append((-sign, swapped, nxt))
+            if s[i] >> 1 == s[i + 1] >> 1:
+                stack.append((sign, s[:i] + s[i + 2:], nxt))
+            continue
+        # No defect left: creations all precede annihilations.
+        k = 0
+        while k < n and s[k] & 1:
+            k += 1
+        cre_sorted, sw1 = _sort_desc(c >> 1 for c in s[:k])
+        if cre_sorted is None:
+            continue
+        ann_sorted, sw2 = _sort_desc(c >> 1 for c in s[k:])
+        if ann_sorted is None:
+            continue
+        key = (cre_sorted, ann_sorted)
+        val = -sign if (sw1 + sw2) & 1 else sign
+        out[key] = out.get(key, 0) + val
+    return {k: v for k, v in out.items() if v}
+
+
+def loop_normal_order(term, *, drop_tolerance: float = DEFAULT_DROP_TOLERANCE) -> NormalOrderedOperator:
+    """``normal_order`` by string rewriting, independent of the product
+    kernel."""
+    coeff, ops = _as_ops(term)
+    codes = []
+    for op in ops:
+        _check_orbital(op.orbital)
+        codes.append(op.orbital << 1 | (1 if op.creation else 0))
+    out: dict[Key, float] = {}
+    for key, sign in _normal_order_codes(tuple(codes)).items():
+        out[key] = coeff * sign
+    return NormalOrderedOperator(out, drop_tolerance=drop_tolerance)
+
+
+# ---------------------------------------------------------------------------
 # Term-map references for the packed operator arithmetic.
 #
 # The dict arithmetic the array core replaces.  Key order and the order in
@@ -139,7 +227,7 @@ def per_term_dense(op: NormalOrderedOperator, basis) -> np.ndarray:
 
 def scalar_multiply(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict:
     """Product term map of ``a b``: every pair of terms is written out as a
-    ladder string and reduced by the public ``normal_order``."""
+    ladder string and reduced by ``loop_normal_order``."""
     out: dict = {}
     for (c1, a1), v1 in a.terms.items():
         for (c2, a2), v2 in b.terms.items():
@@ -149,7 +237,7 @@ def scalar_multiply(a: NormalOrderedOperator, b: NormalOrderedOperator) -> dict:
                 + tuple(LadderOp(p, True) for p in c2)
                 + tuple(LadderOp(p, False) for p in a2)
             )
-            reduced = normal_order(LadderTerm(v1 * v2, ops), drop_tolerance=0.0)
+            reduced = loop_normal_order(LadderTerm(v1 * v2, ops), drop_tolerance=0.0)
             for key, c in reduced.terms.items():
                 out[key] = out.get(key, 0.0) + c
     return out
@@ -296,7 +384,7 @@ def loop_spin_expand(norb: int, h1_spatial: np.ndarray, chem: dict, *, drop_thre
 # ---------------------------------------------------------------------------
 # Per-integral references for the Hamiltonian and its fragments.
 #
-# Every integral is reduced by the public ``normal_order`` and the pieces are
+# Every integral is reduced by ``loop_normal_order`` and the pieces are
 # summed with ``+`` or ``operator_sum``: the construction that
 # ``trotterr.hamiltonian._integral_terms`` replaces.  Fragments are returned
 # as the package's ``(key, label, fragment)`` triples.
@@ -310,9 +398,9 @@ def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrd
         for q in range(n):
             v = float(system.h1[p, q])
             if abs(v) > TERM_DROP_THRESHOLD:
-                pieces.append(normal_order(LadderTerm(v, (cre(p), ann(q)))))
+                pieces.append(loop_normal_order(LadderTerm(v, (cre(p), ann(q)))))
     for (p, q, r, s), v in system.h2.items():
-        pieces.append(normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s)))))
+        pieces.append(loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s)))))
     if include_core and system.core_energy:
         pieces.append(NormalOrderedOperator.identity(system.core_energy))
     return operator_sum(pieces)
@@ -329,14 +417,14 @@ def per_integral_fragments_by_integral(system, drop_threshold):
                 vv = float(system.h1[p, q])
                 if abs(vv) <= drop_threshold:
                     continue
-                frag = frag + normal_order(LadderTerm(vv, (cre(p), ann(q))))
+                frag = frag + loop_normal_order(LadderTerm(vv, (cre(p), ann(q))))
                 if p != q:
-                    frag = frag + normal_order(LadderTerm(vv, (cre(q), ann(p))))
+                    frag = frag + loop_normal_order(LadderTerm(vv, (cre(q), ann(p))))
             out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
     buckets: dict = {}
     for (p, q, r, s), v in system.h2.items():
         rep = min(_chemist_orbit(p // 2, s // 2, q // 2, r // 2))
-        term = normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
+        term = loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
         buckets[rep] = buckets.get(rep, NormalOrderedOperator.zero()) + term
     for rep, frag in buckets.items():
         i, j, k, l = rep
@@ -352,12 +440,12 @@ def per_integral_fragments_by_term(system, drop_threshold):
             v = float(system.h1[p, q])
             if abs(v) <= drop_threshold:
                 continue
-            frag = normal_order(LadderTerm(v, (cre(p), ann(q))))
+            frag = loop_normal_order(LadderTerm(v, (cre(p), ann(q))))
             if p != q:
-                frag = frag + normal_order(LadderTerm(v, (cre(q), ann(p))))
+                frag = frag + loop_normal_order(LadderTerm(v, (cre(q), ann(p))))
             out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
     acc = operator_sum(
-        normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
+        loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
         for (p, q, r, s), v in system.h2.items()
     )
     terms = acc.terms

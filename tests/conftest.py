@@ -8,9 +8,6 @@ import pytest
 
 import trotterr
 
-# make the sibling brute-force helpers importable from every test module
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 # the directory holding the package under test, for fresh interpreters

@@ -185,6 +185,19 @@ def test_edge_input_exit_codes(h2_path, capsys, argv, expected):
     assert len(err.splitlines()) == (expected != EXIT_OK)
 
 
+@pytest.mark.parametrize("dt", ["1e-170", "1e160"], ids=["underflow", "overflow"])
+def test_error_operator_failure_reads_the_same_in_every_subcommand(h2_path, capsys, dt):
+    # the message names the operator once, whichever subcommand built it
+    lines = set()
+    for command in ("analyze", "spectrum", "haar", "marginals"):
+        code, _, err = run(capsys, command, "--fcidump", h2_path, "--dt", dt)
+        assert code == EXIT_NUMERICAL == 5
+        lines.add(err)
+    assert len(lines) == 1
+    (err,) = lines
+    assert err.count("error operator") == 1 and f"delta_t={float(dt)!r}" in err
+
+
 class TestSpectrumCommand:
     def test_csv_header_and_ascending_zero_sum(self, h2_path, capsys):
         code, stdout, _ = run(capsys, "spectrum", "--fcidump", h2_path)

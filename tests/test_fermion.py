@@ -16,7 +16,7 @@ from trotterr.fermion import (
     _bits_desc,
     _combine,
     _product_terms,
-    _sort_key,
+    _rank,
     ann,
     commutator,
     cre,
@@ -38,6 +38,7 @@ from bruteforce import (
     dict_commutator,
     dict_sub,
     dict_sum,
+    loop_normal_order,
     loop_product_terms,
     mask_order,
     scalar_multiply,
@@ -120,6 +121,32 @@ def test_normal_order_matches_dense(term):
     assert np.allclose(
         dense_operator(4, reduced), dense_term(4, term.coeff, term.ops), atol=1e-10
     )
+
+
+@st.composite
+def banded_strings(draw):
+    """Ladder strings of length 0-8 on orbitals 0-5 or 57-62, the top of
+    the mask width, with coefficients far above and below the tolerance."""
+    lo, hi = draw(st.sampled_from([(0, 5), (57, 62)]))
+    ladder = st.builds(
+        lambda p, creation: cre(p) if creation else ann(p), st.integers(lo, hi), st.booleans()
+    )
+    coeff = st.sampled_from([1e16, -1e16, 1e-13, -1e-13, 1.0, -1.0, 0.0]) | st.floats(
+        min_value=-2.0, max_value=2.0, allow_nan=False
+    )
+    return LadderTerm(draw(coeff), tuple(draw(st.lists(ladder, max_size=8))))
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_DROP_TOLERANCE], ids=["keep-zeros", "default"])
+@settings(max_examples=300, deadline=None)
+@given(term=banded_strings())
+def test_normal_order_matches_string_rewriting(tol, term):
+    # the fold over the product kernel against the iterated-anticommutation
+    # reference: the same keys with the same bits, listed in product order
+    got = normal_order(term, drop_tolerance=tol).terms
+    want = loop_normal_order(term, drop_tolerance=tol).terms
+    assert dict(_bits(got)) == dict(_bits(want))
+    assert list(got) == mask_order(got)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +389,32 @@ def test_term_order_matches_dict_arithmetic_on_fragments(fixture_dir, name):
 
 
 # Orbital ranges that put the grouping on each of its two sort keys: halves
-# below orbital 31 pack into one int64, halves above orbital 31 do not and
-# are ranked by a lexsort.
+# below orbital 31 pack into one int64 (unless the position tag no longer
+# fits beside them), halves above orbital 31 do not and are ranked by a
+# lexsort.
 KEY_BRANCHES = {"packed": (0, 30), "ranked": (32, 62)}
+
+
+def _needs_rank(cmasks, amasks):
+    """The grouping's one rank rule: the lexsort rank runs iff the packed
+    key and the position tag need more than 63 bits together."""
+    bits = int(cmasks.max()).bit_length() + int(amasks.max()).bit_length()
+    return bits + (len(cmasks) - 1).bit_length() > 63
+
+
+def _spied_combine():
+    """Patch ``_combine`` to record, per call, whether the rank rule picks
+    the lexsort rank."""
+    calls = []
+    combine = fermion._combine
+
+    def spy(cmasks, amasks, coeffs, *args, **kwargs):
+        if len(coeffs):
+            calls.append(_needs_rank(cmasks, amasks))
+        return combine(cmasks, amasks, coeffs, *args, **kwargs)
+
+    return mock.patch.object(fermion, "_combine", spy), calls
+
 
 # Coefficients whose sums depend on the order they are added in
 # (1e16 + 1 - 1e16 is 0, 1 + 1e16 - 1e16 is not), that cancel exactly, or
@@ -405,11 +455,15 @@ def test_grouping_matches_term_maps(branch, data):
     ops = data.draw(operator_lists(*KEY_BRANCHES[branch], ORDER_SENSITIVE))
     maps = [op.terms for op in ops]
     a, b = ops[0], ops[1]
-    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+    spy, ranked = _spied_combine()
+    with spy, mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
         assert _bits((a + b).terms) == _bits(dict_add(maps[0], maps[1]))
         assert _bits(operator_sum(ops).terms) == _bits(dict_sum(maps))
         assert _bits(commutator(a, b).terms) == _bits(dict_commutator(a, b))
-    assert lexsort.called == (branch == "ranked")
+    # a + b holds the lead key, which has both halves set: above orbital 31
+    # they never pack
+    assert ranked[0] or branch == "packed"
+    assert lexsort.call_count == sum(ranked)
 
 
 @pytest.mark.parametrize("branch", sorted(KEY_BRANCHES))
@@ -427,28 +481,30 @@ def test_product_grouping_matches_scalar_reference(branch, data):
 
 
 def test_sort_key_orders_like_the_two_halves():
+    # both sort keys of the grouping, the packed masks and the dense rank,
+    # order the terms as the two halves do
     rng = np.random.default_rng(14)
     for lo, hi in KEY_BRANCHES.values():
         bits = np.int64(1) << rng.integers(lo, hi + 1, size=(2, 500, 2))
         cmasks, amasks = np.bitwise_or.reduce(bits, axis=2)
         cmasks[::7], amasks[::5] = 0, 0
-        key = _sort_key(cmasks, amasks)
-        assert np.array_equal(
-            np.argsort(key, kind="stable"), np.lexsort((amasks, cmasks))
-        )
+        halves = np.lexsort((amasks, cmasks))
+        rank = _rank(cmasks, amasks)
+        assert np.array_equal(np.argsort(rank, kind="stable"), halves)
+        pairs = sorted(set(zip(cmasks.tolist(), amasks.tolist())))
+        assert np.array_equal(np.unique(rank), np.arange(1, len(pairs) + 1))
+        assert rank.max() == len(pairs) < len(rank)
         if hi < 31:
             width = int(amasks.max()).bit_length()
-            assert np.array_equal(key, (cmasks << width) | amasks)
-        else:
-            pairs = sorted(set(zip(cmasks.tolist(), amasks.tolist())))
-            assert key.max() == len(pairs) < len(key)
+            packed = (cmasks << width) | amasks
+            assert np.array_equal(np.argsort(packed, kind="stable"), halves)
 
 
 # Orbital ranges for the three ways the grouping reaches its tagged sort:
 # packed keys narrow enough to take the position tag as they are; packed
 # keys with orbital 30 in both halves (62 bits), which leave room for the
-# tag of at most two terms and are ranked by ``np.searchsorted`` beyond
-# that; and halves above orbital 31, ranked by a lexsort.
+# tag of at most two terms and are ranked by a lexsort beyond that; and
+# halves above orbital 31, always ranked by a lexsort.
 COMBINE_BRANCHES = {"packed": (0, 12), "packed-ranked": (0, 30), "lexsorted": (32, 62)}
 
 # 1, 2, 2^k and 2^k + 1 terms: the counts at which the position tag gains a bit.
@@ -495,14 +551,17 @@ def test_combine_matches_term_map_reference(branch, first_seen):
                 with (
                     mock.patch("numpy.argsort", wraps=np.argsort) as argsort,
                     mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort,
-                    mock.patch("numpy.searchsorted", wraps=np.searchsorted) as rank,
+                    mock.patch("numpy.searchsorted", wraps=np.searchsorted) as searchsorted,
                 ):
                     got = _combine(cmasks, amasks, coeffs, tol, first_seen=first_seen)
                 want = _term_map_reference(cmasks, amasks, coeffs, tol, first_seen)
                 assert _bits(got.terms) == _bits(want), (n, n_keys, tol)
                 assert not argsort.called
-                assert lexsort.called == (branch == "lexsorted")
-                assert rank.called == (branch == "packed-ranked" and n > 2)
+                assert not searchsorted.called
+                assert lexsort.called == _needs_rank(cmasks, amasks)
+                assert lexsort.called == (
+                    branch == "lexsorted" or (branch == "packed-ranked" and n > 2)
+                )
 
 
 def test_orbital_beyond_mask_width_raises():
