@@ -28,7 +28,7 @@ from ._version import __version__
 _EXPORTS = {
     "analysis": (
         "ErrorAnalysisReport", "PowerLawFit", "analyze", "ansatz_error",
-        "fit_power_law", "near_zero_fraction", "orbital_marginals",
+        "fit_power_law", "orbital_marginals",
     ),
     "ci": ("CITruncation", "ci_ground_state", "hartree_fock_state"),
     "errors": (
@@ -47,7 +47,6 @@ _EXPORTS = {
     "haar": (
         "EigenstateReport", "HaarReport", "eigenstate_error_distribution",
         "haar_error_distribution", "haar_quadratic_form_stats",
-        "sample_haar_vector",
     ),
     "hamiltonian": (
         "MolecularSystem", "TrotterSequence", "build_trotter_sequence",

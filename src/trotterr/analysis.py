@@ -27,11 +27,8 @@ from .errors import NumericalError, ValidationError
 from .fock import (
     DENSE_LIMIT,
     CIVector,
+    RestrictedOperator,
     SectorBasis,
-    _operator_table,
-    _require_hermitian,
-    _table_expectation,
-    _table_spectral_norm,
     expectation,
     ground_state,
     spectral_norm,  # noqa: F401  looked up here by bench/tracing.py
@@ -42,10 +39,6 @@ from .trotter import ErrorOperator, build_error_operator, estimate_trotter_numbe
 SCHEMA_VERSION = 1
 
 SPACES = ("sector", "full")
-
-# eigenvalues within this fraction of the largest magnitude count as "near
-# zero" for the spectral concentration statistic
-NEAR_ZERO_WINDOW = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -123,23 +116,6 @@ def orbital_marginals(
                 mat[i, j] += weight
                 mat[j, i] += weight
     return mat
-
-
-def near_zero_fraction(
-    eigenvalues: np.ndarray, *, window: float = NEAR_ZERO_WINDOW
-) -> float:
-    """Fraction of eigenvalues within ``window`` of the spectral radius
-    around zero; a uniform spectrum scores ~``window``, a sharply peaked
-    one much higher."""
-    values = np.asarray(eigenvalues, dtype=float)
-    if values.size == 0:
-        raise ValidationError("empty spectrum")
-    if not 0 < window <= 1:
-        raise ValidationError(f"window must be in (0, 1], got {window}")
-    radius = float(np.max(np.abs(values)))
-    if radius == 0.0:
-        return 1.0
-    return float(np.mean(np.abs(values) <= window * radius))
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +272,23 @@ def analyze(
         hamiltonian = system.hamiltonian()
         energy, psi0 = ground_state(hamiltonian, basis, dense_limit=dense_limit)
     with _stage("ground-state error"):
-        # one action table of V on the working basis serves the expectation
+        # one restriction of V to the working basis serves the expectation
         # and the norm
-        error_table = _operator_table(error.op, basis)
-        signed_error = _table_expectation(error_table, psi0)
+        restricted_error = RestrictedOperator(error.op, basis)
+        signed_error = restricted_error.expectation(psi0)
     gs_error = abs(signed_error)
     with _stage("spectral norm"):
-        _require_hermitian(error.op)
-        norm = _table_spectral_norm(error_table, basis.dim, dense_limit=dense_limit)
+        norm = restricted_error.spectral_norm(dense_limit=dense_limit)
     ratio = gs_error / norm if norm > 0.0 else 0.0
     if ratio > 1.0 + 1e-12:
         raise NumericalError(f"Rayleigh bound violated: ratio {ratio}")
 
     reference = hartree_fock_state(system)
-    # every CI level is embedded into this one sector basis
-    sector, sector_table = basis, error_table
+    # every CI level is embedded into the basis of this one restriction
+    sector_error = restricted_error
     if space == "full" and levels:
         sector = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-        sector_table = _operator_table(error.op, sector)
+        sector_error = RestrictedOperator(error.op, sector)
     ci_results = []
     for level in levels:
         trunc = CITruncation(level=level, reference=reference)
@@ -321,8 +296,8 @@ def analyze(
             ci_energy, ci_vec = ci_ground_state(
                 system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
             )
-            level_error = _table_expectation(
-                sector_table, embed_in_sector(ci_vec, sector)
+            level_error = sector_error.expectation(
+                embed_in_sector(ci_vec, sector_error.basis)
             )
         # signed difference: an ansatz with the wrong sign must not look good
         residual = (

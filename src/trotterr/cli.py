@@ -218,7 +218,10 @@ def _cmd_marginals(args) -> None:
 def _cmd_fit(args) -> None:
     from .analysis import fit_power_law
 
-    text = Path(args.csv).read_text()
+    try:
+        text = Path(args.csv).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.csv}: not a text file ({exc})") from None
     points: list[tuple[float, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

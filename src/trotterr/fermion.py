@@ -223,10 +223,6 @@ class NormalOrderedOperator:
     def __bool__(self) -> bool:
         return len(self.val) > 0
 
-    def coefficient(self, key: Key) -> float:
-        hit = (self.cre == _mask_of(key[0])) & (self.ann == _mask_of(key[1]))
-        return float(self.val[hit][0]) if hit.any() else 0.0
-
     def coefficient_l1(self) -> float:
         """Sum of absolute coefficients, accumulated sequentially in term
         order (builtin ``sum``, not numpy's pairwise sum)."""

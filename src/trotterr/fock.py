@@ -11,15 +11,11 @@ Every operator action goes through one term-action table: the operator's
 terms are packed into creation and annihilation bitmask arrays and acted on
 all basis states at once, giving ``(rows, cols, vals)`` for every nonzero
 matrix element of every term.  The entries stay unsummed and in term order,
-so ``apply`` and ``to_dense`` accumulate them in exactly the order a
-term-by-term loop would, and their results are bit-identical to it.  The
-eigensolvers build the table once per call and reuse it for the dense
-matrix, the Lanczos matrix-vector product and the residual check; a caller
-that evaluates one operator several times on one basis builds it once
-(``_operator_table``) and uses the ``_table_*`` evaluators, which are the
-public functions' arithmetic, so the bits do not change.  scipy
-is imported only by the Lanczos branches (above ``dense_limit``), so the
-dense path never loads it.
+so applying the operator or building its matrix accumulates them in exactly
+the order a term-by-term loop would, and the results are bit-identical to
+it.  A :class:`RestrictedOperator` builds the table once and evaluates
+everything from it; each public function builds one and calls it once.
+scipy is imported only by the Lanczos branches (above ``dense_limit``).
 """
 
 from __future__ import annotations
@@ -205,76 +201,111 @@ def _action_table(
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _table_apply(table, v: np.ndarray) -> np.ndarray:
-    rows, cols, vals = table
-    out = np.zeros(len(v))
-    np.add.at(out, rows, vals * v[cols])
-    return out
+class RestrictedOperator:
+    """``op`` restricted to ``basis``: the operator-basis check and the
+    action table are done once, and every evaluation reuses the table.
 
+    ``lowest`` and ``spectral_norm`` require a Hermitian ``op``; they
+    diagonalize densely up to ``dense_limit`` states (and always for a
+    single state) and by Lanczos beyond.
+    """
 
-def _table_dense(table, dim: int) -> np.ndarray:
-    rows, cols, vals = table
-    mat = np.zeros((dim, dim))
-    np.add.at(mat, (rows, cols), vals)
-    return mat
+    __slots__ = ("op", "basis", "_table")
 
+    def __init__(self, op: NormalOrderedOperator, basis: SectorBasis):
+        _check_operator(op, basis)
+        self.op = op
+        self.basis = basis
+        self._table = _action_table(op, basis)
 
-def _operator_table(op: NormalOrderedOperator, basis: SectorBasis):
-    """The action table of ``op`` on ``basis`` after the operator-basis
-    check of the public entry points."""
-    _check_operator(op, basis)
-    return _action_table(op, basis)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        rows, cols, vals = self._table
+        out = np.zeros(len(v))
+        np.add.at(out, rows, vals * v[cols])
+        return out
 
+    def dense(self) -> np.ndarray:
+        rows, cols, vals = self._table
+        mat = np.zeros((self.basis.dim, self.basis.dim))
+        np.add.at(mat, (rows, cols), vals)
+        return mat
 
-def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
-    """Matrix-free ``op @ vector``; components leaving a subset basis are
-    projected away (that is exactly the subspace-restricted operator)."""
-    table = _operator_table(op, vector.basis)
-    return CIVector(vector.basis, _table_apply(table, vector.amplitudes))
+    def expectation(self, vector: CIVector) -> float:
+        if not np.array_equal(vector.basis.states, self.basis.states):
+            raise ValidationError("vector and operator are on different bases")
+        v = vector.amplitudes
+        nrm2 = float(v @ v)
+        if nrm2 == 0.0:
+            raise ValidationError("expectation of the zero vector")
+        if abs(nrm2 - 1.0) > 1e-8:
+            log.warning("expectation input norm %.6f != 1; normalizing", math.sqrt(nrm2))
+        return float(v @ self.apply(v)) / nrm2
 
+    def _lanczos_operator(self):
+        import scipy.sparse.linalg
 
-def to_dense(
-    op: NormalOrderedOperator,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-) -> np.ndarray:
-    """Dense matrix of ``op`` restricted to ``basis`` (column = source)."""
-    _check_operator(op, basis)
-    if basis.dim > dense_limit:
-        raise ResourceLimitError(
-            f"dense matrix of dim {basis.dim} exceeds limit {dense_limit}"
+        dim = self.basis.dim
+        return scipy.sparse.linalg.LinearOperator(
+            (dim, dim), matvec=self.apply, dtype=float
         )
-    return _table_dense(_action_table(op, basis), basis.dim)
 
+    def lowest(
+        self, *, dense_limit: int = DENSE_LIMIT, residual_tol: float = 1e-8
+    ) -> tuple[float, CIVector]:
+        _require_hermitian(self.op)
+        basis = self.basis
+        if basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
+            vals, vecs = np.linalg.eigh(self.dense())
+            energy, vec = float(vals[0]), vecs[:, 0]
+        else:
+            import scipy.sparse.linalg
 
-def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:
-    """<v|op|v> / <v|v>; warns when the input was not normalized."""
-    return _table_expectation(_operator_table(op, vector.basis), vector)
+            try:
+                vals, vecs = scipy.sparse.linalg.eigsh(
+                    self._lanczos_operator(),
+                    k=1,
+                    which="SA",
+                    tol=residual_tol / 10,
+                    v0=_start_vector(basis.dim),
+                )
+            except scipy.sparse.linalg.ArpackNoConvergence as exc:
+                raise NumericalError(f"Lanczos did not converge: {exc}") from exc
+            energy, vec = float(vals[0]), vecs[:, 0]
+        state = CIVector(basis, vec)
+        residual = self.apply(state.amplitudes) - energy * state.amplitudes
+        rnorm = float(np.linalg.norm(residual))
+        if rnorm > residual_tol * max(1.0, abs(energy)):
+            raise NumericalError(f"eigenpair residual {rnorm:.3e} too large")
+        return energy, state
 
+    def spectral_norm(
+        self, *, dense_limit: int = DENSE_LIMIT, rel_tol: float = 1e-8
+    ) -> float:
+        _require_hermitian(self.op)
+        dim = self.basis.dim
+        if dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
+            vals = np.linalg.eigvalsh(self.dense())
+            return float(np.max(np.abs(vals))) if len(vals) else 0.0
+        import scipy.sparse.linalg
 
-def _table_expectation(table, vector: CIVector) -> float:
-    v = vector.amplitudes
-    nrm2 = float(v @ v)
-    if nrm2 == 0.0:
-        raise ValidationError("expectation of the zero vector")
-    if abs(nrm2 - 1.0) > 1e-8:
-        log.warning("expectation input norm %.6f != 1; normalizing", math.sqrt(nrm2))
-    return float(v @ _table_apply(table, v)) / nrm2
+        linop = self._lanczos_operator()
+        v0 = _start_vector(dim)
+        try:
+            hi = scipy.sparse.linalg.eigsh(
+                linop, k=1, which="LA", tol=rel_tol, v0=v0, return_eigenvectors=False
+            )
+            lo = scipy.sparse.linalg.eigsh(
+                linop, k=1, which="SA", tol=rel_tol, v0=v0, return_eigenvectors=False
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise NumericalError(f"Lanczos did not converge: {exc}") from exc
+        return float(max(abs(hi[0]), abs(lo[0])))
 
 
 def _require_hermitian(op: NormalOrderedOperator) -> None:
     defect = op.hermitian_defect()
     if defect > HERMITIAN_REL_TOL * max(1.0, op.coefficient_l1()):
         raise ValidationError(f"operator is not Hermitian (defect {defect:.3e})")
-
-
-def _linear_operator(table, dim: int):
-    import scipy.sparse.linalg
-
-    return scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=lambda x: _table_apply(table, x), dtype=float
-    )
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -284,6 +315,32 @@ def _start_vector(dim: int) -> np.ndarray:
     orthogonal to a symmetric eigenvector, so this one is seeded noise.
     """
     return np.random.default_rng(0).standard_normal(dim)
+
+
+def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
+    """Matrix-free ``op @ vector``; components leaving a subset basis are
+    projected away (that is exactly the subspace-restricted operator)."""
+    restricted = RestrictedOperator(op, vector.basis)
+    return CIVector(vector.basis, restricted.apply(vector.amplitudes))
+
+
+def to_dense(
+    op: NormalOrderedOperator,
+    basis: SectorBasis,
+    *,
+    dense_limit: int = DENSE_LIMIT,
+) -> np.ndarray:
+    """Dense matrix of ``op`` restricted to ``basis`` (column = source)."""
+    if basis.dim > dense_limit:  # refused before any table is built
+        raise ResourceLimitError(
+            f"dense matrix of dim {basis.dim} exceeds limit {dense_limit}"
+        )
+    return RestrictedOperator(op, basis).dense()
+
+
+def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:
+    """<v|op|v> / <v|v>; warns when the input was not normalized."""
+    return RestrictedOperator(op, vector.basis).expectation(vector)
 
 
 def ground_state(
@@ -299,32 +356,9 @@ def ground_state(
     single state), Lanczos beyond; the residual norm ||H v - E v|| is
     verified against ``residual_tol`` either way.
     """
-    _check_operator(op, basis)
-    _require_hermitian(op)
-    table = _action_table(op, basis)
-    if basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
-        vals, vecs = np.linalg.eigh(_table_dense(table, basis.dim))
-        energy, vec = float(vals[0]), vecs[:, 0]
-    else:
-        import scipy.sparse.linalg
-
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                _linear_operator(table, basis.dim),
-                k=1,
-                which="SA",
-                tol=residual_tol / 10,
-                v0=_start_vector(basis.dim),
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise NumericalError(f"Lanczos did not converge: {exc}") from exc
-        energy, vec = float(vals[0]), vecs[:, 0]
-    state = CIVector(basis, vec)
-    residual = _table_apply(table, state.amplitudes) - energy * state.amplitudes
-    rnorm = float(np.linalg.norm(residual))
-    if rnorm > residual_tol * max(1.0, abs(energy)):
-        raise NumericalError(f"eigenpair residual {rnorm:.3e} too large")
-    return energy, state
+    return RestrictedOperator(op, basis).lowest(
+        dense_limit=dense_limit, residual_tol=residual_tol
+    )
 
 
 def spectral_norm(
@@ -335,34 +369,9 @@ def spectral_norm(
     rel_tol: float = 1e-8,
 ) -> float:
     """Largest |eigenvalue| of a Hermitian operator on ``basis``."""
-    _check_operator(op, basis)
-    _require_hermitian(op)
-    table = _action_table(op, basis)
-    return _table_spectral_norm(
-        table, basis.dim, dense_limit=dense_limit, rel_tol=rel_tol
+    return RestrictedOperator(op, basis).spectral_norm(
+        dense_limit=dense_limit, rel_tol=rel_tol
     )
-
-
-def _table_spectral_norm(
-    table, dim: int, *, dense_limit: int, rel_tol: float = 1e-8
-) -> float:
-    if dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
-        vals = np.linalg.eigvalsh(_table_dense(table, dim))
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
-    import scipy.sparse.linalg
-
-    linop = _linear_operator(table, dim)
-    v0 = _start_vector(dim)
-    try:
-        hi = scipy.sparse.linalg.eigsh(
-            linop, k=1, which="LA", tol=rel_tol, v0=v0, return_eigenvectors=False
-        )
-        lo = scipy.sparse.linalg.eigsh(
-            linop, k=1, which="SA", tol=rel_tol, v0=v0, return_eigenvectors=False
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericalError(f"Lanczos did not converge: {exc}") from exc
-    return float(max(abs(hi[0]), abs(lo[0])))
 
 
 def full_spectrum(
@@ -372,6 +381,6 @@ def full_spectrum(
     dense_limit: int = DENSE_LIMIT,
 ) -> np.ndarray:
     """All eigenvalues ascending (dense path only)."""
-    _check_operator(op, basis)
+    matrix = to_dense(op, basis, dense_limit=dense_limit)
     _require_hermitian(op)
-    return np.linalg.eigvalsh(to_dense(op, basis, dense_limit=dense_limit))
+    return np.linalg.eigvalsh(matrix)

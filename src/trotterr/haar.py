@@ -98,27 +98,6 @@ def haar_quadratic_form_stats(
     return s1 / lam.size, var_c * s2 + cov * (s1 * s1 - s2)
 
 
-def sample_haar_vector(
-    dim: int, rng: np.random.Generator, *, ensemble: str = "complex"
-) -> np.ndarray:
-    """One Haar-random unit vector of length ``dim``.
-
-    Normalized i.i.d. standard Gaussians; the complex ensemble pairs two
-    real Gaussians per component.  The resulting distribution is invariant
-    under every fixed rotation from the matching group.
-    """
-    _check_ensemble(ensemble)
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    while True:
-        v = rng.standard_normal(dim)
-        if ensemble == "complex":
-            v = v + 1j * rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:  # a zero draw has measure zero; guard anyway
-            return v / norm
-
-
 def _sample_quadratic_form(
     lam: np.ndarray, n_samples: int, seed: int, ensemble: str, block_size: int
 ) -> np.ndarray:

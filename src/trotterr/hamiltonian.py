@@ -21,7 +21,6 @@ with capital letters the spatial parts, and zero otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,8 +35,6 @@ from .fermion import (
     _combine,
     operator_sum,
 )
-
-SCHEMA_VERSION = 1
 
 # Integral magnitudes below this are treated as absent (hartree).
 TERM_DROP_THRESHOLD = 1e-10
@@ -246,7 +243,11 @@ def load_fcidump(path, **kwargs) -> MolecularSystem:
     """
     p = Path(path)
     kwargs.setdefault("basis_label", p.stem)
-    return parse_fcidump(p.read_text(), **kwargs)
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise FcidumpError(f"{p}: not a text file ({exc})") from None
+    return parse_fcidump(text, **kwargs)
 
 
 def _chemist_orbit(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, int]]:
@@ -527,81 +528,3 @@ def _fragments_by_term(system, drop_threshold):
         rep = min(k[0] + k[1] for k in group)
         out.append(((1,) + rep, f"g{rep}", frag))
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON persistence.
-# ---------------------------------------------------------------------------
-
-
-def system_to_json(system: MolecularSystem) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "molecular_system",
-        "n_spin_orbitals": system.n_spin_orbitals,
-        "n_electrons": system.n_electrons,
-        "ms2": system.ms2,
-        "core_energy": system.core_energy,
-        "basis_label": system.basis_label,
-        "orbital_kind": system.orbital_kind,
-        "z_max": system.z_max,
-        "h1": system.h1.tolist(),
-        "h2": sorted([list(k) + [v] for k, v in system.h2.items()]),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def system_from_json(text: str) -> MolecularSystem:
-    payload = json.loads(text)
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {version!r}")
-    system = MolecularSystem(
-        n_spin_orbitals=payload["n_spin_orbitals"],
-        n_electrons=payload["n_electrons"],
-        h1=np.array(payload["h1"], dtype=float),
-        h2={tuple(int(x) for x in row[:4]): float(row[4]) for row in payload["h2"]},
-        core_energy=payload["core_energy"],
-        ms2=payload.get("ms2", 0),
-        basis_label=payload.get("basis_label", ""),
-        orbital_kind=payload.get("orbital_kind", "unspecified"),
-        z_max=payload.get("z_max", 0),
-    )
-    system.validate()
-    return system
-
-
-def sequence_to_json(seq: TrotterSequence) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trotter_sequence",
-        "ordering": seq.ordering,
-        "granularity": seq.granularity,
-        "n_spin_orbitals": seq.n_spin_orbitals,
-        "labels": seq.labels,
-        "fragments": [
-            sorted([list(c), list(a), v] for (c, a), v in frag.terms.items())
-            for frag in seq.fragments
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def sequence_from_json(text: str) -> TrotterSequence:
-    payload = json.loads(text)
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {version!r}")
-    fragments = [
-        NormalOrderedOperator(
-            {(tuple(c), tuple(a)): float(v) for c, a, v in rows}
-        )
-        for rows in payload["fragments"]
-    ]
-    return TrotterSequence(
-        fragments=fragments,
-        ordering=payload["ordering"],
-        granularity=payload["granularity"],
-        n_spin_orbitals=payload["n_spin_orbitals"],
-        labels=payload.get("labels", []),
-    )

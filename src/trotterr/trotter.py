@@ -180,8 +180,10 @@ def estimate_trotter_number(
     The per-step shift scales as (t/mu)^2 <V at dt=1>, and mu steps
     accumulate it linearly, so mu = ceil(t * sqrt(<V>/delta)), at least 1.
     """
-    if delta <= 0 or time <= 0:
-        raise ValidationError(f"need time > 0 and delta > 0, got {time}, {delta}")
+    if not (0 < time < math.inf and 0 < delta < math.inf):
+        raise ValidationError(
+            f"time and delta must be positive and finite, got {time}, {delta}"
+        )
     if error_expectation < 0:
         raise ValidationError(f"error_expectation must be >= 0, got {error_expectation}")
     steps = time * math.sqrt(error_expectation / delta)

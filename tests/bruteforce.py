@@ -466,8 +466,20 @@ def per_integral_fragments_by_term(system, drop_threshold):
 
 
 # ---------------------------------------------------------------------------
-# Haar sampler reference.
+# Haar sampler references.
 # ---------------------------------------------------------------------------
+
+
+def sample_haar_vector(dim: int, rng: np.random.Generator, *, ensemble: str = "complex"):
+    """One Haar-random unit vector of length ``dim``: normalized i.i.d.
+    standard Gaussians, two real ones per component for the complex
+    ensemble.  Its distribution is invariant under every fixed rotation from
+    the matching group, the premise ``trotterr.haar._sample_quadratic_form``
+    rests on when it draws overlap weights directly."""
+    v = rng.standard_normal(dim)
+    if ensemble == "complex":
+        v = v + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 
 def loop_sample_quadratic_form(lam, n_samples, seed, ensemble, block_size):

@@ -108,6 +108,14 @@ class TestAnalyzeCommand:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_undecodable_file_is_parse(self, tmp_path, capsys):
+        bad = tmp_path / "binary.fcidump"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "analyze", "--fcidump", str(bad))
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "not a text file" in err
+
     def test_non_integer_ms2_is_parse(self, tmp_path, capsys):
         bad = tmp_path / "ms2.fcidump"
         bad.write_text("&FCI NORB=1,NELEC=2,MS2=x /\n 0.5 1 1 1 1\n")
@@ -172,6 +180,10 @@ EDGE_CASES = [
     (["haar", "--dense-limit", "-1"], EXIT_USAGE),
     (["analyze", "--dense-limit", "0"], EXIT_OK),
     (["prep-cost", "--delta", "1e-300"], EXIT_OK),
+    (["analyze", "--time", "nan"], EXIT_USAGE),
+    (["analyze", "--time", "inf"], EXIT_USAGE),
+    (["analyze", "--target-delta", "nan"], EXIT_USAGE),
+    (["analyze", "--target-delta", "inf"], EXIT_USAGE),
 ]
 
 
@@ -325,6 +337,14 @@ class TestFitCommand:
     def test_missing_csv_is_io(self, capsys):
         code, _, _ = run(capsys, "fit", "--csv", "absent.csv")
         assert code == EXIT_IO
+
+    def test_undecodable_csv_is_usage(self, tmp_path, capsys):
+        data = tmp_path / "binary.csv"
+        data.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "fit", "--csv", str(data))
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "not a text file" in err
 
     def test_junk_line_is_usage_with_location(self, tmp_path, capsys):
         data = tmp_path / "junk.csv"

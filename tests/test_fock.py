@@ -17,7 +17,9 @@ from trotterr.fermion import (
     number_operator,
 )
 from trotterr.fock import (
+    DENSE_LIMIT,
     CIVector,
+    RestrictedOperator,
     SectorBasis,
     apply,
     expectation,
@@ -256,6 +258,41 @@ def test_term_actions_equal_per_term_reference(fixture_dir):
         for basis in _bases(system):
             for op in (system.hamiltonian(), error.op):
                 _assert_matches_per_term(op, basis, (name, basis))
+
+
+@pytest.mark.parametrize("solver", ["dense", "lanczos"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_restricted_operator_is_the_public_functions(fixture_dir, name, solver):
+    # one restriction, evaluated many times, gives exactly the bits of the
+    # one-shot functions
+    kind = name.rsplit("_", 1)[1]
+    system = load_fcidump(fixture_dir / f"{name}.fcidump", orbital_kind=kind)
+    error = build_error_operator(build_trotter_sequence(system), 1.0)
+    n = system.n_spin_orbitals
+    for basis in (SectorBasis.sector(n, system.n_electrons), SectorBasis.full(n)):
+        limit = DENSE_LIMIT if solver == "dense" else basis.dim - 1
+        vector = CIVector(basis, probe_vector(basis.dim)).normalized()
+        for op in (system.hamiltonian(), error.op):
+            restricted = RestrictedOperator(op, basis)
+            assert np.array_equal(
+                restricted.apply(vector.amplitudes), apply(op, vector).amplitudes
+            )
+            assert np.array_equal(restricted.dense(), to_dense(op, basis))
+            assert restricted.expectation(vector) == expectation(op, vector)
+            energy, state = restricted.lowest(dense_limit=limit)
+            ref_energy, ref_state = ground_state(op, basis, dense_limit=limit)
+            assert energy == ref_energy
+            assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+            assert restricted.spectral_norm(dense_limit=limit) == spectral_norm(
+                op, basis, dense_limit=limit
+            )
+
+
+def test_restricted_expectation_rejects_another_basis():
+    op = number_operator(4)
+    restricted = RestrictedOperator(op, SectorBasis.sector(4, 2))
+    with pytest.raises(ValidationError, match="different bases"):
+        restricted.expectation(CIVector.unit(SectorBasis.sector(4, 1), 0b1))
 
 
 def test_to_dense_respects_resource_limit():

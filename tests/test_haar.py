@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bruteforce import loop_sample_quadratic_form
+from bruteforce import loop_sample_quadratic_form, sample_haar_vector
 from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, number_operator
 from trotterr.fock import SectorBasis, full_spectrum
@@ -18,7 +18,6 @@ from trotterr.haar import (
     haar_error_distribution,
     haar_projection_variance,
     haar_quadratic_form_stats,
-    sample_haar_vector,
     squared_overlap_moments,
 )
 from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
@@ -94,25 +93,8 @@ class TestClosedForms:
 
 
 class TestSampler:
-    def test_unit_norm(self):
-        rng = np.random.default_rng(0)
-        for ensemble in ("real", "complex"):
-            for dim in (1, 2, 7, 33):
-                v = sample_haar_vector(dim, rng, ensemble=ensemble)
-                assert v.shape == (dim,)
-                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dim_one(self):
-        rng = np.random.default_rng(1)
-        assert sample_haar_vector(1, rng, ensemble="real")[0] in (1.0, -1.0)
-        assert abs(sample_haar_vector(1, rng)[0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_validation(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValidationError):
-            sample_haar_vector(0, rng)
-        with pytest.raises(ValidationError):
-            sample_haar_vector(3, rng, ensemble="bogus")
+    """The premise of ``_sample_quadratic_form``, checked on explicit
+    Haar vectors: the overlap weights are Dirichlet in any fixed basis."""
 
     @pytest.mark.parametrize("ensemble", ["complex", "real"])
     def test_component_moments(self, ensemble):

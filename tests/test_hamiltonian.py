@@ -21,12 +21,8 @@ from trotterr.hamiltonian import (
     TrotterSequence,
     build_trotter_sequence,
     parse_fcidump,
-    sequence_from_json,
-    sequence_to_json,
     load_fcidump,
     spin_expand,
-    system_from_json,
-    system_to_json,
 )
 from trotterr.synthetic import random_system
 
@@ -396,29 +392,3 @@ class TestIntegralTerms:
         assert val.tolist() == [0.5, 0.5, -1.5, -1.5]
         # norb**2 plus the class (11|11), whose digits are all zero
         assert label.tolist() == [1] * 4
-
-
-class TestJson:
-    def test_system_round_trip_bit_exact(self, fixture_dir):
-        syst = parse_fcidump((fixture_dir / "h2_sto6g_canonical.fcidump").read_text(),
-                             basis_label="STO-6G", orbital_kind="canonical")
-        text = system_to_json(syst)
-        back = system_from_json(text)
-        assert np.array_equal(back.h1, syst.h1)
-        assert back.h2 == syst.h2
-        assert back.core_energy == syst.core_energy
-        assert back.basis_label == syst.basis_label
-        assert system_to_json(back) == text
-
-    def test_sequence_round_trip(self, fixture_dir):
-        syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
-        seq = build_trotter_sequence(syst)
-        back = sequence_from_json(sequence_to_json(seq))
-        assert back.ordering_label == seq.ordering_label
-        assert len(back.fragments) == len(seq.fragments)
-        for a, b in zip(seq.fragments, back.fragments):
-            assert a.terms == b.terms
-
-    def test_schema_version_checked(self):
-        with pytest.raises(ValidationError):
-            system_from_json('{"schema_version": 99}')
