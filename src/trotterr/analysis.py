@@ -34,7 +34,12 @@ from .fock import (
     spectral_norm,  # noqa: F401  looked up here by bench/tracing.py
 )
 from .hamiltonian import MolecularSystem, build_trotter_sequence
-from .trotter import ErrorOperator, build_error_operator, estimate_trotter_number
+from .trotter import (
+    ErrorOperator,
+    build_error_operator,
+    check_time_and_delta,
+    estimate_trotter_number,
+)
 
 SCHEMA_VERSION = 1
 
@@ -102,20 +107,16 @@ def orbital_marginals(
         raise ValidationError(
             f"operator touches orbital {op.max_orbital()}, matrix has {n_orbitals}"
         )
-    mat = np.zeros((n_orbitals, n_orbitals))
-    for (creations, annihilations), coeff in op.terms.items():
-        counts: dict[int, int] = {}
-        for p in creations + annihilations:
-            counts[p] = counts.get(p, 0) + 1
-        orbitals = sorted(counts)
-        weight = abs(coeff)
-        for a_idx, i in enumerate(orbitals):
-            if counts[i] >= 2:
-                mat[i, i] += weight
-            for j in orbitals[a_idx + 1 :]:
-                mat[i, j] += weight
-                mat[j, i] += weight
-    return mat
+    # cell (i, j) takes a term when both orbitals are in cre | ann, and
+    # cell (i, i) when i is in cre & ann; bincount adds each cell's weights
+    # in term order from 0.0, as a term-by-term loop would
+    bits = np.arange(n_orbitals)
+    touched = ((op.cre | op.ann)[:, None] >> bits & 1).astype(bool)
+    hits = touched[:, :, None] & touched[:, None, :]
+    hits[:, bits, bits] = ((op.cre & op.ann)[:, None] >> bits & 1).astype(bool)
+    cells = n_orbitals * n_orbitals
+    term, cell = np.nonzero(hits.reshape(len(op), cells))
+    return np.bincount(cell, np.abs(op.val)[term], cells).reshape(n_orbitals, n_orbitals)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,8 @@ def analyze(
         raise ValidationError(f"unknown space {space!r}; use one of {SPACES}")
     if dense_limit < 0:
         raise ValidationError(f"dense_limit must be >= 0, got {dense_limit}")
+    with _stage("Trotter number"):
+        check_time_and_delta(evolution_time, target_delta)
     levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
     if levels and system.ms2 != system.n_electrons % 2:
         raise ValidationError(

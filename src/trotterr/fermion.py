@@ -15,7 +15,7 @@ An operator is stored as three parallel arrays, one entry per term:
 ``cre`` and ``ann`` hold the creation and annihilation orbitals as int64
 bitmasks (bit p is spin orbital p, so orbitals stop at 62) and ``val`` the
 coefficient.  Every operation works on these arrays; the dict ``terms`` is
-built only on request, for inspection and serialization.
+built only on request, for inspection (the package itself never reads it).
 
 Term order fixes the floating-point order of every later sum over terms
 (Fock-space matrices, orbital marginals, the coefficient one-norm), so

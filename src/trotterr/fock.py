@@ -35,6 +35,10 @@ DENSE_LIMIT = 16384
 
 HERMITIAN_REL_TOL = 1e-8
 
+# the budget of an eigenpair residual ||H v - E v|| relative to max(1, |E|),
+# and the Lanczos tolerance of the spectral norm
+SOLVER_REL_TOL = 1e-8
+
 
 class SectorBasis:
     """An ordered list of occupation bitmasks spanning a working subspace.
@@ -249,9 +253,7 @@ class RestrictedOperator:
             (dim, dim), matvec=self.apply, dtype=float
         )
 
-    def lowest(
-        self, *, dense_limit: int = DENSE_LIMIT, residual_tol: float = 1e-8
-    ) -> tuple[float, CIVector]:
+    def lowest(self, *, dense_limit: int = DENSE_LIMIT) -> tuple[float, CIVector]:
         _require_hermitian(self.op)
         basis = self.basis
         if basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
@@ -265,7 +267,7 @@ class RestrictedOperator:
                     self._lanczos_operator(),
                     k=1,
                     which="SA",
-                    tol=residual_tol / 10,
+                    tol=SOLVER_REL_TOL / 10,
                     v0=_start_vector(basis.dim),
                 )
             except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -274,13 +276,11 @@ class RestrictedOperator:
         state = CIVector(basis, vec)
         residual = self.apply(state.amplitudes) - energy * state.amplitudes
         rnorm = float(np.linalg.norm(residual))
-        if rnorm > residual_tol * max(1.0, abs(energy)):
+        if rnorm > SOLVER_REL_TOL * max(1.0, abs(energy)):
             raise NumericalError(f"eigenpair residual {rnorm:.3e} too large")
         return energy, state
 
-    def spectral_norm(
-        self, *, dense_limit: int = DENSE_LIMIT, rel_tol: float = 1e-8
-    ) -> float:
+    def spectral_norm(self, *, dense_limit: int = DENSE_LIMIT) -> float:
         _require_hermitian(self.op)
         dim = self.basis.dim
         if dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
@@ -292,10 +292,10 @@ class RestrictedOperator:
         v0 = _start_vector(dim)
         try:
             hi = scipy.sparse.linalg.eigsh(
-                linop, k=1, which="LA", tol=rel_tol, v0=v0, return_eigenvectors=False
+                linop, k=1, which="LA", tol=SOLVER_REL_TOL, v0=v0, return_eigenvectors=False
             )
             lo = scipy.sparse.linalg.eigsh(
-                linop, k=1, which="SA", tol=rel_tol, v0=v0, return_eigenvectors=False
+                linop, k=1, which="SA", tol=SOLVER_REL_TOL, v0=v0, return_eigenvectors=False
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"Lanczos did not converge: {exc}") from exc
@@ -348,17 +348,14 @@ def ground_state(
     basis: SectorBasis,
     *,
     dense_limit: int = DENSE_LIMIT,
-    residual_tol: float = 1e-8,
 ) -> tuple[float, CIVector]:
     """Minimal eigenpair of a Hermitian operator on ``basis``.
 
     Dense diagonalization up to ``dense_limit`` states (and always for a
     single state), Lanczos beyond; the residual norm ||H v - E v|| is
-    verified against ``residual_tol`` either way.
+    verified against ``SOLVER_REL_TOL`` either way.
     """
-    return RestrictedOperator(op, basis).lowest(
-        dense_limit=dense_limit, residual_tol=residual_tol
-    )
+    return RestrictedOperator(op, basis).lowest(dense_limit=dense_limit)
 
 
 def spectral_norm(
@@ -366,12 +363,9 @@ def spectral_norm(
     basis: SectorBasis,
     *,
     dense_limit: int = DENSE_LIMIT,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Largest |eigenvalue| of a Hermitian operator on ``basis``."""
-    return RestrictedOperator(op, basis).spectral_norm(
-        dense_limit=dense_limit, rel_tol=rel_tol
-    )
+    return RestrictedOperator(op, basis).spectral_norm(dense_limit=dense_limit)
 
 
 def full_spectrum(

@@ -243,12 +243,11 @@ def eigenstate_error_distribution(
     basis: SectorBasis,
     *,
     dense_limit: int = DENSE_LIMIT,
-    degeneracy_tol: float = 1e-8,
 ) -> EigenstateReport:
     """Error expectation on every eigenvector of ``hamiltonian``.
 
-    Eigenvalues closer than ``degeneracy_tol`` relative to the spectral
-    radius are flagged as one degenerate cluster (chained gaps merge).
+    Eigenvalues closer than 1e-8 relative to the spectral radius are
+    flagged as one degenerate cluster (chained gaps merge).
     """
     hmat = to_dense(hamiltonian, basis, dense_limit=dense_limit)
     defect = float(np.max(np.abs(hmat - hmat.T)))
@@ -261,7 +260,7 @@ def eigenstate_error_distribution(
     clusters = []
     start = 0
     for i in range(1, basis.dim + 1):
-        if i == basis.dim or vals[i] - vals[i - 1] > degeneracy_tol * scale:
+        if i == basis.dim or vals[i] - vals[i - 1] > 1e-8 * scale:
             if i - start > 1:
                 clusters.append((start, i - start))
             start = i

@@ -32,7 +32,9 @@ from .fermion import (
     _MASK_ORBITALS,
     DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
+    _bits_desc,
     _combine,
+    _rank,
     operator_sum,
 )
 
@@ -146,7 +148,6 @@ def parse_fcidump(
     basis_label: str = "",
     orbital_kind: str = "unspecified",
     z_max: int = 0,
-    drop_threshold: float = TERM_DROP_THRESHOLD,
 ) -> MolecularSystem:
     """Parse FCIDUMP text into a spin-orbital :class:`MolecularSystem`.
 
@@ -219,7 +220,7 @@ def parse_fcidump(
     if abs(ms2) > nelec or (ms2 - nelec) % 2:
         raise FcidumpError(f"MS2={ms2} inconsistent with NELEC={nelec}", line=1)
 
-    h1, h2 = spin_expand(norb, h1_spatial, chem, drop_threshold=drop_threshold)
+    h1, h2 = spin_expand(norb, h1_spatial, chem)
     system = MolecularSystem(
         n_spin_orbitals=n_spin,
         n_electrons=nelec,
@@ -334,7 +335,6 @@ def build_trotter_sequence(
     ordering: str = "lexicographic",
     *,
     granularity: str = "integral",
-    drop_threshold: float = TERM_DROP_THRESHOLD,
 ) -> TrotterSequence:
     """Split the Hamiltonian into an ordered list of Hermitian fragments.
 
@@ -358,6 +358,9 @@ def build_trotter_sequence(
                             in index-tuple order, one-body block first
 
     Each fragment is Hermitian and the fragments sum to the Hamiltonian.
+    Inside a fragment, terms come in order of first appearance among the
+    Hamiltonian's terms: one-body pairs row by row, then ``h2`` in dict
+    order (see ``_integral_terms``).
     """
     if ordering not in ORDERINGS:
         raise ValidationError(f"unknown ordering {ordering!r}; use one of {ORDERINGS}")
@@ -365,11 +368,7 @@ def build_trotter_sequence(
         raise ValidationError(
             f"unknown granularity {granularity!r}; use one of {GRANULARITIES}"
         )
-    if granularity == "integral":
-        keyed = _fragments_by_integral(system, drop_threshold)
-    else:
-        keyed = _fragments_by_term(system, drop_threshold)
-    keyed = [(key, label, frag) for key, label, frag in keyed if frag]
+    keyed = _fragments(system, granularity)
     if ordering == "flat-lexicographic":
         keyed.sort(key=lambda t: t[0])
     else:
@@ -396,11 +395,11 @@ def build_trotter_sequence(
     return sequence
 
 
-def _integral_terms(system, drop_threshold=TERM_DROP_THRESHOLD):
+def _integral_terms(system):
     """Every Hamiltonian term as packed ``(cre, ann, val, label)`` arrays.
 
     One-body terms come first: each pair ``p <= q`` with
-    ``|h1[p, q]| > drop_threshold``, row by row, followed by its mirror
+    ``|h1[p, q]| > TERM_DROP_THRESHOLD``, row by row, followed by its mirror
     ``a+_q a_p`` when ``p != q``; both carry ``h1[p, q]``, so every pair is
     exactly Hermitian (the two halves of ``h1`` agree exactly for parsed and
     generated systems; ``validate`` allows them to differ by 1e-12).  Then
@@ -419,7 +418,7 @@ def _integral_terms(system, drop_threshold=TERM_DROP_THRESHOLD):
     integral fragment holds.
     """
     norb = system.n_spin_orbitals // 2
-    p, q = np.nonzero(np.triu(np.abs(system.h1) > drop_threshold))
+    p, q = np.nonzero(np.triu(np.abs(system.h1) > TERM_DROP_THRESHOLD))
     mirror = p != q
     one_cre = np.stack([p, q], axis=1).ravel()
     one_ann = np.stack([q, p], axis=1).ravel()
@@ -460,9 +459,19 @@ def _groups(label: np.ndarray):
     return [(int(label[rows[0]]), rows) for rows in np.split(order, cuts)]
 
 
-def _fragments_by_integral(system, drop_threshold):
-    """One fragment per spatial integral: a one-body pair ``h[i,j]`` or a
-    chemist class ``(ij|kl)``, each the first-seen sum of its own terms.
+def _fragments(system, granularity):
+    """``(sort key, name, fragment)`` per nonempty fragment, each the
+    first-seen sum of the Hamiltonian terms that share one label.
+
+    Granularity "integral" labels a term by its spatial integral (see
+    :func:`_integral_terms`): the key is ``(0, i, j, 0, 0)`` and the name
+    ``h[i,j]`` for a one-body pair, ``(1, i, j, k, l)`` and ``(ij|kl)``
+    (one-based) for a chemist class.  Granularity "term" labels a term by
+    its ``(min(cre, ann), max(cre, ann))`` masks, which puts every term with
+    its adjoint; the key and name come from the fragment's least
+    ``rep = creations + annihilations`` (both descending): ``(0, p, q, 0, 0)``
+    and ``h[p,q]`` for a one-body pair, ``(1,) + rep`` and ``g{rep}`` for a
+    two-body term.
 
     A single sum per fragment matches adding the terms one at a time except
     where a partial sum of a key falls below the drop tolerance while its
@@ -473,7 +482,9 @@ def _fragments_by_integral(system, drop_threshold):
     within the tolerance of zero; no shipped or generated system has one.
     """
     norb = system.n_spin_orbitals // 2
-    cre, ann, val, label = _integral_terms(system, drop_threshold)
+    cre, ann, val, label = _integral_terms(system)
+    if granularity == "term":
+        label = _rank(np.minimum(cre, ann), np.maximum(cre, ann))
     out = []
     for code, rows in _groups(label):
         if code < 0:
@@ -481,50 +492,22 @@ def _fragments_by_integral(system, drop_threshold):
         frag = _combine(
             cre[rows], ann[rows], val[rows], DEFAULT_DROP_TOLERANCE, first_seen=True
         )
-        if code < norb * norb:
+        if not frag:
+            continue
+        if granularity == "term":
+            rep = min(
+                _bits_desc(c) + _bits_desc(a)
+                for c, a in zip(frag.cre.tolist(), frag.ann.tolist())
+            )
+            if len(rep) == 2:
+                out.append(((0, *rep, 0, 0), f"h[{rep[0]},{rep[1]}]", frag))
+            else:
+                out.append(((1, *rep), f"g{rep}", frag))
+        elif code < norb * norb:
             i, j = divmod(code, norb)
             out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
-            continue
-        code -= norb * norb
-        i, j, k, l = (code // norb**e % norb for e in (3, 2, 1, 0))
-        out.append(((1, i, j, k, l), f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
-    return out
-
-
-def _fragments_by_term(system, drop_threshold):
-    """One fragment per one-body pair ``p <= q`` and per canonical two-body
-    key paired with its adjoint key."""
-    cre, ann, val, _ = _integral_terms(system, drop_threshold)
-    is_one = np.bitwise_count(cre) == 1
-    out = []
-    # a one-body term and its mirror share the orbital mask cre | ann
-    for code, rows in _groups(np.where(is_one, cre | ann, -1)):
-        if code < 0:
-            continue
-        p, q = (int(m).bit_length() - 1 for m in (cre[rows[0]], ann[rows[0]]))
-        frag = _combine(
-            cre[rows], ann[rows], val[rows], DEFAULT_DROP_TOLERANCE, first_seen=True
-        )
-        out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
-    two = ~is_one
-    acc = _combine(cre[two], ann[two], val[two], DEFAULT_DROP_TOLERANCE, first_seen=True)
-    keys = list(acc.terms)
-    position = {key: i for i, key in enumerate(keys)}
-    seen = set()
-    for key in keys:
-        if key in seen:
-            continue
-        creations, annihilations = key
-        adj_key = (annihilations, creations)
-        group = {key}
-        if adj_key != key and adj_key in position:
-            group.add(adj_key)
-        seen |= group
-        # the set's iteration order is the fragment's term order
-        rows = [position[k] for k in group]
-        frag = NormalOrderedOperator._from_arrays(
-            acc.cre[rows], acc.ann[rows], acc.val[rows]
-        )
-        rep = min(k[0] + k[1] for k in group)
-        out.append(((1,) + rep, f"g{rep}", frag))
+        else:
+            code -= norb * norb
+            i, j, k, l = (code // norb**e % norb for e in (3, 2, 1, 0))
+            out.append(((1, i, j, k, l), f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
     return out

@@ -133,13 +133,11 @@ def prep_cost_report(
     system,
     delta: float,
     amplitudes: CIVector | None = None,
-    *,
-    support_threshold: float = SUPPORT_THRESHOLD,
 ) -> StatePrepCost:
     """Cost a CISD-style preparation for ``system`` at target error ``delta``.
 
     With an explicit vector, the support dimension counts amplitudes above
-    ``support_threshold``; otherwise the combinatorial singles-and-doubles
+    ``SUPPORT_THRESHOLD``; otherwise the combinatorial singles-and-doubles
     count stands in.  ``spare_zero_components`` records whether the full
     2^N embedding already holds at least two zeros, in which case the
     budgeted spare qubit is known to be unnecessary.
@@ -149,7 +147,7 @@ def prep_cost_report(
         support = cisd_support_dimension(n_orb, system.n_electrons)
     else:
         support = int(
-            sum(abs(a) > support_threshold for a in amplitudes.amplitudes)
+            sum(abs(a) > SUPPORT_THRESHOLD for a in amplitudes.amplitudes)
         )
         if support < 1:
             raise ValidationError("amplitude vector has no support")

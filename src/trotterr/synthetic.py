@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import MolecularSystem, _chemist_orbit, spin_expand
+from .hamiltonian import TERM_DROP_THRESHOLD, MolecularSystem, _chemist_orbit, spin_expand
+
+ONE_BODY_SCALE = 1.0
+TWO_BODY_SCALE = 0.5
 
 
 def random_system(
@@ -17,22 +20,20 @@ def random_system(
     n_spatial: int,
     *,
     n_electrons: int | None = None,
-    one_body_scale: float = 1.0,
-    two_body_scale: float = 0.5,
     density: float = 1.0,
-    drop_threshold: float = 1e-10,
 ) -> MolecularSystem:
     """Draw a particle-conserving Hermitian system on 2*n_spatial spin orbitals.
 
-    ``density`` < 1 zeroes a random fraction of the distinct two-body
-    classes, which keeps big instances affordable.
+    Integrals are normal draws of scale ``ONE_BODY_SCALE`` (symmetrized)
+    and ``TWO_BODY_SCALE``.  ``density`` < 1 zeroes a random fraction of
+    the distinct two-body classes, which keeps big instances affordable.
     """
     if n_spatial < 1:
         raise ValueError("need at least one spatial orbital")
     n_spin = 2 * n_spatial
     if n_electrons is None:
         n_electrons = max(2, n_spatial - n_spatial % 2)
-    h1 = rng.normal(scale=one_body_scale, size=(n_spatial, n_spatial))
+    h1 = rng.normal(scale=ONE_BODY_SCALE, size=(n_spatial, n_spatial))
     h1 = (h1 + h1.T) / 2.0
 
     chem: dict[tuple[int, int, int, int], float] = {}
@@ -44,13 +45,13 @@ def random_system(
                         continue
                     if density < 1.0 and rng.random() > density:
                         continue
-                    v = rng.normal(scale=two_body_scale)
-                    if abs(v) <= drop_threshold:
+                    v = rng.normal(scale=TWO_BODY_SCALE)
+                    if abs(v) <= TERM_DROP_THRESHOLD:
                         continue
                     for perm in _chemist_orbit(i, j, k, l):
                         chem[perm] = v
 
-    spin_h1, spin_h2 = spin_expand(n_spatial, h1, chem, drop_threshold=drop_threshold)
+    spin_h1, spin_h2 = spin_expand(n_spatial, h1, chem)
     system = MolecularSystem(
         n_spin_orbitals=n_spin,
         n_electrons=n_electrons,

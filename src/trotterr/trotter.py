@@ -87,11 +87,13 @@ class ErrorOperator:
         excess = np.bitwise_count(op.cre).astype(np.int64) - np.bitwise_count(op.ann)
         return float(np.abs(excess * op.val).max(initial=0.0))
 
-    def validate(self, rel_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
+        """Hermiticity, trace and particle number, each within 1e-8 times
+        the coefficient one-norm."""
         scale = self.coefficient_l1()
         if not scale:
             return
-        budget = rel_tol * scale
+        budget = 1e-8 * scale
         defect = self.hermitian_defect()
         if defect > budget:
             raise ValidationError(f"error operator not Hermitian: defect {defect:.3e}")
@@ -105,29 +107,18 @@ class ErrorOperator:
             )
 
 
-def _drop_exact_zeros(op: NormalOrderedOperator) -> NormalOrderedOperator:
-    # commuting fragments cancel keywise to exact 0.0; keeping those keys
-    # would drag dead weight through every later product
-    return op.pruned(math.ulp(0.0))
-
-
-def build_error_operator(
-    sequence: TrotterSequence,
-    delta_t: float,
-    *,
-    drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
-    validate: bool = True,
-) -> ErrorOperator:
+def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOperator:
     """Assemble the leading error operator for ``sequence`` at ``delta_t``.
 
     A single-fragment sequence (or any mutually commuting one) yields the
     zero operator.  Pruning happens once, after the full accumulation, and
     at the ``delta_t = 1`` scale: a term is kept when its unscaled sum times
-    1/12 reaches ``drop_tolerance`` in magnitude, so every step keeps the
-    same terms in the same order.  Each kept coefficient is then its sum
-    times ``delta_t**2 / 12``.  A step at which a kept coefficient overflows,
-    or underflows to zero or a subnormal value, raises ``NumericalError``,
-    with or without ``validate``.
+    1/12 reaches ``DEFAULT_DROP_TOLERANCE`` in magnitude, so every step
+    keeps the same terms in the same order.  Each kept coefficient is then
+    its sum times ``delta_t**2 / 12``.  A step at which a kept coefficient
+    overflows, or underflows to zero or a subnormal value, raises
+    ``NumericalError``; the result is then checked by
+    :meth:`ErrorOperator.validate`.
     """
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
@@ -137,18 +128,20 @@ def build_error_operator(
     prefix = NormalOrderedOperator.zero()
     for frag in fragments:
         m = multiply(frag, prefix, drop_tolerance=0.0)
-        cross.append(_drop_exact_zeros(m - m.adjoint()))
+        # the subtraction prunes, so keys that commuting fragments cancel
+        # to exact 0.0 never reach a later product
+        cross.append(m - m.adjoint())
         prefix = prefix + frag
     pieces: list[NormalOrderedOperator] = []
     suffix = NormalOrderedOperator.zero()  # D_alpha, accumulated backwards
     for frag, c in zip(reversed(fragments), reversed(cross)):
-        suffix = _drop_exact_zeros(suffix + c)
+        suffix = suffix + c
         weight = suffix + c.scaled(-0.5)  # D_alpha - C_alpha/2, anti-Hermitian
         if weight:
             m = multiply(frag, weight, drop_tolerance=0.0)
             pieces.append(m + m.adjoint())
     total = operator_sum(pieces, drop_tolerance=0.0)
-    keep = np.abs(total.val * (1.0 / 12.0)) >= drop_tolerance
+    keep = np.abs(total.val * (1.0 / 12.0)) >= DEFAULT_DROP_TOLERANCE
     val = total.val[keep] * ((delta_t * delta_t) / 12.0)
     if not np.isfinite(val).all():
         raise NumericalError(
@@ -166,9 +159,17 @@ def build_error_operator(
         n_fragments=len(fragments),
         n_spin_orbitals=sequence.n_spin_orbitals,
     )
-    if validate:
-        error_op.validate()
+    error_op.validate()
     return error_op
+
+
+def check_time_and_delta(time: float, delta: float) -> None:
+    """Reject an evolution time or target shift that is not positive and
+    finite."""
+    if not (0 < time < math.inf and 0 < delta < math.inf):
+        raise ValidationError(
+            f"time and delta must be positive and finite, got {time}, {delta}"
+        )
 
 
 def estimate_trotter_number(
@@ -180,10 +181,7 @@ def estimate_trotter_number(
     The per-step shift scales as (t/mu)^2 <V at dt=1>, and mu steps
     accumulate it linearly, so mu = ceil(t * sqrt(<V>/delta)), at least 1.
     """
-    if not (0 < time < math.inf and 0 < delta < math.inf):
-        raise ValidationError(
-            f"time and delta must be positive and finite, got {time}, {delta}"
-        )
+    check_time_and_delta(time, delta)
     if error_expectation < 0:
         raise ValidationError(f"error_expectation must be >= 0, got {error_expectation}")
     steps = time * math.sqrt(error_expectation / delta)

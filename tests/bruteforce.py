@@ -354,7 +354,9 @@ def loop_product_terms(a: NormalOrderedOperator, b: NormalOrderedOperator):
 # ---------------------------------------------------------------------------
 
 
-def loop_spin_expand(norb: int, h1_spatial: np.ndarray, chem: dict, *, drop_threshold: float):
+def loop_spin_expand(
+    norb: int, h1_spatial: np.ndarray, chem: dict, *, drop_threshold: float = TERM_DROP_THRESHOLD
+):
     """Spin-orbital integrals by a scan over every (2 norb)^4 index quadruple:
     the loop ``trotterr.hamiltonian.spin_expand`` replaces.  Its ``h2`` key
     order is the scan order, ascending by (p, q, r, s)."""
@@ -406,7 +408,7 @@ def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrd
     return operator_sum(pieces)
 
 
-def per_integral_fragments_by_integral(system, drop_threshold):
+def per_integral_fragments_by_integral(system):
     n = system.n_spin_orbitals
     norb = n // 2
     out = []
@@ -415,7 +417,7 @@ def per_integral_fragments_by_integral(system, drop_threshold):
             frag = NormalOrderedOperator.zero()
             for (p, q) in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
                 vv = float(system.h1[p, q])
-                if abs(vv) <= drop_threshold:
+                if abs(vv) <= TERM_DROP_THRESHOLD:
                     continue
                 frag = frag + loop_normal_order(LadderTerm(vv, (cre(p), ann(q))))
                 if p != q:
@@ -432,13 +434,13 @@ def per_integral_fragments_by_integral(system, drop_threshold):
     return out
 
 
-def per_integral_fragments_by_term(system, drop_threshold):
+def per_integral_fragments_by_term(system):
     n = system.n_spin_orbitals
     out = []
     for p in range(n):
         for q in range(p, n):
             v = float(system.h1[p, q])
-            if abs(v) <= drop_threshold:
+            if abs(v) <= TERM_DROP_THRESHOLD:
                 continue
             frag = loop_normal_order(LadderTerm(v, (cre(p), ann(q))))
             if p != q:
@@ -455,14 +457,40 @@ def per_integral_fragments_by_term(system, drop_threshold):
             continue
         creations, annihilations = key
         adj_key = (annihilations, creations)
-        group = {key}
+        # a term first, its adjoint second: first-seen order
+        group = [key]
         if adj_key != key and adj_key in terms:
-            group.add(adj_key)
-        seen |= group
+            group.append(adj_key)
+        seen.update(group)
         frag = NormalOrderedOperator({k: terms[k] for k in group}, drop_tolerance=0.0)
         rep = min(k[0] + k[1] for k in group)
         out.append(((1,) + rep, f"g{rep}", frag))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Orbital marginals reference.
+# ---------------------------------------------------------------------------
+
+
+def loop_orbital_marginals(op: NormalOrderedOperator, n_orbitals: int) -> np.ndarray:
+    """Per-orbital-pair magnitudes by a walk over the term map, counting
+    each orbital's ladder multiplicity: the loop
+    ``trotterr.analysis.orbital_marginals`` replaces."""
+    mat = np.zeros((n_orbitals, n_orbitals))
+    for (creations, annihilations), coeff in op.terms.items():
+        counts: dict[int, int] = {}
+        for p in creations + annihilations:
+            counts[p] = counts.get(p, 0) + 1
+        orbitals = sorted(counts)
+        weight = abs(coeff)
+        for a_idx, i in enumerate(orbitals):
+            if counts[i] >= 2:
+                mat[i, i] += weight
+            for j in orbitals[a_idx + 1 :]:
+                mat[i, j] += weight
+                mat[j, i] += weight
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bruteforce import loop_orbital_marginals
 from trotterr.analysis import (
     ErrorAnalysisReport,
     PowerLawFit,
@@ -27,7 +28,7 @@ from trotterr.fock import (
     full_spectrum,
     ground_state,
 )
-from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
+from trotterr.hamiltonian import GRANULARITIES, build_trotter_sequence, load_fcidump
 from trotterr.synthetic import random_system
 from trotterr.trotter import ErrorOperator, build_error_operator
 
@@ -162,6 +163,23 @@ class TestOrbitalMarginals:
     def test_rejects_undersized_matrix(self, h2_error):
         with pytest.raises(ValidationError):
             orbital_marginals(h2_error, 2)
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize(
+        "name",
+        ["h2_sto6g_canonical", "h2_sto6g_local", "h2_sto6g_natural", "h4_sto6g_local"]
+        + [f"random-{n}" for n in range(1, 6)],
+    )
+    def test_matches_term_loop_bit_for_bit(self, fixture_dir, name, granularity):
+        if name.startswith("random"):
+            n = int(name.split("-")[1])
+            syst = random_system(np.random.default_rng(n), n)
+        else:
+            syst = load_fcidump(fixture_dir / f"{name}.fcidump")
+        seq = build_trotter_sequence(syst, granularity=granularity)
+        error = build_error_operator(seq, 1.0)
+        want = loop_orbital_marginals(error.op, syst.n_spin_orbitals)
+        assert orbital_marginals(error).tobytes() == want.tobytes()
 
 
 class TestNearZeroFraction:

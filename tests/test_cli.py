@@ -197,6 +197,19 @@ def test_edge_input_exit_codes(h2_path, capsys, argv, expected):
     assert len(err.splitlines()) == (expected != EXIT_OK)
 
 
+@pytest.mark.parametrize("flag", ["--time", "--target-delta"])
+def test_bad_time_is_rejected_before_any_work(h2_path, capsys, monkeypatch, flag):
+    import trotterr.analysis
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("fragment sequence built for a rejected input")
+
+    monkeypatch.setattr(trotterr.analysis, "build_trotter_sequence", unreachable)
+    code, _, err = run(capsys, "analyze", "--fcidump", h2_path, flag, "nan")
+    assert code == EXIT_USAGE, err
+    assert "positive and finite" in err
+
+
 @pytest.mark.parametrize("dt", ["1e-170", "1e160"], ids=["underflow", "overflow"])
 def test_error_operator_failure_reads_the_same_in_every_subcommand(h2_path, capsys, dt):
     # the message names the operator once, whichever subcommand built it

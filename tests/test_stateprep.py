@@ -171,12 +171,6 @@ class TestPrepCostReport:
         assert report.support_dim < 6
         assert report.delta == 1e-3
 
-    def test_support_threshold_is_configurable(self, h2):
-        trunc = CITruncation(level=2, reference=hartree_fock_state(h2))
-        _, vec = ci_ground_state(h2, trunc)
-        loose = prep_cost_report(h2, 1e-3, vec, support_threshold=0.9)
-        assert loose.support_dim == 1
-
     def test_empty_support_rejected(self, h2):
         from trotterr.fock import CIVector, SectorBasis
 
