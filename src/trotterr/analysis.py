@@ -108,15 +108,23 @@ def orbital_marginals(
             f"operator touches orbital {op.max_orbital()}, matrix has {n_orbitals}"
         )
     # cell (i, j) takes a term when both orbitals are in cre | ann, and
-    # cell (i, i) when i is in cre & ann; bincount adds each cell's weights
-    # in term order from 0.0, as a term-by-term loop would
-    bits = np.arange(n_orbitals)
-    touched = ((op.cre | op.ann)[:, None] >> bits & 1).astype(bool)
-    hits = touched[:, :, None] & touched[:, None, :]
-    hits[:, bits, bits] = ((op.cre & op.ann)[:, None] >> bits & 1).astype(bool)
-    cells = n_orbitals * n_orbitals
-    term, cell = np.nonzero(hits.reshape(len(op), cells))
-    return np.bincount(cell, np.abs(op.val)[term], cells).reshape(n_orbitals, n_orbitals)
+    # cell (i, i) when i is in cre & ann; one cell at a time keeps the
+    # temporaries at one entry per term
+    weight = np.abs(op.val)
+    either, both = op.cre | op.ann, op.cre & op.ann
+    touched = [either >> i & 1 == 1 for i in range(n_orbitals)]
+    out = np.zeros((n_orbitals, n_orbitals))
+    for i in range(n_orbitals):
+        out[i, i] = _term_order_sum(weight[both >> i & 1 == 1])
+        for j in range(i + 1, n_orbitals):
+            out[i, j] = out[j, i] = _term_order_sum(weight[touched[i] & touched[j]])
+    return out
+
+
+def _term_order_sum(weights: np.ndarray) -> float:
+    # bincount adds in input order from 0.0, as a term-by-term loop would;
+    # np.sum's pairwise summation rounds differently
+    return np.bincount(np.zeros(len(weights), dtype=np.intp), weights, 1)[0]
 
 
 # ---------------------------------------------------------------------------

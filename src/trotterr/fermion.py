@@ -373,7 +373,7 @@ def _rank(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
     order = np.lexsort((amasks, cmasks))
     c, a = cmasks[order], amasks[order]
     new = np.empty(len(order), dtype=bool)
-    new[0] = True
+    new[:1] = True  # no terms, no ranks
     new[1:] = (c[1:] != c[:-1]) | (a[1:] != a[:-1])
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.cumsum(new)

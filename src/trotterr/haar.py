@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fermion import NormalOrderedOperator
-from .fock import DENSE_LIMIT, SectorBasis, full_spectrum, to_dense
+from .fock import DENSE_LIMIT, HERMITIAN_REL_TOL, SectorBasis, full_spectrum, to_dense
 from .trotter import ErrorOperator
 
 ENSEMBLES = ("complex", "real")
@@ -52,6 +52,10 @@ SAMPLE_BLOCK = 8192
 # rows of the complex ensemble's second Gaussian drawn at a time, which
 # keeps that buffer cache-sized; the stream does not depend on it
 _GAUSS_CHUNK = 256
+
+# eigenvalue gap, relative to max(1, spectral radius), below which two
+# eigenstates count as one degenerate cluster
+DEGENERACY_REL_TOL = 1e-8
 
 
 def _check_ensemble(ensemble: str) -> None:
@@ -246,12 +250,13 @@ def eigenstate_error_distribution(
 ) -> EigenstateReport:
     """Error expectation on every eigenvector of ``hamiltonian``.
 
-    Eigenvalues closer than 1e-8 relative to the spectral radius are
-    flagged as one degenerate cluster (chained gaps merge).
+    Eigenvalues closer than ``DEGENERACY_REL_TOL`` relative to the
+    spectral radius are flagged as one degenerate cluster (chained gaps
+    merge).
     """
     hmat = to_dense(hamiltonian, basis, dense_limit=dense_limit)
     defect = float(np.max(np.abs(hmat - hmat.T)))
-    if defect > 1e-8 * max(1.0, float(np.max(np.abs(hmat)))):
+    if defect > HERMITIAN_REL_TOL * max(1.0, float(np.max(np.abs(hmat)))):
         raise ValidationError(f"hamiltonian is not symmetric here (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(hmat)
     vmat = to_dense(error.op, basis, dense_limit=dense_limit)
@@ -260,7 +265,7 @@ def eigenstate_error_distribution(
     clusters = []
     start = 0
     for i in range(1, basis.dim + 1):
-        if i == basis.dim or vals[i] - vals[i - 1] > 1e-8 * scale:
+        if i == basis.dim or vals[i] - vals[i - 1] > DEGENERACY_REL_TOL * scale:
             if i - start > 1:
                 clusters.append((start, i - start))
             start = i

@@ -49,6 +49,10 @@ from .fermion import (
 )
 from .hamiltonian import TrotterSequence
 
+# budget of each ErrorOperator.validate check, relative to the coefficient
+# one-norm
+VALIDATE_REL_TOL = 1e-8
+
 
 @dataclass
 class ErrorOperator:
@@ -88,12 +92,12 @@ class ErrorOperator:
         return float(np.abs(excess * op.val).max(initial=0.0))
 
     def validate(self) -> None:
-        """Hermiticity, trace and particle number, each within 1e-8 times
-        the coefficient one-norm."""
+        """Hermiticity, trace and particle number, each within
+        ``VALIDATE_REL_TOL`` times the coefficient one-norm."""
         scale = self.coefficient_l1()
         if not scale:
             return
-        budget = 1e-8 * scale
+        budget = VALIDATE_REL_TOL * scale
         defect = self.hermitian_defect()
         if defect > budget:
             raise ValidationError(f"error operator not Hermitian: defect {defect:.3e}")

@@ -210,6 +210,18 @@ def test_bad_time_is_rejected_before_any_work(h2_path, capsys, monkeypatch, flag
     assert "positive and finite" in err
 
 
+@pytest.mark.parametrize("granularity", ["integral", "term"])
+def test_analyze_system_without_terms(tmp_path, capsys, granularity):
+    path = tmp_path / "core_only.fcidump"
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n&END\n 1.5 0 0 0 0\n")
+    code, out, err = run(
+        capsys, "analyze", "--fcidump", str(path), "--granularity", granularity
+    )
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    assert report["n_fragments"] == 0 and report["error_term_count"] == 0
+
+
 @pytest.mark.parametrize("dt", ["1e-170", "1e160"], ids=["underflow", "overflow"])
 def test_error_operator_failure_reads_the_same_in_every_subcommand(h2_path, capsys, dt):
     # the message names the operator once, whichever subcommand built it

@@ -498,6 +498,8 @@ def test_sort_key_orders_like_the_two_halves():
             width = int(amasks.max()).bit_length()
             packed = (cmasks << width) | amasks
             assert np.array_equal(np.argsort(packed, kind="stable"), halves)
+    none = np.zeros(0, dtype=np.int64)
+    assert _rank(none, none).dtype == np.int64 and not len(_rank(none, none))
 
 
 # Orbital ranges for the three ways the grouping reaches its tagged sort:

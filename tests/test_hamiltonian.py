@@ -257,6 +257,15 @@ class TestSequences:
         seq = build_trotter_sequence(sys1, granularity="term")
         assert len(seq) == 3
 
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_no_term_system_gives_empty_sequence(self, ordering, granularity):
+        # a core-energy line alone is a valid file with no operator terms
+        core_only = ONE_ORBITAL.splitlines()[:4] + [" 0.7  0  0  0  0", ""]
+        system = parse_fcidump("\n".join(core_only))
+        seq = build_trotter_sequence(system, ordering, granularity=granularity)
+        assert len(seq) == 0 and not seq.total()
+
     def test_unknown_strategy(self):
         sys1 = parse_fcidump(ONE_ORBITAL)
         with pytest.raises(ValidationError):
