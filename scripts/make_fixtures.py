@@ -206,26 +206,11 @@ def natural_orbitals(h1_mo, g_mo, n_electrons):
     keep the incoming order).
     """
     from trotterr.fock import SectorBasis, apply, ground_state
-    from trotterr.hamiltonian import MolecularSystem, spin_expand
+    from trotterr.hamiltonian import MolecularSystem
     from trotterr.fermion import NormalOrderedOperator
 
     norb = h1_mo.shape[0]
-    chem = {
-        (i, j, k, l): float(g_mo[i, j, k, l])
-        for i in range(norb)
-        for j in range(norb)
-        for k in range(norb)
-        for l in range(norb)
-        if abs(g_mo[i, j, k, l]) > 1e-14
-    }
-    spin_h1, spin_h2 = spin_expand(norb, h1_mo, chem, drop_threshold=1e-14)
-    system = MolecularSystem(
-        n_spin_orbitals=2 * norb,
-        n_electrons=n_electrons,
-        h1=spin_h1,
-        h2=spin_h2,
-        core_energy=0.0,
-    )
+    system = MolecularSystem(n_electrons, h1_mo, g_mo)
     basis = SectorBasis.sector(2 * norb, n_electrons)
     energy, psi = ground_state(system.hamiltonian(), basis)
     dens = np.zeros((norb, norb))

@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "hamiltonian": (
         "MolecularSystem", "TrotterSequence", "build_trotter_sequence",
-        "load_fcidump", "parse_fcidump", "spin_expand",
+        "load_fcidump", "parse_fcidump",
     ),
     "oracle": ("measured_trotter_shift", "trotter_propagator"),
     "stateprep": (

@@ -67,6 +67,10 @@ from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_DROP_TOLERANCE = 1e-12
 
+# the Hermitian defect an operator may carry, relative to max(1, its
+# coefficient one-norm)
+HERMITIAN_REL_TOL = 1e-8
+
 # A canonical term key: (creation orbitals desc, annihilation orbitals desc).
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -285,6 +289,13 @@ class NormalOrderedOperator:
     def hermitian_defect(self) -> float:
         """Max coefficient deviation between the operator and its adjoint."""
         return _max_difference(self, self.adjoint())
+
+    def require_hermitian(self, message: str) -> None:
+        """Raise ``ValidationError(message)`` unless the Hermitian defect is
+        within ``HERMITIAN_REL_TOL``."""
+        defect = self.hermitian_defect()
+        if defect > HERMITIAN_REL_TOL * max(1.0, self.coefficient_l1()):
+            raise ValidationError(f"{message} (defect {defect:.3e})")
 
     def pruned(self, drop_tolerance: float = DEFAULT_DROP_TOLERANCE) -> "NormalOrderedOperator":
         keep = np.abs(self.val) >= drop_tolerance

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fermion import NormalOrderedOperator
-from .fock import DENSE_LIMIT, HERMITIAN_REL_TOL, SectorBasis, full_spectrum, to_dense
+from .fermion import HERMITIAN_REL_TOL, NormalOrderedOperator
+from .fock import DENSE_LIMIT, SectorBasis, full_spectrum, to_dense
 from .trotter import ErrorOperator
 
 ENSEMBLES = ("complex", "real")

@@ -6,17 +6,21 @@ The electronic Hamiltonian handled throughout is
 
 over spin orbitals, with real integrals.  ``h_pqrs`` follows the physicist
 index convention in which electron 1 pairs (p, s) and electron 2 pairs
-(q, r), so the symmetries are ``h_pqrs = h_qpsr`` (electron relabeling) and
-``h_pqrs = h_srqp`` (real orbitals).
+(q, r).
 
-FCIDUMP input stores *spatial*-orbital integrals, one-based, with the
-two-electron values in chemist notation (ij|kl).  Spatial orbital ``i``
-(zero-based) expands to spin orbitals ``2i`` (alpha) and ``2i + 1`` (beta);
-two-electron integrals are spin diagonal:
+A :class:`MolecularSystem` stores the integrals once, over *spatial*
+orbitals, as an FCIDUMP file holds them: the one-electron matrix ``h1`` and
+the chemist two-electron array ``eri[i, j, k, l] = (ij|kl)``.  Spin
+orbitals are formed only where the operator terms are built
+(``_integral_terms``): spatial orbital ``i`` (zero-based) expands to spin
+orbitals ``2i`` (alpha) and ``2i + 1`` (beta), and both kinds of integral
+are spin diagonal,
 
-    h_pqrs = (P S | Q R)   when spin(p) == spin(s) and spin(q) == spin(r),
+    h_pq   = h1[P, Q]        when spin(p) == spin(q),
+    h_pqrs = (P S | Q R)     when spin(p) == spin(s) and spin(q) == spin(r),
 
-with capital letters the spatial parts, and zero otherwise.
+with capital letters the spatial parts, and zero otherwise.  Every term
+therefore conserves the number of electrons of each spin.
 """
 
 from __future__ import annotations
@@ -44,22 +48,29 @@ TERM_DROP_THRESHOLD = 1e-10
 
 @dataclass
 class MolecularSystem:
-    """Spin-orbital integrals plus bookkeeping for one molecule/basis pair."""
+    """Spatial-orbital integrals plus bookkeeping for one molecule/basis pair:
+    ``h1`` is ``(norb, norb)`` and ``eri`` the ``(norb,)*4`` chemist array."""
 
-    n_spin_orbitals: int
     n_electrons: int
     h1: np.ndarray
-    h2: dict[tuple[int, int, int, int], float]
+    eri: np.ndarray
     core_energy: float = 0.0
     ms2: int = 0
     basis_label: str = ""
     orbital_kind: str = "unspecified"
     z_max: int = 0
 
+    @property
+    def n_spin_orbitals(self) -> int:
+        return 2 * len(self.h1)
+
     def validate(self) -> None:
-        n = self.n_spin_orbitals
-        if n <= 0 or n % 2:
-            raise ValidationError(f"n_spin_orbitals must be positive even, got {n}")
+        if self.h1.ndim != 2 or not len(self.h1) or self.h1.shape[0] != self.h1.shape[1]:
+            raise ValidationError(f"h1 shape {self.h1.shape} is not (norb, norb), norb >= 1")
+        norb = len(self.h1)
+        if self.eri.shape != (norb,) * 4:
+            raise ValidationError(f"eri shape {self.eri.shape} != {(norb,) * 4}")
+        n = 2 * norb
         if not 0 <= self.n_electrons <= n:
             raise ValidationError(
                 f"n_electrons {self.n_electrons} outside [0, {n}]"
@@ -68,30 +79,21 @@ class MolecularSystem:
             raise ValidationError(
                 f"MS2={self.ms2} inconsistent with NELEC={self.n_electrons}"
             )
-        if self.h1.shape != (n, n):
-            raise ValidationError(f"h1 shape {self.h1.shape} != ({n}, {n})")
         if not np.allclose(self.h1, self.h1.T, atol=1e-12):
             raise ValidationError("h1 is not symmetric")
-        for (p, q, r, s), v in self.h2.items():
-            if not all(0 <= x < n for x in (p, q, r, s)):
-                raise ValidationError(f"h2 index {(p, q, r, s)} out of range")
-            for other in ((q, p, s, r), (s, r, q, p)):
-                if abs(self.h2.get(other, 0.0) - v) > 1e-10:
-                    raise ValidationError(
-                        f"h2 symmetry violated between {(p, q, r, s)} and {other}"
-                    )
-            if (p % 2 != s % 2) or (q % 2 != r % 2):
-                raise ValidationError(
-                    f"h2 entry {(p, q, r, s)} violates spin conservation"
-                )
+        # electron relabeling and real orbitals
+        for symmetry, axes in (("(ij|kl) = (kl|ij)", (2, 3, 0, 1)),
+                               ("(ij|kl) = (ji|lk)", (1, 0, 3, 2))):
+            if not np.all(np.abs(self.eri - self.eri.transpose(axes)) <= 1e-10):
+                raise ValidationError(f"eri symmetry {symmetry} violated")
 
     def hamiltonian(self, *, include_core: bool = False) -> NormalOrderedOperator:
         """The second-quantized operator; the scalar core energy is excluded
         unless requested, since it only shifts every eigenvalue.
 
-        Terms are listed in order of first appearance over the ``h1`` scan
-        (row by row, ascending ``(p, q)``), then ``h2`` in dict order, then
-        the core energy.
+        Terms are listed in order of first appearance over the spin-orbital
+        one-body scan (row by row, ascending ``(p, q)``), then two-body terms
+        ascending by spin ``(p, q, r, s)``, then the core energy.
         """
         cre, ann, val, _ = _integral_terms(self)
         # one-body terms come first; ascending (cre, ann) is the row scan
@@ -149,7 +151,7 @@ def parse_fcidump(
     orbital_kind: str = "unspecified",
     z_max: int = 0,
 ) -> MolecularSystem:
-    """Parse FCIDUMP text into a spin-orbital :class:`MolecularSystem`.
+    """Parse FCIDUMP text into a :class:`MolecularSystem`.
 
     Recognized records, each ``value i j k l`` with one-based spatial
     indices: two-electron ``(ij|kl)`` when all indices are positive,
@@ -177,8 +179,8 @@ def parse_fcidump(
             f"{_MASK_ORBITALS}-orbital mask width"
         )
 
-    h1_spatial = np.zeros((norb, norb))
-    chem: dict[tuple[int, int, int, int], float] = {}
+    h1 = np.zeros((norb, norb))
+    eri = np.zeros((norb,) * 4)
     core_energy = 0.0
 
     for offset, raw in enumerate(lines[first_record:], start=first_record + 1):
@@ -204,28 +206,25 @@ def parse_fcidump(
         if i == j == k == l == 0:
             core_energy = value
         elif k == 0 and l == 0 and i > 0 and j > 0:
-            h1_spatial[i - 1, j - 1] = value
-            h1_spatial[j - 1, i - 1] = value
+            h1[i - 1, j - 1] = value
+            h1[j - 1, i - 1] = value
         elif j == 0 and k == 0 and l == 0 and i > 0:
             continue  # orbital energy record; not used
         elif min(i, j, k, l) > 0:
             for key in _chemist_orbit(i - 1, j - 1, k - 1, l - 1):
-                chem[key] = value
+                eri[key] = value
         else:
             raise FcidumpError(f"unclassifiable index pattern in {line!r}", line=offset)
 
-    n_spin = 2 * norb
-    if not 0 <= nelec <= n_spin:
+    if not 0 <= nelec <= 2 * norb:
         raise FcidumpError(f"NELEC={nelec} impossible for NORB={norb}", line=1)
     if abs(ms2) > nelec or (ms2 - nelec) % 2:
         raise FcidumpError(f"MS2={ms2} inconsistent with NELEC={nelec}", line=1)
 
-    h1, h2 = spin_expand(norb, h1_spatial, chem)
     system = MolecularSystem(
-        n_spin_orbitals=n_spin,
         n_electrons=nelec,
         h1=h1,
-        h2=h2,
+        eri=eri,
         core_energy=core_energy,
         ms2=ms2,
         basis_label=basis_label,
@@ -257,38 +256,6 @@ def _chemist_orbit(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, i
         (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
         (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
     }
-
-
-def spin_expand(
-    norb: int,
-    h1_spatial: np.ndarray,
-    chem: dict[tuple[int, int, int, int], float],
-    *,
-    drop_threshold: float = TERM_DROP_THRESHOLD,
-) -> tuple[np.ndarray, dict[tuple[int, int, int, int], float]]:
-    """Expand spatial integrals to spin orbitals (physicist convention).
-
-    Each chemist entry (ij|kl) above ``drop_threshold`` gives the four spin
-    assignments ``h2[(2i+a, 2k+b, 2l+b, 2j+a)]`` for spins a, b, so the cost
-    is linear in the number of entries.  ``h2`` lists its keys ascending by
-    ``(p, q, r, s)``; that order becomes the Hamiltonian's term order.
-    """
-    n = 2 * norb
-    h1 = np.zeros((n, n))
-    for i in range(norb):
-        for j in range(norb):
-            v = h1_spatial[i, j]
-            if abs(v) > drop_threshold:
-                h1[2 * i, 2 * j] = v
-                h1[2 * i + 1, 2 * j + 1] = v
-    entries = []
-    for (i, j, k, l), v in chem.items():
-        if abs(v) > drop_threshold:
-            for a in (0, 1):
-                for b in (0, 1):
-                    entries.append(((2 * i + a, 2 * k + b, 2 * l + b, 2 * j + a), v))
-    entries.sort(key=lambda entry: entry[0])
-    return h1, dict(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +326,8 @@ def build_trotter_sequence(
 
     Each fragment is Hermitian and the fragments sum to the Hamiltonian.
     Inside a fragment, terms come in order of first appearance among the
-    Hamiltonian's terms: one-body pairs row by row, then ``h2`` in dict
-    order (see ``_integral_terms``).
+    Hamiltonian's terms: one-body pairs row by row, then two-body terms
+    ascending by spin ``(p, q, r, s)`` (see ``_integral_terms``).
     """
     if ordering not in ORDERINGS:
         raise ValidationError(f"unknown ordering {ordering!r}; use one of {ORDERINGS}")
@@ -389,56 +356,64 @@ def build_trotter_sequence(
         labels=[label for _, label, _ in keyed],
     )
     for frag in sequence.fragments:
-        defect = frag.hermitian_defect()
-        if defect > 1e-8 * max(1.0, frag.coefficient_l1()):
-            raise ValidationError(f"fragment not Hermitian (defect {defect:.3e})")
+        frag.require_hermitian("fragment not Hermitian")
     return sequence
 
 
 def _integral_terms(system):
-    """Every Hamiltonian term as packed ``(cre, ann, val, label)`` arrays.
+    """Every Hamiltonian term as packed ``(cre, ann, val, label)`` arrays,
+    the one place spin orbitals are formed from the integrals.
 
-    One-body terms come first: each pair ``p <= q`` with
-    ``|h1[p, q]| > TERM_DROP_THRESHOLD``, row by row, followed by its mirror
-    ``a+_q a_p`` when ``p != q``; both carry ``h1[p, q]``, so every pair is
-    exactly Hermitian (the two halves of ``h1`` agree exactly for parsed and
-    generated systems; ``validate`` allows them to differ by 1e-12).  Then
-    ``h2`` in dict order: ``a+_p a+_q a_r a_s`` has masks
-    ``cre = 1<<p | 1<<q``, ``ann = 1<<r | 1<<s`` and value
-    ``(0.5 * h2[pqrs]) * (-1)^[p<q] * (-1)^[r<s]``, the sign of sorting
-    each half descending, and vanishes when ``p == q`` or ``r == s``.
-    Values below the operator drop tolerance are left out, as reducing each
-    term on its own would.
+    One-body terms come first: each spin pair ``p <= q`` with
+    ``|h1[p//2, q//2]| > TERM_DROP_THRESHOLD`` and equal spins, row by row,
+    followed by its mirror ``a+_q a_p`` when ``p != q``; both carry the
+    upper-triangle value, so every pair is exactly Hermitian (the two halves
+    of ``h1`` agree exactly for parsed and generated systems; ``validate``
+    allows them to differ by 1e-12).  Then each chemist entry
+    ``|eri[i, j, k, l]| > TERM_DROP_THRESHOLD`` in its four spin assignments
+    ``(p, q, r, s) = (2i+a, 2k+b, 2l+b, 2j+a)``, ascending by ``(p, q, r, s)``:
+    ``a+_p a+_q a_r a_s`` has masks ``cre = 1<<p | 1<<q``,
+    ``ann = 1<<r | 1<<s`` and value
+    ``(0.5 * (ij|kl)) * (-1)^[p<q] * (-1)^[r<s]``, the sign of sorting each
+    half descending, and vanishes when ``p == q`` or ``r == s``.  Values
+    below the operator drop tolerance are left out, as reducing each term on
+    its own would.
 
     ``label`` names the term's integral fragment as one integer, ascending
     in the same order as the fragment keys: ``i * norb + j`` for the
-    one-body spatial pair ``i <= j``, ``norb**2`` plus the base-``norb``
+    one-body spatial pair ``i <= j`` and ``norb**2`` plus the base-``norb``
     digits of the chemist class representative ``(ij|kl)`` for a two-body
-    term, and -1 for a one-body term that couples opposite spins, which no
-    integral fragment holds.
+    term.
     """
-    norb = system.n_spin_orbitals // 2
-    p, q = np.nonzero(np.triu(np.abs(system.h1) > TERM_DROP_THRESHOLD))
+    norb = len(system.h1)
+    h1 = np.kron(system.h1, np.eye(2))
+    p, q = np.nonzero(np.triu(np.abs(h1) > TERM_DROP_THRESHOLD))
     mirror = p != q
     one_cre = np.stack([p, q], axis=1).ravel()
     one_ann = np.stack([q, p], axis=1).ravel()
-    one_val = np.repeat(system.h1[p, q], 2)
-    one_label = np.repeat(
-        np.where(p % 2 == q % 2, (p // 2) * norb + q // 2, -1), 2
-    )
+    one_val = np.repeat(h1[p, q], 2)
+    one_label = np.repeat((p // 2) * norb + q // 2, 2)
     one_keep = np.stack([np.ones_like(mirror), mirror], axis=1).ravel()
 
-    index = np.array(list(system.h2), dtype=np.int64).reshape(-1, 4)
-    value = np.fromiter(system.h2.values(), dtype=np.float64, count=len(index))
-    p, q, r, s = index.T
-    flips = (p < q).astype(np.int64) + (r < s)
-    two_val = (0.5 * value) * (1.0 - 2.0 * (flips & 1))
-    # electron 1 pairs (p, s), electron 2 pairs (q, r): the class of (PS|QR)
-    elec1 = np.minimum(p, s) // 2 * norb + np.maximum(p, s) // 2
-    elec2 = np.minimum(q, r) // 2 * norb + np.maximum(q, r) // 2
+    i, j, k, l = np.nonzero(np.abs(system.eri) > TERM_DROP_THRESHOLD)
+    # electron 1 pairs (i, j), electron 2 pairs (k, l): the class of (ij|kl)
+    elec1 = np.minimum(i, j) * norb + np.maximum(i, j)
+    elec2 = np.minimum(k, l) * norb + np.maximum(k, l)
     two_label = norb * norb + np.minimum(
         elec1 * norb * norb + elec2, elec2 * norb * norb + elec1
     )
+    # each entry in its four spin assignments (a, b), ascending by (p, q, r, s)
+    a, b = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+    p, q, r, s = (
+        (2 * x[:, None] + spin).ravel()
+        for x, spin in ((i, a), (k, b), (l, b), (j, a))
+    )
+    order = np.lexsort((s, r, q, p))
+    p, q, r, s = p[order], q[order], r[order], s[order]
+    value = np.repeat(system.eri[i, j, k, l], 4)[order]
+    two_label = np.repeat(two_label, 4)[order]
+    flips = (p < q).astype(np.int64) + (r < s)
+    two_val = (0.5 * value) * (1.0 - 2.0 * (flips & 1))
 
     bit = np.int64(1)
     cre = np.concatenate([bit << one_cre, (bit << p) | (bit << q)])
@@ -481,14 +456,12 @@ def _fragments(system, granularity):
     +A, -B, -B, +A for two integrals A and B, so that takes A - B or A - 2B
     within the tolerance of zero; no shipped or generated system has one.
     """
-    norb = system.n_spin_orbitals // 2
+    norb = len(system.h1)
     cre, ann, val, label = _integral_terms(system)
     if granularity == "term":
         label = _rank(np.minimum(cre, ann), np.maximum(cre, ann))
     out = []
     for code, rows in _groups(label):
-        if code < 0:
-            continue
         frag = _combine(
             cre[rows], ann[rows], val[rows], DEFAULT_DROP_TOLERANCE, first_seen=True
         )

@@ -18,6 +18,8 @@ from .fock import DENSE_LIMIT, SectorBasis, to_dense
 from .hamiltonian import TrotterSequence
 
 UNITARITY_TOL = 1e-10
+# the Frobenius norm a unitary's Schur form may carry off its diagonal
+SCHUR_OFF_DIAGONAL_TOL = 1e-8
 
 
 def trotter_propagator(
@@ -63,7 +65,7 @@ def _unitary_eigensystem(u: np.ndarray):
 
     t, z = scipy.linalg.schur(u, output="complex")
     off = np.linalg.norm(t - np.diag(np.diag(t)))
-    if off > 1e-8:
+    if off > SCHUR_OFF_DIAGONAL_TOL:
         raise NumericalError(f"Schur form not diagonal (off-norm {off:.3e})")
     return np.angle(np.diag(t)), z
 

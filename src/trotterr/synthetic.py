@@ -1,15 +1,16 @@
 """Random molecular-style systems for tests and scaling studies.
 
-Integrals are drawn in the spatial-orbital chemist convention and expanded
-to spin orbitals through the same path real integral files take, so every
-generated system satisfies the full symmetry contract by construction.
+Integrals are drawn in the spatial-orbital chemist convention and stored
+in the same arrays a parsed integral file fills, each two-body draw over its
+whole eightfold symmetry orbit, so every generated system satisfies the
+symmetry contract by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import TERM_DROP_THRESHOLD, MolecularSystem, _chemist_orbit, spin_expand
+from .hamiltonian import MolecularSystem, _chemist_orbit
 
 ONE_BODY_SCALE = 1.0
 TWO_BODY_SCALE = 0.5
@@ -30,13 +31,12 @@ def random_system(
     """
     if n_spatial < 1:
         raise ValueError("need at least one spatial orbital")
-    n_spin = 2 * n_spatial
     if n_electrons is None:
         n_electrons = max(2, n_spatial - n_spatial % 2)
     h1 = rng.normal(scale=ONE_BODY_SCALE, size=(n_spatial, n_spatial))
     h1 = (h1 + h1.T) / 2.0
 
-    chem: dict[tuple[int, int, int, int], float] = {}
+    eri = np.zeros((n_spatial,) * 4)
     for i in range(n_spatial):
         for j in range(i + 1):
             for k in range(n_spatial):
@@ -46,17 +46,13 @@ def random_system(
                     if density < 1.0 and rng.random() > density:
                         continue
                     v = rng.normal(scale=TWO_BODY_SCALE)
-                    if abs(v) <= TERM_DROP_THRESHOLD:
-                        continue
                     for perm in _chemist_orbit(i, j, k, l):
-                        chem[perm] = v
+                        eri[perm] = v
 
-    spin_h1, spin_h2 = spin_expand(n_spatial, h1, chem)
     system = MolecularSystem(
-        n_spin_orbitals=n_spin,
         n_electrons=n_electrons,
-        h1=spin_h1,
-        h2=spin_h2,
+        h1=h1,
+        eri=eri,
         core_energy=0.0,
         basis_label=f"synthetic-{n_spatial}",
         orbital_kind="synthetic",

@@ -354,18 +354,18 @@ def loop_product_terms(a: NormalOrderedOperator, b: NormalOrderedOperator):
 # ---------------------------------------------------------------------------
 
 
-def loop_spin_expand(
-    norb: int, h1_spatial: np.ndarray, chem: dict, *, drop_threshold: float = TERM_DROP_THRESHOLD
-):
-    """Spin-orbital integrals by a scan over every (2 norb)^4 index quadruple:
-    the loop ``trotterr.hamiltonian.spin_expand`` replaces.  Its ``h2`` key
-    order is the scan order, ascending by (p, q, r, s)."""
+def loop_spin_expand(system):
+    """Spin-orbital integrals of ``system`` by a scan over every (2 norb)^4
+    index quadruple: the spin-orbital ``h1`` array and the physicist ``h2``
+    dict, entries above ``TERM_DROP_THRESHOLD``, ``h2`` keys in scan order,
+    ascending by (p, q, r, s)."""
+    norb = len(system.h1)
     n = 2 * norb
     h1 = np.zeros((n, n))
     for i in range(norb):
         for j in range(norb):
-            v = h1_spatial[i, j]
-            if abs(v) > drop_threshold:
+            v = system.h1[i, j]
+            if abs(v) > TERM_DROP_THRESHOLD:
                 h1[2 * i, 2 * j] = v
                 h1[2 * i + 1, 2 * j + 1] = v
     h2: dict = {}
@@ -377,10 +377,45 @@ def loop_spin_expand(
                 for s in range(n):
                     if p % 2 != s % 2:
                         continue
-                    v = chem.get((p // 2, s // 2, q // 2, r // 2), 0.0)
-                    if abs(v) > drop_threshold:
-                        h2[(p, q, r, s)] = v
+                    v = system.eri[p // 2, s // 2, q // 2, r // 2]
+                    if abs(v) > TERM_DROP_THRESHOLD:
+                        h2[(p, q, r, s)] = float(v)
     return h1, h2
+
+
+def loop_integral_terms(system):
+    """The ``(cre, ann, val, label)`` term arrays read term by term off
+    :func:`loop_spin_expand`: the construction
+    ``trotterr.hamiltonian._integral_terms`` replaces.  One-body pairs row by
+    row, each followed by its mirror, then ``h2`` in key order; the label is
+    the spatial pair ``i * norb + j``, or ``norb**2`` plus the base-``norb``
+    digits of the least chemist representative of the term's integral."""
+    norb = len(system.h1)
+    h1, h2 = loop_spin_expand(system)
+    rows = []
+    for p in range(2 * norb):
+        for q in range(p, 2 * norb):
+            v = h1[p, q]
+            if abs(v) > TERM_DROP_THRESHOLD:
+                label = p // 2 * norb + q // 2
+                rows.append((1 << p, 1 << q, v, label))
+                if p != q:
+                    rows.append((1 << q, 1 << p, v, label))
+    for (p, q, r, s), v in h2.items():
+        if p == q or r == s:
+            continue
+        sign = -1.0 if (p < q) != (r < s) else 1.0
+        i, j, k, l = min(_chemist_orbit(p // 2, s // 2, q // 2, r // 2))
+        label = norb * norb + ((i * norb + j) * norb + k) * norb + l
+        rows.append(((1 << p) | (1 << q), (1 << r) | (1 << s), (0.5 * v) * sign, label))
+    rows = [row for row in rows if abs(row[2]) >= DEFAULT_DROP_TOLERANCE]
+    cre, ann, val, label = (list(column) for column in zip(*rows)) if rows else ([],) * 4
+    return (
+        np.array(cre, dtype=np.int64),
+        np.array(ann, dtype=np.int64),
+        np.array(val, dtype=np.float64),
+        np.array(label, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +431,13 @@ def loop_spin_expand(
 def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrderedOperator:
     pieces = []
     n = system.n_spin_orbitals
+    h1, h2 = loop_spin_expand(system)
     for p in range(n):
         for q in range(n):
-            v = float(system.h1[p, q])
+            v = float(h1[p, q])
             if abs(v) > TERM_DROP_THRESHOLD:
                 pieces.append(loop_normal_order(LadderTerm(v, (cre(p), ann(q)))))
-    for (p, q, r, s), v in system.h2.items():
+    for (p, q, r, s), v in h2.items():
         pieces.append(loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s)))))
     if include_core and system.core_energy:
         pieces.append(NormalOrderedOperator.identity(system.core_energy))
@@ -411,12 +447,13 @@ def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrd
 def per_integral_fragments_by_integral(system):
     n = system.n_spin_orbitals
     norb = n // 2
+    h1, h2 = loop_spin_expand(system)
     out = []
     for i in range(norb):
         for j in range(i, norb):
             frag = NormalOrderedOperator.zero()
             for (p, q) in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
-                vv = float(system.h1[p, q])
+                vv = float(h1[p, q])
                 if abs(vv) <= TERM_DROP_THRESHOLD:
                     continue
                 frag = frag + loop_normal_order(LadderTerm(vv, (cre(p), ann(q))))
@@ -424,7 +461,7 @@ def per_integral_fragments_by_integral(system):
                     frag = frag + loop_normal_order(LadderTerm(vv, (cre(q), ann(p))))
             out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
     buckets: dict = {}
-    for (p, q, r, s), v in system.h2.items():
+    for (p, q, r, s), v in h2.items():
         rep = min(_chemist_orbit(p // 2, s // 2, q // 2, r // 2))
         term = loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
         buckets[rep] = buckets.get(rep, NormalOrderedOperator.zero()) + term
@@ -436,10 +473,11 @@ def per_integral_fragments_by_integral(system):
 
 def per_integral_fragments_by_term(system):
     n = system.n_spin_orbitals
+    h1, h2 = loop_spin_expand(system)
     out = []
     for p in range(n):
         for q in range(p, n):
-            v = float(system.h1[p, q])
+            v = float(h1[p, q])
             if abs(v) <= TERM_DROP_THRESHOLD:
                 continue
             frag = loop_normal_order(LadderTerm(v, (cre(p), ann(q))))
@@ -448,7 +486,7 @@ def per_integral_fragments_by_term(system):
             out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
     acc = operator_sum(
         loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
-        for (p, q, r, s), v in system.h2.items()
+        for (p, q, r, s), v in h2.items()
     )
     terms = acc.terms
     seen = set()

@@ -1,5 +1,8 @@
 """Integral file parsing, spin expansion, and fragment sequence assembly."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import trotterr.hamiltonian
 from bruteforce import (
     dense_operator,
-    loop_spin_expand,
+    loop_integral_terms,
     per_integral_fragments_by_integral,
     per_integral_fragments_by_term,
     per_integral_hamiltonian,
@@ -19,10 +22,10 @@ from trotterr.hamiltonian import (
     ORDERINGS,
     MolecularSystem,
     TrotterSequence,
+    _integral_terms,
     build_trotter_sequence,
     parse_fcidump,
     load_fcidump,
-    spin_expand,
 )
 from trotterr.synthetic import random_system
 
@@ -42,13 +45,11 @@ class TestParser:
         assert sys1.n_spin_orbitals == 2
         assert sys1.n_electrons == 2
         assert sys1.core_energy == pytest.approx(0.7137758743754461, abs=0)
+        # spatial integrals, stored once
+        assert sys1.h1.shape == (1, 1)
         assert sys1.h1[0, 0] == pytest.approx(-1.2524635735648981, abs=0)
-        assert sys1.h1[1, 1] == pytest.approx(-1.2524635735648981, abs=0)
-        # spin-diagonal expansion of the single Coulomb integral
-        v = 0.6744887663568382
-        assert sys1.h2[(0, 1, 1, 0)] == pytest.approx(v, abs=0)
-        assert sys1.h2[(1, 0, 0, 1)] == pytest.approx(v, abs=0)
-        assert (0, 1, 0, 1) not in sys1.h2  # spins must pair
+        assert sys1.eri.shape == (1, 1, 1, 1)
+        assert sys1.eri[0, 0, 0, 0] == pytest.approx(0.6744887663568382, abs=0)
 
     def test_one_orbital_ground_state_energy(self):
         # doubly occupied level: E = 2 h11 + (11|11)
@@ -120,16 +121,27 @@ class TestParser:
     def test_norb_at_mask_width_accepted(self):
         syst = parse_fcidump("&FCI NORB=31,NELEC=2,MS2=0 /\n 0.5 31 31 31 31\n")
         assert syst.n_spin_orbitals == 62
-        assert syst.h2[(60, 61, 61, 60)] == 0.5
+        assert syst.eri[30, 30, 30, 30] == 0.5
+        assert np.count_nonzero(syst.eri) == 1
+
+    def test_widest_one_record_file_is_quick(self):
+        # the dense (norb,)*4 array makes parsing O(norb**4); at NORB=31
+        # that is tens of milliseconds (best of three, against jitter)
+        text = "&FCI NORB=31,NELEC=2,MS2=0 /\n 0.5 31 31 31 31\n"
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_fcidump(text).hamiltonian()
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.2
 
     def test_eightfold_unfolding(self, fixture_dir):
         text = (fixture_dir / "h2_sto6g_local.fcidump").read_text()
         syst = parse_fcidump(text)
         syst.validate()
-        # physicist symmetry pair h_pqrs = h_qpsr and h_pqrs = h_srqp
-        for (p, q, r, s), v in syst.h2.items():
-            assert syst.h2[(q, p, s, r)] == pytest.approx(v, rel=1e-12)
-            assert syst.h2[(s, r, q, p)] == pytest.approx(v, rel=1e-12)
+        # each record fills its whole orbit: (ij|kl) = (ji|kl) = (ij|lk) = (kl|ij)
+        for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            assert np.array_equal(syst.eri, syst.eri.transpose(axes))
 
 
 # Tokens that move the parser between its branches: digits, signs,
@@ -193,17 +205,81 @@ def test_parse_fcidump_validates_or_raises_documented_errors(fixture_dir, data):
     assert syst.n_spin_orbitals <= 62
 
 
+class TestValidate:
+    """The symmetry and shape contract of the stored integrals.  Spin
+    conservation needs no check: spatial integrals cannot express a
+    spin-mixing term."""
+
+    @staticmethod
+    def _system():
+        return random_system(np.random.default_rng(0), 3)
+
+    def test_generated_system_passes(self):
+        self._system().validate()
+
+    @pytest.mark.parametrize(
+        "symmetry, touched",
+        [
+            # each perturbation is closed under the other symmetry
+            ("(ij|kl) = (kl|ij)", [(0, 1, 2, 2), (1, 0, 2, 2)]),
+            ("(ij|kl) = (ji|lk)", [(0, 1, 2, 2), (2, 2, 0, 1)]),
+        ],
+        ids=["electron-relabeling", "real-orbitals"],
+    )
+    def test_rejects_each_broken_symmetry(self, symmetry, touched):
+        syst = self._system()
+        for index in touched:
+            syst.eri[index] += 1e-6
+        with pytest.raises(ValidationError, match=re.escape(symmetry)):
+            syst.validate()
+
+    def test_rejects_misshapen_eri(self):
+        syst = self._system()
+        syst.eri = syst.eri[:, :, :, :2]
+        with pytest.raises(ValidationError, match="eri shape"):
+            syst.validate()
+
+    def test_rejects_asymmetric_or_misshapen_h1(self):
+        syst = self._system()
+        syst.h1[0, 1] += 0.1
+        with pytest.raises(ValidationError, match="h1 is not symmetric"):
+            syst.validate()
+        syst.h1 = syst.h1[:, :2]
+        with pytest.raises(ValidationError, match="h1 shape"):
+            syst.validate()
+
+
 class TestSpinExpansion:
+    """Spin orbitals are formed from the spatial integrals only by
+    ``_integral_terms``."""
+
     def test_spin_blocks(self):
         h1 = np.array([[1.0, 0.25], [0.25, -1.0]])
-        spin_h1, _ = spin_expand(2, h1, {})
-        assert spin_h1[0, 2] == 0.25 and spin_h1[1, 3] == 0.25
-        assert spin_h1[0, 1] == 0.0 and spin_h1[0, 3] == 0.0
+        cre, ann, val, _ = _integral_terms(MolecularSystem(2, h1, np.zeros((2,) * 4)))
+        orbitals = [(c.bit_length() - 1, a.bit_length() - 1)
+                    for c, a in zip(cre.tolist(), ann.tolist())]
+        assert dict(zip(orbitals, val.tolist())) == {
+            (0, 0): 1.0, (0, 2): 0.25, (2, 0): 0.25, (1, 1): 1.0,
+            (1, 3): 0.25, (3, 1): 0.25, (2, 2): -1.0, (3, 3): -1.0,
+        }
 
     def test_two_body_spin_pairing(self):
-        chem = {(0, 0, 0, 0): 2.0}
-        _, h2 = spin_expand(1, np.zeros((1, 1)), chem)
-        assert set(h2) == {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)}
+        # the Coulomb integral (11|22): electron 1 stays in spin orbital 0 or
+        # 1, electron 2 in 2 or 3, in all four spin combinations
+        eri = np.zeros((2,) * 4)
+        eri[0, 0, 1, 1] = eri[1, 1, 0, 0] = 2.0
+        cre, ann, val, _ = _integral_terms(MolecularSystem(2, np.zeros((2, 2)), eri))
+        assert cre.tolist() == ann.tolist()
+        assert sorted(cre.tolist()) == [0b0101, 0b0101, 0b0110, 0b0110,
+                                        0b1001, 0b1001, 0b1010, 0b1010]
+        assert val.tolist() == [-1.0] * 8
+
+    def test_every_term_conserves_each_spin(self, fixture_dir):
+        alpha = sum(1 << p for p in range(0, 8, 2))
+        syst = load_fcidump(fixture_dir / "h4_sto6g_local.fcidump")
+        cre, ann, _, _ = _integral_terms(syst)
+        assert np.array_equal(np.bitwise_count(cre & alpha), np.bitwise_count(ann & alpha))
+        assert np.array_equal(np.bitwise_count(cre), np.bitwise_count(ann))
 
     @pytest.mark.parametrize(
         "source",
@@ -217,31 +293,18 @@ class TestSpinExpansion:
         ],
         ids=str,
     )
-    def test_matches_quadruple_scan(self, fixture_dir, monkeypatch, source):
-        # h2's key order becomes the Hamiltonian's term order, so the entries
-        # must come out in the scan's order, not just as the same set
-        import trotterr.hamiltonian
-        import trotterr.synthetic
-
-        calls = []
-
-        def recording(*args, **kwargs):
-            out = spin_expand(*args, **kwargs)
-            calls.append((args, kwargs, out))
-            return out
-
-        monkeypatch.setattr(trotterr.hamiltonian, "spin_expand", recording)
-        monkeypatch.setattr(trotterr.synthetic, "spin_expand", recording)
+    def test_matches_quadruple_scan(self, fixture_dir, source):
+        # the arrays' order becomes the Hamiltonian's term order, so they
+        # must come out in the scan's order, bit for bit
         if isinstance(source, tuple):
             n, seed, density = source
-            random_system(np.random.default_rng(seed), n, density=density)
+            syst = random_system(np.random.default_rng(seed), n, density=density)
         else:
-            parse_fcidump((fixture_dir / f"{source}.fcidump").read_text())
-        (args, kwargs, (h1, h2)), = calls
-        ref_h1, ref_h2 = loop_spin_expand(*args, **kwargs)
-        assert h2
-        assert np.array_equal(h1, ref_h1)
-        assert list(h2.items()) == list(ref_h2.items())
+            syst = parse_fcidump((fixture_dir / f"{source}.fcidump").read_text())
+        got, want = _integral_terms(syst), loop_integral_terms(syst)
+        assert len(want[0])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestSequences:
@@ -392,14 +455,17 @@ class TestIntegralTerms:
             ], (g, o)
 
     def test_vanishing_and_signed_terms(self):
-        # a+_1 a+_0 a_1 a_0 in all four index orders, plus two that vanish
-        h2 = {(0, 1, 0, 1): 1.0, (1, 0, 1, 0): 1.0, (0, 1, 1, 0): 3.0,
-              (1, 0, 0, 1): 3.0, (0, 0, 1, 1): 5.0, (1, 1, 0, 0): 5.0}
-        syst = MolecularSystem(2, 2, np.zeros((2, 2)), h2)
-        cre, ann, val, label = trotterr.hamiltonian._integral_terms(syst)
-        assert cre.tolist() == [3, 3, 3, 3]
-        assert ann.tolist() == [3, 3, 3, 3]
-        # sorting each half descending: (0,1|0,1) flips twice, (0,1|1,0) once
-        assert val.tolist() == [0.5, 0.5, -1.5, -1.5]
-        # norb**2 plus the class (11|11), whose digits are all zero
-        assert label.tolist() == [1] * 4
+        # (11|11) on one spatial orbital: same-spin pairs vanish, the two
+        # opposite-spin ones flip once; (12|21): every assignment flips twice
+        eri = np.zeros((2,) * 4)
+        eri[0, 0, 0, 0] = 3.0
+        eri[0, 1, 1, 0] = 1.0
+        syst = MolecularSystem(2, np.zeros((2, 2)), eri)
+        cre, ann, val, label = _integral_terms(syst)
+        # (p, q, r, s) ascending: (0,1,1,0) (0,2,0,2) (0,3,1,2) (1,0,0,1)
+        # (1,2,0,3) (1,3,1,3)
+        assert cre.tolist() == [0b0011, 0b0101, 0b1001, 0b0011, 0b0110, 0b1010]
+        assert ann.tolist() == [0b0011, 0b0101, 0b0110, 0b0011, 0b1001, 0b1010]
+        assert val.tolist() == [-1.5, 0.5, 0.5, -1.5, 0.5, 0.5]
+        # norb**2 plus the class digits: (11|11) is 0, (12|12) is 0101 in base 2
+        assert label.tolist() == [4, 9, 9, 4, 9, 9]
