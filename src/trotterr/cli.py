@@ -6,12 +6,12 @@ full JSON report, ``spectrum``/``marginals`` export CSV for plotting,
 from tabulated data, and ``prep-cost`` prices state preparation.
 
 Exit codes: 0 success, 2 usage or domain error, 3 integral-file parse
-error, 4 resource limit, 5 numerical failure, 6 file I/O.  Importing
-this module loads neither numpy nor scipy (the package namespace is lazy);
-heavy modules are imported inside the handlers, so a ``--threads`` cap (or
-the TROTTERR_THREADS variable) is in place before any numerical library
-starts its worker pool.  scipy is imported only by the Lanczos solvers,
-which run above ``--dense-limit``.
+error, 4 resource limit or out of memory, 5 numerical failure, 6 file
+I/O.  Importing this module loads neither numpy nor scipy (the package
+namespace is lazy); heavy modules are imported inside the handlers, so a
+``--threads`` cap (or the TROTTERR_THREADS variable) is in place before
+any numerical library starts its worker pool.  scipy is imported only by
+the Lanczos solvers, which run above ``--dense-limit``.
 
 Each JSON payload embeds the schema version, tool version, input file
 hash, and every parameter that influenced the numbers, so a rerun with
@@ -446,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_USAGE, "usage", exc)
     except ResourceLimitError as exc:
         return _fail(EXIT_RESOURCE, "resource", exc)
+    except MemoryError:
+        return _fail(EXIT_RESOURCE, "resource", f"out of memory in {args.command}")
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, "numerical", exc)
     except OSError as exc:
@@ -453,8 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-def _fail(code: int, family: str, exc: Exception) -> int:
-    print(f"trotterr: {family} error: {exc}", file=sys.stderr)
+def _fail(code: int, family: str, detail: Exception | str) -> int:
+    print(f"trotterr: {family} error: {detail}", file=sys.stderr)
     return code
 
 

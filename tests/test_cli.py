@@ -155,6 +155,18 @@ class TestAnalyzeCommand:
         assert code == EXIT_NUMERICAL
         assert "Lanczos did not converge" in err
 
+    def test_out_of_memory_is_resource(self, h2_path, capsys, monkeypatch):
+        import trotterr.analysis
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(trotterr.analysis, "build_error_operator", exhausted)
+        code, stdout, err = run(capsys, "analyze", "--fcidump", h2_path)
+        assert code == EXIT_RESOURCE
+        assert stdout == ""
+        assert err == "trotterr: resource error: out of memory in analyze\n"
+
     def test_unknown_flag_value_is_argparse_usage(self, h2_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--fcidump", h2_path, "--ordering", "bogus"])

@@ -1,9 +1,12 @@
 """Leading-order product-formula error operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bruteforce import dense_operator
+from trotterr import trotter
 from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
@@ -210,6 +213,69 @@ def test_underflowing_step_is_numerical_error(fixture_dir, delta_t):
     seq = build_trotter_sequence(syst)
     with pytest.raises(NumericalError, match="underflow"):
         build_error_operator(seq, delta_t)
+
+
+def _fold_cases():
+    for name in ("canonical", "local", "natural"):
+        yield f"h2_sto6g_{name}", "integral"
+    yield "h4_sto6g_local", "integral"
+    for n in range(1, 6):
+        for seed in range(3):
+            yield (n, seed), "integral"
+            if n <= 4:
+                yield (n, seed), "term"
+
+
+@pytest.mark.parametrize("case, granularity", list(_fold_cases()), ids=str)
+def test_folding_is_byte_identical(fixture_dir, monkeypatch, case, granularity):
+    """Folding the pieces as often as the rule allows, once at the end, or at
+    the default budget gives the same bytes."""
+    if isinstance(case, str):
+        syst = parse_fcidump((fixture_dir / f"{case}.fcidump").read_text())
+    else:
+        syst = random_system(np.random.default_rng(case[1]), case[0])
+    seq = build_trotter_sequence(syst, granularity=granularity)
+    operator_sum = trotter.operator_sum
+    calls = []
+
+    def spy(ops, **kwargs):
+        calls.append(len(ops))
+        return operator_sum(ops, **kwargs)
+
+    monkeypatch.setattr(trotter, "operator_sum", spy)
+    default = trotter.FOLD_TERMS
+    built = {}
+    folds = {}
+    for budget in (1, 1 << 62, default):
+        monkeypatch.setattr(trotter, "FOLD_TERMS", budget)
+        calls.clear()
+        op = build_error_operator(seq, 1.0).op
+        built[budget] = [a.tobytes() for a in (op.cre, op.ann, op.val)]
+        folds[budget] = len(calls)
+    assert built[1] == built[1 << 62] == built[default]
+    assert folds[1 << 62] == 1
+    if len(op):
+        # at budget 1 every case with a nonzero V folds at least twice in the
+        # loop before the last fold
+        assert folds[1] >= 3
+
+
+# tracemalloc peak of the synthetic-5 V build (10 spin orbitals, 1.45M
+# unsummed piece terms, 21,125 terms in V): 105 MiB when every piece is held
+# for one final sum, 24.9 MiB with the pieces folded at the 2^18 budget
+SYN5_BUILD_PEAK_BUDGET = 40 * 2**20
+
+
+def test_synthetic5_build_stays_in_bounded_memory():
+    seq = build_trotter_sequence(random_system(np.random.default_rng(0), 5))
+    tracemalloc.start()
+    try:
+        error = build_error_operator(seq, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(error.op) == 21125
+    assert peak < SYN5_BUILD_PEAK_BUDGET, f"{peak / 2**20:.1f} MiB"
 
 
 class TestTrotterNumber:
