@@ -27,8 +27,8 @@ from ._version import __version__
 # Public names, by the module that defines them.
 _EXPORTS = {
     "analysis": (
-        "ErrorAnalysisReport", "PowerLawFit", "analyze", "ansatz_error",
-        "fit_power_law", "orbital_marginals",
+        "ErrorAnalysisReport", "PowerLawFit", "analyze", "fit_power_law",
+        "orbital_marginals",
     ),
     "ci": ("CITruncation", "ci_ground_state", "hartree_fock_state"),
     "errors": (

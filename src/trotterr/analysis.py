@@ -6,9 +6,8 @@ number estimate into one report.  Everything in the report is a pure
 function of (integrals, ordering, step size, options), so serializing it
 twice yields byte-identical JSON; no timestamps, no machine identifiers.
 
-Supporting analyses mirror the report's ingredients at smaller granularity:
-``ansatz_error`` for a single truncation level, ``orbital_marginals`` for
-the per-orbital-pair magnitude distribution of the error terms, and
+Two supporting analyses stand beside it: ``orbital_marginals`` for the
+per-orbital-pair magnitude distribution of the error terms, and
 ``fit_power_law`` for log-log scaling estimates.
 """
 
@@ -24,12 +23,13 @@ import numpy as np
 from ._version import __version__
 from .ci import CITruncation, ci_ground_state, hartree_fock_state
 from .errors import NumericalError, ValidationError
+from .fermion import _term_order_sum
 from .fock import (
     DENSE_LIMIT,
     CIVector,
     RestrictedOperator,
     SectorBasis,
-    expectation,
+    expectation,  # noqa: F401  looked up here by bench/tracing.py
     ground_state,
     spectral_norm,  # noqa: F401  looked up here by bench/tracing.py
 )
@@ -88,9 +88,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
 # ---------------------------------------------------------------------------
 
 
-def orbital_marginals(
-    error: ErrorOperator, n_orbitals: int | None = None
-) -> np.ndarray:
+def orbital_marginals(error: ErrorOperator) -> np.ndarray:
     """Per-orbital-pair magnitude distribution of the error terms.
 
     ``M[i, j]`` sums |coefficient| over every term whose ladder-index
@@ -98,11 +96,11 @@ def orbital_marginals(
     orbital i at least twice (for example a number operator).  A term
     spanning more than two distinct orbitals contributes its full magnitude
     to every unordered pair it touches, so this is a marginal distribution;
-    row/column sums intentionally overcount the total norm.
+    row/column sums intentionally overcount the total norm.  The matrix is
+    ``error.n_spin_orbitals`` square.
     """
     op = error.op
-    if n_orbitals is None:
-        n_orbitals = error.n_spin_orbitals
+    n_orbitals = error.n_spin_orbitals
     if op.max_orbital() >= n_orbitals:
         raise ValidationError(
             f"operator touches orbital {op.max_orbital()}, matrix has {n_orbitals}"
@@ -121,14 +119,8 @@ def orbital_marginals(
     return out
 
 
-def _term_order_sum(weights: np.ndarray) -> float:
-    # bincount adds in input order from 0.0, as a term-by-term loop would;
-    # np.sum's pairwise summation rounds differently
-    return np.bincount(np.zeros(len(weights), dtype=np.intp), weights, 1)[0]
-
-
 # ---------------------------------------------------------------------------
-# CI-ansatz error estimates.
+# CI vectors in the sector basis.
 # ---------------------------------------------------------------------------
 
 
@@ -143,24 +135,6 @@ def embed_in_sector(vector: CIVector, sector: SectorBasis) -> CIVector:
     amplitudes = np.zeros(sector.dim)
     amplitudes[pos] = vector.amplitudes
     return CIVector(sector, amplitudes)
-
-
-def ansatz_error(
-    system: MolecularSystem,
-    trunc: CITruncation,
-    error: ErrorOperator,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-) -> float:
-    """Expectation of the error operator on the truncated-CI ground state.
-
-    The CI vector is solved in its excitation subspace, then zero-padded
-    into the full particle-number sector so the error operator acts without
-    any projection.
-    """
-    _, ci_vec = ci_ground_state(system, trunc, dense_limit=dense_limit)
-    sector = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-    return expectation(error.op, embed_in_sector(ci_vec, sector))
 
 
 # ---------------------------------------------------------------------------

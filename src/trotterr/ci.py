@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import ValidationError
 from .fermion import NormalOrderedOperator
@@ -59,12 +58,6 @@ def hartree_fock_state(system: MolecularSystem) -> int:
     for i in range(n_beta):
         state |= 1 << (2 * i + 1)
     return state
-
-
-def excitation_count(n_orbitals: int, n_electrons: int, level: int) -> int:
-    """Number of configurations within ``level`` excitations of a reference."""
-    virtual = n_orbitals - n_electrons
-    return sum(comb(n_electrons, j) * comb(virtual, j) for j in range(level + 1))
 
 
 def excitation_basis(trunc: CITruncation, n_orbitals: int) -> SectorBasis:

@@ -56,7 +56,6 @@ instances are treated as immutable.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
@@ -228,9 +227,9 @@ class NormalOrderedOperator:
         return len(self.val) > 0
 
     def coefficient_l1(self) -> float:
-        """Sum of absolute coefficients, accumulated sequentially in term
-        order (builtin ``sum``, not numpy's pairwise sum)."""
-        return sum(np.abs(self.val).tolist())
+        """Sum of absolute coefficients, added one by one in term order
+        from 0.0 (see :func:`_term_order_sum`)."""
+        return _term_order_sum(np.abs(self.val))
 
     def max_abs_coefficient(self) -> float:
         return float(np.abs(self.val).max(initial=0.0))
@@ -376,6 +375,13 @@ def _combine(
     keep = np.abs(sums) >= drop_tolerance
     rows = rows[keep]
     return NormalOrderedOperator._from_arrays(cmasks[rows], amasks[rows], sums[keep])
+
+
+def _term_order_sum(weights: np.ndarray) -> float:
+    """``weights`` added one by one in input order from 0.0, as a
+    term-by-term loop would: ``np.sum`` adds pairwise, and the builtin
+    ``sum`` of floats compensates its rounding since Python 3.12."""
+    return float(np.bincount(np.zeros(len(weights), dtype=np.intp), weights, 1)[0])
 
 
 def _rank(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
@@ -601,19 +607,14 @@ def operator_sum(
     return _sum(ops, drop_tolerance)
 
 
-def trace(
-    op: NormalOrderedOperator,
-    n_orbitals: int,
-    n_electrons: int | None = None,
-) -> float:
-    """Trace over the full Fock space, or over one particle-number sector.
+def trace(op: NormalOrderedOperator, n_orbitals: int) -> float:
+    """Trace over the full Fock space of ``n_orbitals`` spin orbitals.
 
     Only keys whose creation and annihilation groups coincide have diagonal
     matrix elements.  Such a key with k orbitals equals
     ``(-1)^(k(k-1)/2) * prod n_p``, so it contributes its coefficient times
-    that sign once per basis configuration containing all k orbitals:
-    ``2^(N-k)`` configurations in full Fock space, ``C(N-k, n-k)`` in the
-    n-electron sector.  The contributions are added in term order.
+    that sign once per basis configuration containing all k orbitals,
+    ``2^(N-k)`` of them.  The contributions are added in term order.
     """
     if n_orbitals <= op.max_orbital():
         raise ValidationError(
@@ -624,13 +625,7 @@ def trace(
     for mask, c in zip(op.cre[diagonal].tolist(), op.val[diagonal].tolist()):
         k = mask.bit_count()
         sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
-        if n_electrons is None:
-            count = 1 << (n_orbitals - k)
-        elif k > n_electrons:
-            count = 0
-        else:
-            count = math.comb(n_orbitals - k, n_electrons - k)
-        total += c * sign * count
+        total += c * sign * (1 << (n_orbitals - k))
     return total
 
 

@@ -39,14 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fermion import HERMITIAN_REL_TOL, NormalOrderedOperator
+from .fermion import NormalOrderedOperator
 from .fock import DENSE_LIMIT, SectorBasis, full_spectrum, to_dense
 from .trotter import ErrorOperator
 
 ENSEMBLES = ("complex", "real")
 
-# samples per independently seeded block; determinism contract is
-# (seed, block_size), so changing the default would change output streams
+# samples per independently seeded block; the streams are fixed by
+# (seed, SAMPLE_BLOCK), so changing it would change every output stream
 SAMPLE_BLOCK = 8192
 
 # rows of the complex ensemble's second Gaussian drawn at a time, which
@@ -180,26 +180,24 @@ def haar_error_distribution(
     seed: int,
     *,
     ensemble: str = "complex",
-    block_size: int = SAMPLE_BLOCK,
     dense_limit: int = DENSE_LIMIT,
 ) -> HaarReport:
     """Sample <v|V|v> over Haar-random unit vectors on ``basis``.
 
     One dense diagonalization up front, then O(dim) per sample; the
-    stream is bit-reproducible given (seed, block_size, ensemble).
+    stream is bit-reproducible given (seed, ensemble), in blocks of
+    ``SAMPLE_BLOCK`` samples.
     """
     _check_ensemble(ensemble)
     if n_samples < 2:
         raise ValidationError(f"need n_samples >= 2, got {n_samples}")
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if block_size < 1:
-        raise ValidationError(f"block_size must be >= 1, got {block_size}")
     lam = full_spectrum(error.op, basis, dense_limit=dense_limit)
     # the squares of eigenvalues above ~1e154 overflow long before V itself
     # does: that is a numerical failure, not a report of inf
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _sample_quadratic_form(lam, n_samples, seed, ensemble, block_size)
+        samples = _sample_quadratic_form(lam, n_samples, seed, ensemble, SAMPLE_BLOCK)
         mean, var = haar_quadratic_form_stats(lam, ensemble=ensemble)
         bound = math.sqrt(float(lam @ lam)) / basis.dim
         empirical_mean, empirical_variance = float(samples.mean()), float(samples.var(ddof=1))
@@ -254,10 +252,8 @@ def eigenstate_error_distribution(
     spectral radius are flagged as one degenerate cluster (chained gaps
     merge).
     """
+    hamiltonian.require_hermitian("hamiltonian is not Hermitian")
     hmat = to_dense(hamiltonian, basis, dense_limit=dense_limit)
-    defect = float(np.max(np.abs(hmat - hmat.T)))
-    if defect > HERMITIAN_REL_TOL * max(1.0, float(np.max(np.abs(hmat)))):
-        raise ValidationError(f"hamiltonian is not symmetric here (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(hmat)
     vmat = to_dense(error.op, basis, dense_limit=dense_limit)
     errors = np.einsum("ji,jk,ki->i", vecs, vmat, vecs, optimize=True)

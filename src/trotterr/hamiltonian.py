@@ -26,7 +26,7 @@ therefore conserves the number of electrons of each spin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ class MolecularSystem:
             raise ValidationError(
                 f"MS2={self.ms2} inconsistent with NELEC={self.n_electrons}"
             )
-        if not np.allclose(self.h1, self.h1.T, atol=1e-12):
+        if not np.all(np.abs(self.h1 - self.h1.T) <= 1e-12):
             raise ValidationError("h1 is not symmetric")
         # electron relabeling and real orbitals
         for symmetry, axes in (("(ij|kl) = (kl|ij)", (2, 3, 0, 1)),
@@ -87,13 +87,13 @@ class MolecularSystem:
             if not np.all(np.abs(self.eri - self.eri.transpose(axes)) <= 1e-10):
                 raise ValidationError(f"eri symmetry {symmetry} violated")
 
-    def hamiltonian(self, *, include_core: bool = False) -> NormalOrderedOperator:
-        """The second-quantized operator; the scalar core energy is excluded
-        unless requested, since it only shifts every eigenvalue.
+    def hamiltonian(self) -> NormalOrderedOperator:
+        """The second-quantized operator without the scalar core energy,
+        which only shifts every eigenvalue.
 
         Terms are listed in order of first appearance over the spin-orbital
         one-body scan (row by row, ascending ``(p, q)``), then two-body terms
-        ascending by spin ``(p, q, r, s)``, then the core energy.
+        ascending by spin ``(p, q, r, s)``.
         """
         cre, ann, val, _ = _integral_terms(self)
         # one-body terms come first; ascending (cre, ann) is the row scan
@@ -101,11 +101,9 @@ class MolecularSystem:
         order = np.concatenate(
             [np.lexsort((ann[:n_one], cre[:n_one])), np.arange(n_one, len(val))]
         )
-        cre, ann, val = cre[order], ann[order], val[order]
-        if include_core and self.core_energy:
-            cre, ann = np.append(cre, 0), np.append(ann, 0)
-            val = np.append(val, float(self.core_energy))
-        return _combine(cre, ann, val, DEFAULT_DROP_TOLERANCE, first_seen=True)
+        return _combine(
+            cre[order], ann[order], val[order], DEFAULT_DROP_TOLERANCE, first_seen=True
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,6 @@ class TrotterSequence:
     ordering: str
     granularity: str
     n_spin_orbitals: int
-    labels: list[str] = field(default_factory=list)
 
     @property
     def ordering_label(self) -> str:
@@ -340,20 +337,19 @@ def build_trotter_sequence(
         keyed.sort(key=lambda t: t[0])
     else:
         diagonal = sorted(
-            (t for t in keyed if _is_diagonal(t[2])), key=lambda t: t[0]
+            (t for t in keyed if _is_diagonal(t[1])), key=lambda t: t[0]
         )
-        off = [t for t in keyed if not _is_diagonal(t[2])]
+        off = [t for t in keyed if not _is_diagonal(t[1])]
         if ordering == "magnitude-descending":
-            off.sort(key=lambda t: (-t[2].coefficient_l1(), t[0]))
+            off.sort(key=lambda t: (-t[1].coefficient_l1(), t[0]))
         else:
             off.sort(key=lambda t: t[0])
         keyed = diagonal + off
     sequence = TrotterSequence(
-        fragments=[frag for _, _, frag in keyed],
+        fragments=[frag for _, frag in keyed],
         ordering=ordering,
         granularity=granularity,
         n_spin_orbitals=system.n_spin_orbitals,
-        labels=[label for _, label, _ in keyed],
     )
     for frag in sequence.fragments:
         frag.require_hermitian("fragment not Hermitian")
@@ -435,18 +431,17 @@ def _groups(label: np.ndarray):
 
 
 def _fragments(system, granularity):
-    """``(sort key, name, fragment)`` per nonempty fragment, each the
-    first-seen sum of the Hamiltonian terms that share one label.
+    """``(sort key, fragment)`` per nonempty fragment, each the first-seen
+    sum of the Hamiltonian terms that share one label.
 
     Granularity "integral" labels a term by its spatial integral (see
-    :func:`_integral_terms`): the key is ``(0, i, j, 0, 0)`` and the name
-    ``h[i,j]`` for a one-body pair, ``(1, i, j, k, l)`` and ``(ij|kl)``
-    (one-based) for a chemist class.  Granularity "term" labels a term by
-    its ``(min(cre, ann), max(cre, ann))`` masks, which puts every term with
-    its adjoint; the key and name come from the fragment's least
-    ``rep = creations + annihilations`` (both descending): ``(0, p, q, 0, 0)``
-    and ``h[p,q]`` for a one-body pair, ``(1,) + rep`` and ``g{rep}`` for a
-    two-body term.
+    :func:`_integral_terms`): the key is ``(0, i, j, 0, 0)`` for a one-body
+    pair and ``(1, i, j, k, l)`` for a chemist class ``(ij|kl)``.
+    Granularity "term" labels a term by its ``(min(cre, ann), max(cre, ann))``
+    masks, which puts every term with its adjoint; the key comes from the
+    fragment's least ``rep = creations + annihilations`` (both descending):
+    ``(0, p, q, 0, 0)`` for a one-body pair, ``(1,) + rep`` for a two-body
+    term.
 
     A single sum per fragment matches adding the terms one at a time except
     where a partial sum of a key falls below the drop tolerance while its
@@ -472,15 +467,11 @@ def _fragments(system, granularity):
                 _bits_desc(c) + _bits_desc(a)
                 for c, a in zip(frag.cre.tolist(), frag.ann.tolist())
             )
-            if len(rep) == 2:
-                out.append(((0, *rep, 0, 0), f"h[{rep[0]},{rep[1]}]", frag))
-            else:
-                out.append(((1, *rep), f"g{rep}", frag))
+            key = (0, *rep, 0, 0) if len(rep) == 2 else (1, *rep)
         elif code < norb * norb:
-            i, j = divmod(code, norb)
-            out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
+            key = (0, *divmod(code, norb), 0, 0)
         else:
             code -= norb * norb
-            i, j, k, l = (code // norb**e % norb for e in (3, 2, 1, 0))
-            out.append(((1, i, j, k, l), f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
+            key = (1, *(code // norb**e % norb for e in (3, 2, 1, 0)))
+        out.append((key, frag))
     return out

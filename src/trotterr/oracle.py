@@ -20,6 +20,9 @@ from .hamiltonian import TrotterSequence
 UNITARITY_TOL = 1e-10
 # the Frobenius norm a unitary's Schur form may carry off its diagonal
 SCHUR_OFF_DIAGONAL_TOL = 1e-8
+# step sizes of the Richardson table, each half the one before: the table
+# assumes the ratio 2 between neighbouring steps
+RICHARDSON_STEPS = (0.1, 0.05, 0.025)
 
 
 def trotter_propagator(
@@ -109,49 +112,24 @@ def measured_trotter_shift(
     return measured - e_true
 
 
-def matched_spectrum_deviation(
-    seq: TrotterSequence,
-    delta_t: float,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-) -> float:
-    """Max |eigenphase energy - H eigenvalue| over all overlap-matched levels."""
-    h = to_dense(seq.total(), basis, dense_limit=dense_limit)
-    energies, vectors = np.linalg.eigh(h)
-    u = trotter_propagator(seq, delta_t, basis, dense_limit=dense_limit)
-    phases, z = _unitary_eigensystem(u)
-    overlap = np.abs(z.conj().T @ vectors.astype(complex)) ** 2
-    worst = 0.0
-    for i in range(basis.dim):
-        j = int(np.argmax(overlap[:, i]))
-        worst = max(worst, abs(-float(phases[j]) / delta_t - float(energies[i])))
-    return worst
-
-
 def richardson_shift_coefficient(
     seq: TrotterSequence,
     basis: SectorBasis,
     state_index: int,
     *,
-    deltas: tuple[float, ...] = (0.1, 0.05, 0.025),
     dense_limit: int = DENSE_LIMIT,
 ) -> float:
     """Extrapolated delta_t**2 coefficient of the measured shift.
 
     Divides each measured shift by delta_t**2 and removes the remaining
-    even-order corrections with a Richardson table over successively halved
-    steps, so the result approximates the prediction at delta_t = 1.
+    even-order corrections with a Richardson table over the halved steps
+    ``RICHARDSON_STEPS``, so the result approximates the prediction at
+    delta_t = 1.
     """
-    if len(deltas) < 2:
-        raise ValidationError("need at least two step sizes")
-    for a, b in zip(deltas, deltas[1:]):
-        if not np.isclose(b, a / 2):
-            raise ValidationError("step sizes must halve at each stage")
     rows = [
         measured_trotter_shift(seq, dt, basis, state_index, dense_limit=dense_limit)
         / (dt * dt)
-        for dt in deltas
+        for dt in RICHARDSON_STEPS
     ]
     order = 2
     while len(rows) > 1:

@@ -424,11 +424,11 @@ def loop_integral_terms(system):
 # Every integral is reduced by ``loop_normal_order`` and the pieces are
 # summed with ``+`` or ``operator_sum``: the construction that
 # ``trotterr.hamiltonian._integral_terms`` replaces.  Fragments are returned
-# as the package's ``(key, label, fragment)`` triples.
+# as the package's ``(key, fragment)`` pairs.
 # ---------------------------------------------------------------------------
 
 
-def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrderedOperator:
+def per_integral_hamiltonian(system) -> NormalOrderedOperator:
     pieces = []
     n = system.n_spin_orbitals
     h1, h2 = loop_spin_expand(system)
@@ -439,8 +439,6 @@ def per_integral_hamiltonian(system, *, include_core: bool = False) -> NormalOrd
                 pieces.append(loop_normal_order(LadderTerm(v, (cre(p), ann(q)))))
     for (p, q, r, s), v in h2.items():
         pieces.append(loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s)))))
-    if include_core and system.core_energy:
-        pieces.append(NormalOrderedOperator.identity(system.core_energy))
     return operator_sum(pieces)
 
 
@@ -459,15 +457,14 @@ def per_integral_fragments_by_integral(system):
                 frag = frag + loop_normal_order(LadderTerm(vv, (cre(p), ann(q))))
                 if p != q:
                     frag = frag + loop_normal_order(LadderTerm(vv, (cre(q), ann(p))))
-            out.append(((0, i, j, 0, 0), f"h[{i},{j}]", frag))
+            out.append(((0, i, j, 0, 0), frag))
     buckets: dict = {}
     for (p, q, r, s), v in h2.items():
         rep = min(_chemist_orbit(p // 2, s // 2, q // 2, r // 2))
         term = loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
         buckets[rep] = buckets.get(rep, NormalOrderedOperator.zero()) + term
     for rep, frag in buckets.items():
-        i, j, k, l = rep
-        out.append(((1,) + rep, f"({i + 1}{j + 1}|{k + 1}{l + 1})", frag))
+        out.append(((1,) + rep, frag))
     return out
 
 
@@ -483,7 +480,7 @@ def per_integral_fragments_by_term(system):
             frag = loop_normal_order(LadderTerm(v, (cre(p), ann(q))))
             if p != q:
                 frag = frag + loop_normal_order(LadderTerm(v, (cre(q), ann(p))))
-            out.append(((0, p, q, 0, 0), f"h[{p},{q}]", frag))
+            out.append(((0, p, q, 0, 0), frag))
     acc = operator_sum(
         loop_normal_order(LadderTerm(0.5 * v, (cre(p), cre(q), ann(r), ann(s))))
         for (p, q, r, s), v in h2.items()
@@ -502,7 +499,7 @@ def per_integral_fragments_by_term(system):
         seen.update(group)
         frag = NormalOrderedOperator({k: terms[k] for k in group}, drop_tolerance=0.0)
         rep = min(k[0] + k[1] for k in group)
-        out.append(((1,) + rep, f"g{rep}", frag))
+        out.append(((1,) + rep, frag))
     return out
 
 

@@ -11,14 +11,13 @@ from trotterr.analysis import (
     ErrorAnalysisReport,
     PowerLawFit,
     analyze,
-    ansatz_error,
     embed_in_sector,
     fit_power_law,
     marginals_csv,
     orbital_marginals,
     spectrum_csv,
 )
-from trotterr.ci import CITruncation, hartree_fock_state
+from trotterr.ci import hartree_fock_state
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import NormalOrderedOperator
 from trotterr.fock import (
@@ -53,6 +52,11 @@ def h2_local(fixture_dir):
 @pytest.fixture(scope="module")
 def h2_error(h2_local):
     return build_error_operator(build_trotter_sequence(h2_local), 1.0)
+
+
+@pytest.fixture(scope="module")
+def h2_report(h2_local):
+    return analyze(h2_local)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +164,10 @@ class TestOrbitalMarginals:
         )
         assert upper >= nonscalar - 1e-12
 
-    def test_rejects_undersized_matrix(self, h2_error):
-        with pytest.raises(ValidationError):
-            orbital_marginals(h2_error, 2)
+    def test_rejects_undersized_matrix(self):
+        op = NormalOrderedOperator.from_key(((3,), (3,)), 1.0)
+        with pytest.raises(ValidationError, match="touches orbital 3"):
+            orbital_marginals(synthetic_error(op, 2))
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     @pytest.mark.parametrize(
@@ -200,29 +205,29 @@ class TestNearZeroFraction:
 
 
 class TestAnsatzError:
-    def test_fci_level_reproduces_exact_error(self, h2_local, h2_error):
+    """The report's per-level ``ansatz_error`` against direct expectations."""
+
+    def test_fci_level_reproduces_exact_error(self, h2_local, h2_error, h2_report):
         basis = SectorBasis.sector(
             h2_local.n_spin_orbitals, h2_local.n_electrons
         )
         _, psi0 = ground_state(h2_local.hamiltonian(), basis)
         exact = expectation(h2_error.op, psi0)
-        trunc = CITruncation(level=2, reference=hartree_fock_state(h2_local))
-        assert ansatz_error(h2_local, trunc, h2_error) == pytest.approx(
-            exact, abs=1e-10
-        )
+        level = h2_report.ci_results[2]
+        assert level.level == 2
+        assert level.ansatz_error == pytest.approx(exact, abs=1e-10)
 
     def test_reference_level_is_a_determinant_expectation(
-        self, h2_local, h2_error
+        self, h2_local, h2_error, h2_report
     ):
         ref = hartree_fock_state(h2_local)
-        trunc = CITruncation(level=0, reference=ref)
         basis = SectorBasis.sector(
             h2_local.n_spin_orbitals, h2_local.n_electrons
         )
         direct = expectation(h2_error.op, CIVector.unit(basis, ref))
-        assert ansatz_error(h2_local, trunc, h2_error) == pytest.approx(
-            direct, abs=1e-12
-        )
+        level = h2_report.ci_results[0]
+        assert level.level == 0
+        assert level.ansatz_error == pytest.approx(direct, abs=1e-12)
 
     def test_embed_preserves_amplitudes_and_expectations(self, h2_local, h2_error):
         sector = SectorBasis.sector(4, 2)
@@ -249,11 +254,6 @@ class TestAnsatzError:
 # ---------------------------------------------------------------------------
 # The analyze pipeline.
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def h2_report(h2_local):
-    return analyze(h2_local)
 
 
 class TestAnalyze:

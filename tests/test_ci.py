@@ -7,12 +7,12 @@ from trotterr.ci import (
     CITruncation,
     ci_ground_state,
     excitation_basis,
-    excitation_count,
     hartree_fock_state,
 )
 from trotterr.errors import ValidationError
 from trotterr.fock import CIVector, SectorBasis, expectation, ground_state
 from trotterr.hamiltonian import parse_fcidump
+from trotterr.stateprep import cisd_support_dimension
 from trotterr.synthetic import random_system
 
 
@@ -80,11 +80,12 @@ class TestExcitationBasis:
         assert np.array_equal(basis.states, full.states)
 
     def test_counts(self):
-        assert excitation_count(8, 2, 2) == 28
-        assert excitation_count(4, 2, 2) == 6
-        assert excitation_count(10, 4, 0) == 1
-        basis = excitation_basis(CITruncation(2, 0b0011), 8)
-        assert basis.dim == excitation_count(8, 2, 2)
+        for n_orbitals, ref, level, count in (
+            (8, 0b0011, 2, 28), (4, 0b0011, 2, 6), (10, 0b1111, 0, 1)
+        ):
+            assert excitation_basis(CITruncation(level, ref), n_orbitals).dim == count
+        assert cisd_support_dimension(8, 2) == 28
+        assert cisd_support_dimension(4, 2) == 6
 
     def test_all_states_in_sector(self):
         basis = excitation_basis(CITruncation(1, 0b00111), 6)

@@ -1,6 +1,5 @@
 """Normal-ordered ladder algebra against the dense brute-force oracle."""
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -251,6 +250,19 @@ def test_hermitian_defect():
 # ---------------------------------------------------------------------------
 
 
+def test_coefficient_l1_adds_in_term_order():
+    # the builtin sum of these values is 1.0000000000000004 from Python 3.12
+    values = [1.0] + [2.0**-53] * 4
+    op = NormalOrderedOperator(
+        {((p,), (p,)): v for p, v in enumerate(values)}, drop_tolerance=0.0
+    )
+    total = 0.0
+    for v in values:
+        total += v
+    assert op.coefficient_l1() == total == 1.0
+    assert repr(NormalOrderedOperator.zero().coefficient_l1()) == "0.0"
+
+
 def test_trace_number_operator_full_fock():
     n1 = normal_order(LadderTerm(1.0, (cre(1), ann(1))))
     assert trace(n1, 2) == pytest.approx(2.0)
@@ -260,7 +272,6 @@ def test_trace_number_operator_full_fock():
 def test_trace_identity_scaling():
     op = NormalOrderedOperator.identity(3.0)
     assert trace(op, 5) == pytest.approx(3.0 * 32)
-    assert trace(op, 5, n_electrons=2) == pytest.approx(3.0 * math.comb(5, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -270,22 +281,6 @@ def test_trace_matches_dense(term):
     assert trace(op, 4) == pytest.approx(
         float(np.trace(dense_operator(4, op))), abs=1e-9
     )
-
-
-def test_sector_trace_matches_dense_projection():
-    rng = np.random.default_rng(11)
-    n_orbitals = 4
-    for _ in range(10):
-        op = random_operator(rng, n_orbitals=n_orbitals)
-        mat = dense_operator(n_orbitals, op)
-        for n_elec in range(n_orbitals + 1):
-            idx = [
-                s for s in range(1 << n_orbitals) if bin(s).count("1") == n_elec
-            ]
-            want = float(np.trace(mat[np.ix_(idx, idx)]))
-            assert trace(op, n_orbitals, n_electrons=n_elec) == pytest.approx(
-                want, abs=1e-9
-            )
 
 
 def test_trace_of_commutator_vanishes():

@@ -169,12 +169,12 @@ class TestHaarDistribution:
         op = number_term(0, 1.0) + number_term(1, -0.5)
         err = synthetic_error(op, 2)
         basis = SectorBasis.full(2)
-        a = haar_error_distribution(err, basis, 5000, 99, block_size=512)
-        b = haar_error_distribution(err, basis, 5000, 99, block_size=512)
+        a = haar_error_distribution(err, basis, 5000, 99)
+        b = haar_error_distribution(err, basis, 5000, 99)
         assert np.array_equal(a.samples, b.samples)
         assert a.empirical_mean == b.empirical_mean
         assert a.empirical_variance == b.empirical_variance
-        c = haar_error_distribution(err, basis, 5000, 100, block_size=512)
+        c = haar_error_distribution(err, basis, 5000, 100)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_tiny_sample_count(self):
@@ -192,8 +192,6 @@ class TestHaarDistribution:
             haar_error_distribution(err, basis, 10, -1)
         with pytest.raises(ValidationError):
             haar_error_distribution(err, basis, 10, 1 << 64)
-        with pytest.raises(ValidationError):
-            haar_error_distribution(err, basis, 10, 0, block_size=0)
         with pytest.raises(ValidationError):
             haar_error_distribution(err, basis, 10, 0, ensemble="none")
 

@@ -9,7 +9,6 @@ from trotterr.fermion import NormalOrderedOperator
 from trotterr.fock import SectorBasis, expectation, ground_state, to_dense
 from trotterr.hamiltonian import TrotterSequence, build_trotter_sequence, parse_fcidump
 from trotterr.oracle import (
-    matched_spectrum_deviation,
     measured_trotter_shift,
     richardson_shift_coefficient,
     trotter_propagator,
@@ -24,8 +23,7 @@ def _hop(p, q, c):
 
 
 def _seq(ops, n):
-    return TrotterSequence(list(ops), "lexicographic", "term", n,
-                           [str(i) for i in range(len(ops))])
+    return TrotterSequence(list(ops), "lexicographic", "term", n)
 
 
 def test_single_fragment_is_plain_exponential():
@@ -110,16 +108,6 @@ def test_residual_is_fourth_order(fixture_dir):
     assert slope >= 3.7
 
 
-def test_spectrum_convergence(fixture_dir):
-    syst = parse_fcidump((fixture_dir / "h2_sto6g_canonical.fcidump").read_text())
-    seq = build_trotter_sequence(syst)
-    basis = SectorBasis.sector(4, 2)
-    coarse = matched_spectrum_deviation(seq, 0.2, basis)
-    fine = matched_spectrum_deviation(seq, 0.05, basis)
-    assert fine < coarse / 10  # second-order spectrum convergence
-    assert fine < 1e-4
-
-
 def test_phase_wrap_rejected(fixture_dir):
     syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
     seq = build_trotter_sequence(syst)
@@ -140,13 +128,3 @@ def test_degenerate_level_detected():
     basis = SectorBasis.sector(10, 1)
     with pytest.raises(NumericalError, match="degenerate"):
         measured_trotter_shift(seq, 0.5, basis, 0)
-
-
-def test_richardson_validates_steps(fixture_dir):
-    syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
-    seq = build_trotter_sequence(syst)
-    basis = SectorBasis.sector(4, 2)
-    with pytest.raises(ValidationError):
-        richardson_shift_coefficient(seq, basis, 0, deltas=(0.1,))
-    with pytest.raises(ValidationError):
-        richardson_shift_coefficient(seq, basis, 0, deltas=(0.1, 0.03))

@@ -4,7 +4,9 @@ Most checks run in a fresh interpreter: inside the test session other
 tests have long since imported every module.
 """
 
+import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import trotterr
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+SOURCE_DIR = Path(trotterr.__file__).resolve().parent
 
 
 class TestNamespace:
@@ -142,3 +145,41 @@ def test_lanczos_and_oracle_import_scipy_on_demand(fixture_dir, fresh_python):
         assert "scipy.linalg" in sys.modules
         """
     )
+
+
+def _traced_names() -> set[tuple[str, str]]:
+    """``(module, attr)`` of every module attribute the benchmark's tracer
+    patches: such an import is read through the module's namespace."""
+    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH_DIR / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(owner, attr) for owner, attr, _, _ in tracing.WRAPPED if ":" not in owner}
+
+
+def _unread_imports(path: Path, exempt: set[str]) -> list[str]:
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).partition(".")[0] for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read and name not in exempt]
+
+
+def test_every_module_import_is_read():
+    traced = _traced_names()
+    unread = {}
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        module = "trotterr" if path.stem == "__init__" else f"trotterr.{path.stem}"
+        exempt = set(getattr(importlib.import_module(module), "__all__", ()))
+        exempt |= {attr for owner, attr in traced if owner == module}
+        names = _unread_imports(path, exempt)
+        if names:
+            unread[path.name] = names
+    assert not unread, unread

@@ -22,7 +22,6 @@ def _sequence_of(ops):
         ordering="lexicographic",
         granularity="term",
         n_spin_orbitals=n,
-        labels=[str(i) for i in range(len(ops))],
     )
 
 
@@ -139,7 +138,6 @@ def test_permutation_changes_v_but_not_invariants():
         ordering="lexicographic",
         granularity=seq.granularity,
         n_spin_orbitals=seq.n_spin_orbitals,
-        labels=[seq.labels[i] for i in perm],
     )
     other = build_error_operator(shuffled, 0.1)
     diff = (base.op + other.op.scaled(-1.0)).max_abs_coefficient()
