@@ -56,7 +56,7 @@ class ContractedS:
         prim_norm = (2.0 * self.exponents / np.pi) ** 0.75
         c = np.asarray(coeffs, dtype=float) * prim_norm
         self.coeffs = c
-        self.coeffs = c / math.sqrt(_overlap_cc(self, self))
+        self.coeffs = c / math.sqrt(_contract2(_overlap_pp, self, self))
 
 
 def _gauss_product(a, A, b, B):
@@ -100,14 +100,6 @@ def _contract2(f, x: ContractedS, y: ContractedS):
     for a, ca in zip(x.exponents, x.coeffs):
         for b, cb in zip(y.exponents, y.coeffs):
             total += ca * cb * f(a, x.center, b, y.center)
-    return total
-
-
-def _overlap_cc(x, y):
-    total = 0.0
-    for a, ca in zip(x.exponents, x.coeffs):
-        for b, cb in zip(y.exponents, y.coeffs):
-            total += ca * cb * _overlap_pp(a, x.center, b, y.center)
     return total
 
 

@@ -30,7 +30,7 @@ _EXPORTS = {
         "ErrorAnalysisReport", "PowerLawFit", "analyze", "fit_power_law",
         "orbital_marginals",
     ),
-    "ci": ("CITruncation", "ci_ground_state", "hartree_fock_state"),
+    "ci": ("ci_ground_state", "hartree_fock_state"),
     "errors": (
         "FcidumpError", "NumericalError", "ResourceLimitError", "TrotterrError",
         "ValidationError",

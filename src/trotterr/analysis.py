@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._version import __version__
-from .ci import CITruncation, ci_ground_state, hartree_fock_state
+from .ci import _check_excitation_level, ci_ground_state, hartree_fock_state
 from .errors import NumericalError, ValidationError
 from .fermion import _term_order_sum
 from .fock import (
@@ -223,7 +223,7 @@ def analyze(
     physical particle-number sector (default) or the full occupation space
     for comparison.  ``ci_levels`` defaults to reference/singles/doubles
     clamped to what the system supports; explicitly requested levels are
-    not clamped and propagate their own errors.
+    not clamped, and one outside [0, N - n] is rejected before any work.
 
     CI levels need MS2 = N mod 2.  The exact ground state comes from the
     whole N-electron sector, whose lowest state always has a component of
@@ -244,6 +244,11 @@ def analyze(
             f"N={system.n_electrons}: the exact ground state is taken from the "
             "whole N-electron sector; request no CI levels for this system"
         )
+    for level in levels:
+        with _stage(f"CI level {level}"):
+            _check_excitation_level(
+                hartree_fock_state(system), level, system.n_spin_orbitals
+            )
     with _stage("fragment sequence"):
         sequence = build_trotter_sequence(system, ordering, granularity=granularity)
     # build_error_operator's messages name the operator themselves
@@ -268,7 +273,6 @@ def analyze(
     if ratio > 1.0 + 1e-12:
         raise NumericalError(f"Rayleigh bound violated: ratio {ratio}")
 
-    reference = hartree_fock_state(system)
     # every CI level is embedded into the basis of this one restriction
     sector_error = restricted_error
     if space == "full" and levels:
@@ -276,10 +280,9 @@ def analyze(
         sector_error = RestrictedOperator(error.op, sector)
     ci_results = []
     for level in levels:
-        trunc = CITruncation(level=level, reference=reference)
         with _stage(f"CI level {level}"):
             ci_energy, ci_vec = ci_ground_state(
-                system, trunc, dense_limit=dense_limit, hamiltonian=hamiltonian
+                system, level, dense_limit=dense_limit, hamiltonian=hamiltonian
             )
             level_error = sector_error.expectation(
                 embed_in_sector(ci_vec, sector_error.basis)

@@ -5,31 +5,18 @@ excitations of the reference determinant: k=0 is the bare reference, k=1
 adds singles (CIS), k=2 doubles (CISD), and k = N - n recovers full CI.
 The variational problem is the Hamiltonian projected onto that subspace,
 which the Fock-space machinery solves directly on a subset basis.
+``ci_ground_state`` takes its reference from ``hartree_fock_state``; no
+caller chooses another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
 from .fermion import NormalOrderedOperator
 from .fock import DENSE_LIMIT, CIVector, SectorBasis, ground_state
 from .hamiltonian import MolecularSystem
-
-
-@dataclass(frozen=True)
-class CITruncation:
-    """Excitation cutoff relative to a reference determinant bitmask."""
-
-    level: int
-    reference: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValidationError(f"truncation level must be >= 0, got {self.level}")
-        if self.reference < 0:
-            raise ValidationError("reference bitmask must be non-negative")
 
 
 def hartree_fock_state(system: MolecularSystem) -> int:
@@ -60,21 +47,27 @@ def hartree_fock_state(system: MolecularSystem) -> int:
     return state
 
 
-def excitation_basis(trunc: CITruncation, n_orbitals: int) -> SectorBasis:
-    """All configurations within ``trunc.level`` excitations of the reference."""
-    ref = trunc.reference
-    if ref >= (1 << n_orbitals):
-        raise ValidationError("reference uses orbitals outside the basis")
-    occupied = [p for p in range(n_orbitals) if ref >> p & 1]
-    virtual = [p for p in range(n_orbitals) if not ref >> p & 1]
-    if trunc.level > len(virtual):
-        raise ValidationError(
-            f"level {trunc.level} exceeds N - n = {len(virtual)}"
-        )
+def _check_excitation_level(reference: int, level: int, n_orbitals: int) -> None:
+    """Reject a reference outside ``n_orbitals`` orbitals, or a level outside
+    [0, N - n] for the n electrons of ``reference``."""
+    if not 0 <= reference < 1 << n_orbitals:
+        raise ValidationError(f"reference {reference} outside {n_orbitals} orbitals")
+    if level < 0:
+        raise ValidationError(f"truncation level must be >= 0, got {level}")
+    virtual = n_orbitals - reference.bit_count()
+    if level > virtual:
+        raise ValidationError(f"level {level} exceeds N - n = {virtual}")
+
+
+def excitation_basis(reference: int, level: int, n_orbitals: int) -> SectorBasis:
+    """All configurations within ``level`` excitations of ``reference``."""
+    _check_excitation_level(reference, level, n_orbitals)
+    occupied = [p for p in range(n_orbitals) if reference >> p & 1]
+    virtual = [p for p in range(n_orbitals) if not reference >> p & 1]
     states = set()
-    for j in range(min(trunc.level, len(occupied)) + 1):
+    for j in range(min(level, len(occupied)) + 1):
         for holes in combinations(occupied, j):
-            removed = ref
+            removed = reference
             for p in holes:
                 removed ^= 1 << p
             for parts in combinations(virtual, j):
@@ -87,12 +80,13 @@ def excitation_basis(trunc: CITruncation, n_orbitals: int) -> SectorBasis:
 
 def ci_ground_state(
     system: MolecularSystem,
-    trunc: CITruncation,
+    level: int,
     *,
     dense_limit: int = DENSE_LIMIT,
     hamiltonian: NormalOrderedOperator | None = None,
 ) -> tuple[float, CIVector]:
-    """Minimal eigenpair of H restricted to the truncated excitation space.
+    """Minimal eigenpair of H restricted to the configurations within
+    ``level`` excitations of the system's Hartree-Fock determinant.
 
     Restriction happens naturally: applying H on a subset basis projects
     away every component that leaves the space.  ``hamiltonian`` is
@@ -100,5 +94,5 @@ def ci_ground_state(
     """
     if hamiltonian is None:
         hamiltonian = system.hamiltonian()
-    basis = excitation_basis(trunc, system.n_spin_orbitals)
+    basis = excitation_basis(hartree_fock_state(system), level, system.n_spin_orbitals)
     return ground_state(hamiltonian, basis, dense_limit=dense_limit)

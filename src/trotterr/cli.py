@@ -10,8 +10,14 @@ error, 4 resource limit or out of memory, 5 numerical failure, 6 file
 I/O.  Importing this module loads neither numpy nor scipy (the package
 namespace is lazy); heavy modules are imported inside the handlers, so a
 ``--threads`` cap (or the TROTTERR_THREADS variable) is in place before
-any numerical library starts its worker pool.  scipy is imported only by
-the Lanczos solvers, which run above ``--dense-limit``.
+any numerical library starts its worker pool.
+
+``--dense-limit`` is the largest basis diagonalized densely.  Above it
+``analyze`` switches to the Lanczos solvers, the only code the commands run
+that imports scipy; ``spectrum`` and ``haar`` need every eigenvalue, so
+they refuse with exit 4 before building the error operator.  Every input
+that can be rejected without the error operator is rejected first: ``haar``
+checks ``--samples`` and ``--seed``, ``analyze`` each ``--ci-levels`` entry.
 
 Each JSON payload embeds the schema version, tool version, input file
 hash, and every parameter that influenced the numbers, so a rerun with
@@ -114,12 +120,17 @@ def _dense_limit(args) -> dict:
     return {"dense_limit": args.dense_limit}
 
 
-def _working_basis(system, full_fock: bool):
-    from .fock import SectorBasis
+def _dense_basis(system, full_fock: bool, extra: dict):
+    """The basis ``spectrum`` and ``haar`` diagonalize densely, refused above
+    the dense limit before the error operator is built."""
+    from .fock import SectorBasis, _check_dense_limit
 
     if full_fock:
-        return SectorBasis.full(system.n_spin_orbitals)
-    return SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
+        basis = SectorBasis.full(system.n_spin_orbitals)
+    else:
+        basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
+    _check_dense_limit(basis, **extra)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +174,19 @@ def _cmd_spectrum(args) -> None:
 
     extra = _dense_limit(args)
     system, _ = _load_system(args)
+    basis = _dense_basis(system, args.full_fock, extra)
     error = _error_operator(args, system)
-    basis = _working_basis(system, args.full_fock)
     _emit(args, spectrum_csv(full_spectrum(error.op, basis, **extra)))
 
 
 def _cmd_haar(args) -> None:
-    from .haar import haar_error_distribution
+    from .haar import _check_sampling, haar_error_distribution
 
     extra = _dense_limit(args)
     system, digest = _load_system(args)
+    _check_sampling(args.samples, args.seed, args.ensemble)
+    basis = _dense_basis(system, args.full_fock, extra)
     error = _error_operator(args, system)
-    basis = _working_basis(system, args.full_fock)
     report = haar_error_distribution(
         error, basis, args.samples, args.seed, ensemble=args.ensemble, **extra
     )
@@ -264,10 +276,9 @@ def _cmd_prep_cost(args) -> None:
     system, digest = _load_system(args)
     vector = None
     if args.ci_vector:
-        from .ci import CITruncation, ci_ground_state, hartree_fock_state
+        from .ci import ci_ground_state
 
-        trunc = CITruncation(level=2, reference=hartree_fock_state(system))
-        _, vector = ci_ground_state(system, trunc)
+        _, vector = ci_ground_state(system, 2)
     report = prep_cost_report(system, args.delta, vector)
     payload = {
         "schema_version": 1,
@@ -315,6 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="fragment ordering strategy",
     )
 
+    dense = argparse.ArgumentParser(add_help=False)
+    dense.add_argument(
+        "--dense-limit",
+        type=int,
+        default=None,
+        help="largest dimension diagonalized densely (above it analyze uses "
+        "Lanczos; spectrum and haar refuse)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="trotterr",
         description="Trotter step error analysis for molecular Hamiltonians",
@@ -326,14 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        parents=[common, fixture, stepping],
+        parents=[common, fixture, stepping, dense],
         help="full error report as JSON",
-    )
-    p.add_argument(
-        "--dense-limit",
-        type=int,
-        default=None,
-        help="largest dimension diagonalized densely",
     )
     p.add_argument(
         "--granularity",
@@ -367,12 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("spectrum", _cmd_spectrum, "error-operator eigenvalues as CSV"),
         ("haar", _cmd_haar, "random-vector error statistics as JSON"),
     ):
-        p = sub.add_parser(name, parents=[common, fixture, stepping], help=extra_help)
-        p.add_argument(
-            "--dense-limit",
-            type=int,
-            default=None,
-            help="largest dimension diagonalized densely",
+        p = sub.add_parser(
+            name, parents=[common, fixture, stepping, dense], help=extra_help
         )
         group = p.add_mutually_exclusive_group()
         group.add_argument(

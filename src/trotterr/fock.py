@@ -247,35 +247,15 @@ class RestrictedOperator:
             log.warning("expectation input norm %.6f != 1; normalizing", math.sqrt(nrm2))
         return float(v @ self.apply(v)) / nrm2
 
-    def _lanczos_operator(self):
-        import scipy.sparse.linalg
-
-        dim = self.basis.dim
-        return scipy.sparse.linalg.LinearOperator(
-            (dim, dim), matvec=self.apply, dtype=float
-        )
-
     def lowest(self, *, dense_limit: int = DENSE_LIMIT) -> tuple[float, CIVector]:
         self.op.require_hermitian("operator is not Hermitian")
         basis = self.basis
         if basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
             vals, vecs = np.linalg.eigh(self.dense())
-            energy, vec = float(vals[0]), vecs[:, 0]
         else:
-            import scipy.sparse.linalg
-
-            try:
-                vals, vecs = scipy.sparse.linalg.eigsh(
-                    self._lanczos_operator(),
-                    k=1,
-                    which="SA",
-                    tol=SOLVER_REL_TOL / 10,
-                    v0=_start_vector(basis.dim),
-                )
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
-                raise NumericalError(f"Lanczos did not converge: {exc}") from exc
-            energy, vec = float(vals[0]), vecs[:, 0]
-        state = CIVector(basis, vec)
+            vals, vecs = self._lanczos("SA", SOLVER_REL_TOL / 10, vectors=True)
+        energy = float(vals[0])
+        state = CIVector(basis, vecs[:, 0])
         residual = self.apply(state.amplitudes) - energy * state.amplitudes
         rnorm = float(np.linalg.norm(residual))
         if rnorm > SOLVER_REL_TOL * max(1.0, abs(energy)):
@@ -284,33 +264,37 @@ class RestrictedOperator:
 
     def spectral_norm(self, *, dense_limit: int = DENSE_LIMIT) -> float:
         self.op.require_hermitian("operator is not Hermitian")
-        dim = self.basis.dim
-        if dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
+        if self.basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
             vals = np.linalg.eigvalsh(self.dense())
             return float(np.max(np.abs(vals))) if len(vals) else 0.0
+        hi = self._lanczos("LA", SOLVER_REL_TOL, vectors=False)
+        lo = self._lanczos("SA", SOLVER_REL_TOL, vectors=False)
+        return float(max(abs(hi[0]), abs(lo[0])))
+
+    def _lanczos(self, which: str, tol: float, *, vectors: bool):
+        """One ARPACK eigenpair (or eigenvalue) at the ``which`` end.
+
+        ARPACK's own start vector is random per call, so every call starts
+        from the same seeded noise and reruns give the same bits; a
+        constant start could be orthogonal to a symmetric eigenvector.
+        """
         import scipy.sparse.linalg
 
-        linop = self._lanczos_operator()
-        v0 = _start_vector(dim)
+        dim = self.basis.dim
+        linop = scipy.sparse.linalg.LinearOperator(
+            (dim, dim), matvec=self.apply, dtype=float
+        )
         try:
-            hi = scipy.sparse.linalg.eigsh(
-                linop, k=1, which="LA", tol=SOLVER_REL_TOL, v0=v0, return_eigenvectors=False
-            )
-            lo = scipy.sparse.linalg.eigsh(
-                linop, k=1, which="SA", tol=SOLVER_REL_TOL, v0=v0, return_eigenvectors=False
+            return scipy.sparse.linalg.eigsh(
+                linop,
+                k=1,
+                which=which,
+                tol=tol,
+                v0=np.random.default_rng(0).standard_normal(dim),
+                return_eigenvectors=vectors,
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"Lanczos did not converge: {exc}") from exc
-        return float(max(abs(hi[0]), abs(lo[0])))
-
-
-def _start_vector(dim: int) -> np.ndarray:
-    """Fixed Lanczos start vector, so reruns give the same bits.
-
-    ARPACK's own start is random per call.  A constant vector can be
-    orthogonal to a symmetric eigenvector, so this one is seeded noise.
-    """
-    return np.random.default_rng(0).standard_normal(dim)
 
 
 def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
@@ -327,11 +311,16 @@ def to_dense(
     dense_limit: int = DENSE_LIMIT,
 ) -> np.ndarray:
     """Dense matrix of ``op`` restricted to ``basis`` (column = source)."""
-    if basis.dim > dense_limit:  # refused before any table is built
+    _check_dense_limit(basis, dense_limit=dense_limit)  # before any table is built
+    return RestrictedOperator(op, basis).dense()
+
+
+def _check_dense_limit(basis: SectorBasis, *, dense_limit: int = DENSE_LIMIT) -> None:
+    """Refuse a dense matrix on ``basis`` above ``dense_limit`` states."""
+    if basis.dim > dense_limit:
         raise ResourceLimitError(
             f"dense matrix of dim {basis.dim} exceeds limit {dense_limit}"
         )
-    return RestrictedOperator(op, basis).dense()
 
 
 def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:

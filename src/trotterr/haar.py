@@ -63,6 +63,15 @@ def _check_ensemble(ensemble: str) -> None:
         raise ValidationError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
 
 
+def _check_sampling(n_samples: int, seed: int, ensemble: str) -> None:
+    """Reject what ``haar_error_distribution`` cannot sample with."""
+    _check_ensemble(ensemble)
+    if n_samples < 2:
+        raise ValidationError(f"need n_samples >= 2, got {n_samples}")
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def squared_overlap_moments(
     dim: int, ensemble: str = "complex"
 ) -> tuple[float, float, float]:
@@ -188,11 +197,7 @@ def haar_error_distribution(
     stream is bit-reproducible given (seed, ensemble), in blocks of
     ``SAMPLE_BLOCK`` samples.
     """
-    _check_ensemble(ensemble)
-    if n_samples < 2:
-        raise ValidationError(f"need n_samples >= 2, got {n_samples}")
-    if not 0 <= seed < 1 << 64:
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    _check_sampling(n_samples, seed, ensemble)
     lam = full_spectrum(error.op, basis, dense_limit=dense_limit)
     # the squares of eigenvalues above ~1e154 overflow long before V itself
     # does: that is a numerical failure, not a report of inf
@@ -240,11 +245,7 @@ class EigenstateReport:
 
 
 def eigenstate_error_distribution(
-    error: ErrorOperator,
-    hamiltonian: NormalOrderedOperator,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
+    error: ErrorOperator, hamiltonian: NormalOrderedOperator, basis: SectorBasis
 ) -> EigenstateReport:
     """Error expectation on every eigenvector of ``hamiltonian``.
 
@@ -253,9 +254,9 @@ def eigenstate_error_distribution(
     merge).
     """
     hamiltonian.require_hermitian("hamiltonian is not Hermitian")
-    hmat = to_dense(hamiltonian, basis, dense_limit=dense_limit)
+    hmat = to_dense(hamiltonian, basis)
     vals, vecs = np.linalg.eigh(hmat)
-    vmat = to_dense(error.op, basis, dense_limit=dense_limit)
+    vmat = to_dense(error.op, basis)
     errors = np.einsum("ji,jk,ki->i", vecs, vmat, vecs, optimize=True)
     scale = max(1.0, float(np.max(np.abs(vals))))
     clusters = []

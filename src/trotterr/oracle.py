@@ -3,8 +3,9 @@
 This is the only module that touches complex arithmetic: it exponentiates
 the fragment matrices explicitly, measures eigenphase shifts of the
 resulting unitary, and extrapolates them to the leading-order prediction.
-Everything here is meant for small bases (the dense limit), where it serves
-as the ground truth that the perturbative machinery is checked against.
+Everything here is meant for small bases, at most ``fock.DENSE_LIMIT``
+states (``to_dense`` refuses larger ones), where it serves as the ground
+truth that the perturbative machinery is checked against.
 scipy (``expm``, ``schur``) is imported by the functions that call it, so
 importing this module does not load it.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, ResourceLimitError, ValidationError
-from .fock import DENSE_LIMIT, SectorBasis, to_dense
+from .errors import NumericalError, ValidationError
+from .fock import SectorBasis, _check_dense_limit, to_dense
 from .hamiltonian import TrotterSequence
 
 UNITARITY_TOL = 1e-10
@@ -26,25 +27,20 @@ RICHARDSON_STEPS = (0.1, 0.05, 0.025)
 
 
 def trotter_propagator(
-    seq: TrotterSequence,
-    delta_t: float,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
+    seq: TrotterSequence, delta_t: float, basis: SectorBasis
 ) -> np.ndarray:
     """One second-order step: half-step exponentials of every fragment in
     reverse order, then the same exponentials in forward order."""
     if not delta_t > 0:
         raise ValidationError(f"delta_t must be positive, got {delta_t}")
-    if basis.dim > dense_limit:
-        raise ResourceLimitError(
-            f"propagator of dim {basis.dim} exceeds limit {dense_limit}"
-        )
+    # to_dense's refusal, up front: a sequence with no fragments (a system
+    # with only a core energy has none) would never reach to_dense, and the
+    # identity below alone is dim^2 complex entries
+    _check_dense_limit(basis)
     import scipy.linalg
 
     halves = [
-        scipy.linalg.expm(-0.5j * delta_t * to_dense(f, basis, dense_limit=dense_limit))
-        for f in seq.fragments
+        scipy.linalg.expm(-0.5j * delta_t * to_dense(f, basis)) for f in seq.fragments
     ]
     u = np.eye(basis.dim, dtype=complex)
     for h in reversed(halves):
@@ -74,12 +70,7 @@ def _unitary_eigensystem(u: np.ndarray):
 
 
 def measured_trotter_shift(
-    seq: TrotterSequence,
-    delta_t: float,
-    basis: SectorBasis,
-    state_index: int,
-    *,
-    dense_limit: int = DENSE_LIMIT,
+    seq: TrotterSequence, delta_t: float, basis: SectorBasis, state_index: int
 ) -> float:
     """Empirical eigenvalue shift of one Hamiltonian level under Trotterization.
 
@@ -88,7 +79,7 @@ def measured_trotter_shift(
     (eigenphase / (-delta_t)) - E_i.  This is the quantity the error
     operator expectation predicts to leading order.
     """
-    h = to_dense(seq.total(), basis, dense_limit=dense_limit)
+    h = to_dense(seq.total(), basis)
     energies, vectors = np.linalg.eigh(h)
     if not 0 <= state_index < basis.dim:
         raise ValidationError(f"state_index {state_index} outside basis")
@@ -98,7 +89,7 @@ def measured_trotter_shift(
             f"|E delta_t| = {abs(e_true * delta_t):.3f} >= pi: eigenphase wraps; "
             "reduce delta_t"
         )
-    u = trotter_propagator(seq, delta_t, basis, dense_limit=dense_limit)
+    u = trotter_propagator(seq, delta_t, basis)
     phases, z = _unitary_eigensystem(u)
     target = vectors[:, state_index].astype(complex)
     overlaps = np.abs(z.conj().T @ target) ** 2
@@ -113,11 +104,7 @@ def measured_trotter_shift(
 
 
 def richardson_shift_coefficient(
-    seq: TrotterSequence,
-    basis: SectorBasis,
-    state_index: int,
-    *,
-    dense_limit: int = DENSE_LIMIT,
+    seq: TrotterSequence, basis: SectorBasis, state_index: int
 ) -> float:
     """Extrapolated delta_t**2 coefficient of the measured shift.
 
@@ -127,8 +114,7 @@ def richardson_shift_coefficient(
     delta_t = 1.
     """
     rows = [
-        measured_trotter_shift(seq, dt, basis, state_index, dense_limit=dense_limit)
-        / (dt * dt)
+        measured_trotter_shift(seq, dt, basis, state_index) / (dt * dt)
         for dt in RICHARDSON_STEPS
     ]
     order = 2

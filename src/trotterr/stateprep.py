@@ -11,7 +11,7 @@ The approximation error of the synthesized unitary obeys
     ||(U - U~)|0>|| <= 2(D+2)/2^(4k) + 2*sqrt(2(D+2))/2^(2k),
 
 and ``select_k`` returns the smallest k whose bound clears a target delta,
-obtained by solving the quadratic in 2^(-2k)*sqrt(D+2) exactly.  The D+2
+found by counting k up from 1 (the bound never increases with k).  The D+2
 (rather than D) accounts for up to two extra basis states the reduction
 may touch; one ancilla-like spare qubit is likewise always budgeted, so
 ``qubit_count`` is N+4 unconditionally.
@@ -64,18 +64,11 @@ def select_k(support_dim: int, delta: float) -> int:
         raise ValidationError(f"support dimension must be >= 1, got {support_dim}")
     if not delta > 0 or not math.isfinite(delta):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
-    # root = sqrt(1 + delta) - 1 = delta / (sqrt(1 + delta) + 1), written
-    # without the cancellation, and taken as a logarithm so that neither it
-    # nor its square underflows for the smallest delta
-    log_root = math.log2(delta) - math.log2(math.sqrt(1.0 + delta) + 1.0)
-    k = math.ceil(0.25 * (1.0 + math.log2(support_dim + 2) - 2.0 * log_root))
-    k = max(k, 1)
-    # the ceiling is exact in real arithmetic; rounding in the logarithms or
-    # in the bound itself can put it one off either way
+    # both terms of the bound scale by exact powers of two, so it never
+    # increases with k: the first k that clears delta is the smallest
+    k = 1
     while synthesis_error_bound(support_dim, k) > delta:
         k += 1
-    while k > 1 and synthesis_error_bound(support_dim, k - 1) <= delta:
-        k -= 1
     return k
 
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from trotterr.ci import (
-    CITruncation,
-    ci_ground_state,
-    excitation_basis,
-    hartree_fock_state,
-)
+from trotterr.ci import ci_ground_state, excitation_basis, hartree_fock_state
 from trotterr.errors import ValidationError
 from trotterr.fock import CIVector, SectorBasis, expectation, ground_state
 from trotterr.hamiltonian import parse_fcidump
@@ -70,11 +65,11 @@ class TestReference:
 
 class TestExcitationBasis:
     def test_level_zero(self):
-        basis = excitation_basis(CITruncation(0, 0b0011), 4)
+        basis = excitation_basis(0b0011, 0, 4)
         assert basis.dim == 1 and basis.states[0] == 0b0011
 
     def test_small_sector_saturates(self):
-        basis = excitation_basis(CITruncation(2, 0b0011), 4)
+        basis = excitation_basis(0b0011, 2, 4)
         assert basis.dim == 6
         full = SectorBasis.sector(4, 2)
         assert np.array_equal(basis.states, full.states)
@@ -83,17 +78,24 @@ class TestExcitationBasis:
         for n_orbitals, ref, level, count in (
             (8, 0b0011, 2, 28), (4, 0b0011, 2, 6), (10, 0b1111, 0, 1)
         ):
-            assert excitation_basis(CITruncation(level, ref), n_orbitals).dim == count
+            assert excitation_basis(ref, level, n_orbitals).dim == count
         assert cisd_support_dimension(8, 2) == 28
         assert cisd_support_dimension(4, 2) == 6
 
     def test_all_states_in_sector(self):
-        basis = excitation_basis(CITruncation(1, 0b00111), 6)
+        basis = excitation_basis(0b00111, 1, 6)
         assert all(int(s).bit_count() == 3 for s in basis.states)
 
     def test_level_out_of_range(self):
-        with pytest.raises(ValidationError):
-            excitation_basis(CITruncation(3, 0b0011), 4)
+        for reference, level, n_orbitals, message in (
+            (0b0011, 3, 4, "level 3 exceeds N - n = 2"),
+            (0b0011, -1, 4, "level must be >= 0, got -1"),
+            (0b00111, 4, 6, "level 4 exceeds N - n = 3"),
+            (0b10011, 1, 4, "outside 4 orbitals"),
+            (-1, 0, 4, "outside 4 orbitals"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                excitation_basis(reference, level, n_orbitals)
 
 
 class TestGroundState:
@@ -101,7 +103,9 @@ class TestGroundState:
         rng = np.random.default_rng(1)
         syst = random_system(rng, 3, n_electrons=2)
         ref = hartree_fock_state(syst)
-        energy, vec = ci_ground_state(syst, CITruncation(0, ref))
+        energy, vec = ci_ground_state(syst, 0)
+        # the one configuration is the Hartree-Fock determinant
+        assert vec.basis.states.tolist() == [ref]
         h = syst.hamiltonian()
         full = SectorBasis.sector(syst.n_spin_orbitals, syst.n_electrons)
         ref_vec = CIVector.unit(full, ref)
@@ -110,9 +114,8 @@ class TestGroundState:
     def test_monotone_in_level(self):
         rng = np.random.default_rng(2)
         syst = random_system(rng, 3, n_electrons=2)
-        ref = hartree_fock_state(syst)
         energies = [
-            ci_ground_state(syst, CITruncation(k, ref))[0]
+            ci_ground_state(syst, k)[0]
             for k in range(syst.n_spin_orbitals - syst.n_electrons + 1)
         ]
         for lower, higher in zip(energies[1:], energies):
@@ -121,9 +124,8 @@ class TestGroundState:
     def test_full_level_is_fci(self):
         rng = np.random.default_rng(3)
         syst = random_system(rng, 3, n_electrons=2)
-        ref = hartree_fock_state(syst)
         level = syst.n_spin_orbitals - syst.n_electrons
-        e_ci, _ = ci_ground_state(syst, CITruncation(level, ref))
+        e_ci, _ = ci_ground_state(syst, level)
         e_fci, _ = ground_state(
             syst.hamiltonian(),
             SectorBasis.sector(syst.n_spin_orbitals, syst.n_electrons),
@@ -132,19 +134,8 @@ class TestGroundState:
 
     def test_cisd_exact_for_two_electrons(self, fixture_dir):
         syst = parse_fcidump((fixture_dir / "h2_sto6g_canonical.fcidump").read_text())
-        ref = hartree_fock_state(syst)
-        e_cisd, _ = ci_ground_state(syst, CITruncation(2, ref))
+        e_cisd, _ = ci_ground_state(syst, 2)
         e_fci, _ = ground_state(
             syst.hamiltonian(), SectorBasis.sector(4, 2)
         )
         assert e_cisd == pytest.approx(e_fci, abs=1e-10)
-
-    def test_custom_reference(self):
-        rng = np.random.default_rng(4)
-        syst = random_system(rng, 3, n_electrons=2)
-        # a deliberately bad reference still yields a variational energy
-        e_bad, _ = ci_ground_state(syst, CITruncation(1, 0b110000))
-        e_fci, _ = ground_state(
-            syst.hamiltonian(), SectorBasis.sector(6, 2)
-        )
-        assert e_bad >= e_fci - 1e-12

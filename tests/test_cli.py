@@ -222,6 +222,44 @@ def test_bad_time_is_rejected_before_any_work(h2_path, capsys, monkeypatch, flag
     assert "positive and finite" in err
 
 
+# Inputs refused without the error operator, with exit code and message;
+# each is refused before V is built.
+REFUSED_BEFORE_V = [
+    (["spectrum", "--dense-limit", "3"], EXIT_RESOURCE,
+     "resource error: dense matrix of dim 6 exceeds limit 3"),
+    (["haar", "--samples", "1"], EXIT_USAGE, "usage error: need n_samples >= 2, got 1"),
+    (["haar", "--seed", "-1"], EXIT_USAGE,
+     "usage error: seed must be a 64-bit unsigned integer, got -1"),
+    (["haar", "--full-fock", "--dense-limit", "10"], EXIT_RESOURCE,
+     "resource error: dense matrix of dim 16 exceeds limit 10"),
+    (["analyze", "--ci-levels", "3"], EXIT_USAGE,
+     "usage error: CI level 3: level 3 exceeds N - n = 2"),
+    (["analyze", "--ci-levels=-1"], EXIT_USAGE,
+     "usage error: CI level -1: truncation level must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, message",
+    REFUSED_BEFORE_V,
+    ids=[" ".join(argv) for argv, _, _ in REFUSED_BEFORE_V],
+)
+def test_refused_before_the_error_operator_is_built(
+    h2_path, capsys, monkeypatch, argv, expected, message
+):
+    import trotterr.analysis
+    import trotterr.trotter
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("error operator built for a refused input")
+
+    # the commands look the builder up here at call time, analyze in analysis
+    monkeypatch.setattr(trotterr.trotter, "build_error_operator", unreachable)
+    monkeypatch.setattr(trotterr.analysis, "build_error_operator", unreachable)
+    code, _, err = run(capsys, argv[0], "--fcidump", h2_path, *argv[1:])
+    assert (code, err) == (expected, f"trotterr: {message}\n")
+
+
 @pytest.mark.parametrize("granularity", ["integral", "term"])
 def test_analyze_system_without_terms(tmp_path, capsys, granularity):
     path = tmp_path / "core_only.fcidump"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trotterr.ci import CITruncation, excitation_basis, hartree_fock_state
+from trotterr.ci import excitation_basis, hartree_fock_state
 from trotterr.errors import NumericalError, ResourceLimitError, ValidationError
 from trotterr.fermion import (
     LadderTerm,
@@ -242,7 +242,7 @@ def _bases(system):
     # singles around the reference: H and V lead out of it, so the images
     # outside the basis must be projected away
     if 0 < system.n_electrons < n:
-        yield excitation_basis(CITruncation(1, hartree_fock_state(system)), n)
+        yield excitation_basis(hartree_fock_state(system), 1, n)
 
 
 def _assert_matches_per_term(op, basis, label):

@@ -57,10 +57,18 @@ def test_unitarity_on_random_systems():
         assert defect <= 1e-10
 
 
-def test_resource_limit():
+def test_resource_limit(monkeypatch):
+    # 32,768 states, above fock.DENSE_LIMIT, refused before any matrix is
+    # built, also for a sequence with no fragment to pass to to_dense; were
+    # it not, the 16 GiB identity would fail here instead of being allocated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("dense identity built above the dense limit")
+
+    monkeypatch.setattr(np, "eye", unreachable)
     op = NormalOrderedOperator({((0,), (0,)): 1.0})
-    with pytest.raises(ResourceLimitError):
-        trotter_propagator(_seq([op], 6), 0.1, SectorBasis.full(6), dense_limit=16)
+    for ops in ([op], []):
+        with pytest.raises(ResourceLimitError, match="dense matrix of dim 32768"):
+            trotter_propagator(_seq(ops, 15), 0.1, SectorBasis.full(15))
 
 
 def test_commuting_shift_is_zero():

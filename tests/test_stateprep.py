@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trotterr.ci import CITruncation, ci_ground_state, hartree_fock_state
+from trotterr.ci import ci_ground_state
 from trotterr.errors import ValidationError
 from trotterr.hamiltonian import load_fcidump
 from trotterr.stateprep import (
@@ -163,8 +163,7 @@ class TestPrepCostReport:
         assert report.spare_zero_components
 
     def test_cisd_vector_support(self, h2):
-        trunc = CITruncation(level=2, reference=hartree_fock_state(h2))
-        _, vec = ci_ground_state(h2, trunc)
+        _, vec = ci_ground_state(h2, 2)
         report = prep_cost_report(h2, 1e-3, vec)
         assert 1 <= report.support_dim <= 6
         # a closed-shell singlet leaves single excitations empty
