@@ -25,7 +25,6 @@ from .ci import _check_excitation_level, ci_ground_state, hartree_fock_state
 from .errors import NumericalError, ValidationError
 from .fermion import _term_order_sum
 from .fock import (
-    DENSE_LIMIT,
     CIVector,
     RestrictedOperator,
     SectorBasis,
@@ -212,7 +211,6 @@ def analyze(
     ci_levels: Sequence[int] | None = None,
     evolution_time: float = 1.0,
     target_delta: float = 1e-3,
-    dense_limit: int = DENSE_LIMIT,
     seeds: Sequence[int] = (),
     source_sha256: str = "",
 ) -> ErrorAnalysisReport:
@@ -224,6 +222,8 @@ def analyze(
     for comparison.  ``ci_levels`` defaults to reference/singles/doubles
     clamped to what the system supports; explicitly requested levels are
     not clamped, and one outside [0, N - n] is rejected before any work.
+    The ground state, the norm and each CI level are solved densely up to
+    ``fock.DENSE_LIMIT`` states and by Lanczos above it.
 
     CI levels need MS2 = N mod 2.  The exact ground state comes from the
     whole N-electron sector, whose lowest state always has a component of
@@ -233,8 +233,6 @@ def analyze(
     """
     if space not in SPACES:
         raise ValidationError(f"unknown space {space!r}; use one of {SPACES}")
-    if dense_limit < 0:
-        raise ValidationError(f"dense_limit must be >= 0, got {dense_limit}")
     with _stage("Trotter number"):
         check_time_and_delta(evolution_time, target_delta)
     levels = _default_ci_levels(system) if ci_levels is None else tuple(ci_levels)
@@ -260,7 +258,7 @@ def analyze(
     with _stage("ground state"):
         # one Hamiltonian for the exact ground state and every CI level
         hamiltonian = system.hamiltonian()
-        energy, psi0 = ground_state(hamiltonian, basis, dense_limit=dense_limit)
+        energy, psi0 = ground_state(hamiltonian, basis)
     with _stage("ground-state error"):
         # one restriction of V to the working basis serves the expectation
         # and the norm
@@ -268,7 +266,7 @@ def analyze(
         signed_error = restricted_error.expectation(psi0)
     gs_error = abs(signed_error)
     with _stage("spectral norm"):
-        norm = restricted_error.spectral_norm(dense_limit=dense_limit)
+        norm = restricted_error.spectral_norm()
     ratio = gs_error / norm if norm > 0.0 else 0.0
     if ratio > 1.0 + 1e-12:
         raise NumericalError(f"Rayleigh bound violated: ratio {ratio}")
@@ -281,9 +279,7 @@ def analyze(
     ci_results = []
     for level in levels:
         with _stage(f"CI level {level}"):
-            ci_energy, ci_vec = ci_ground_state(
-                system, level, dense_limit=dense_limit, hamiltonian=hamiltonian
-            )
+            ci_energy, ci_vec = ci_ground_state(system, level, hamiltonian=hamiltonian)
             level_error = sector_error.expectation(
                 embed_in_sector(ci_vec, sector_error.basis)
             )

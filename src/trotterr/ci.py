@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import ValidationError
 from .fermion import NormalOrderedOperator
-from .fock import DENSE_LIMIT, CIVector, SectorBasis, ground_state
+from .fock import CIVector, SectorBasis, ground_state
 from .hamiltonian import MolecularSystem
 
 
@@ -82,7 +82,6 @@ def ci_ground_state(
     system: MolecularSystem,
     level: int,
     *,
-    dense_limit: int = DENSE_LIMIT,
     hamiltonian: NormalOrderedOperator | None = None,
 ) -> tuple[float, CIVector]:
     """Minimal eigenpair of H restricted to the configurations within
@@ -95,4 +94,4 @@ def ci_ground_state(
     if hamiltonian is None:
         hamiltonian = system.hamiltonian()
     basis = excitation_basis(hartree_fock_state(system), level, system.n_spin_orbitals)
-    return ground_state(hamiltonian, basis, dense_limit=dense_limit)
+    return ground_state(hamiltonian, basis)

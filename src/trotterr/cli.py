@@ -12,12 +12,13 @@ namespace is lazy); heavy modules are imported inside the handlers, so a
 ``--threads`` cap (or the TROTTERR_THREADS variable) is in place before
 any numerical library starts its worker pool.
 
-``--dense-limit`` is the largest basis diagonalized densely.  Above it
-``analyze`` switches to the Lanczos solvers, the only code the commands run
-that imports scipy; ``spectrum`` and ``haar`` need every eigenvalue, so
-they refuse with exit 4 before building the error operator.  Every input
-that can be rejected without the error operator is rejected first: ``haar``
-checks ``--samples`` and ``--seed``, ``analyze`` each ``--ci-levels`` entry.
+``fock.DENSE_LIMIT`` is the largest basis diagonalized densely; no flag
+changes it.  Above it ``analyze`` switches to the Lanczos solvers, the only
+code the commands run that imports scipy; ``spectrum`` and ``haar`` need
+every eigenvalue, so they refuse with exit 4 before building the error
+operator.  Every input that can be rejected without the error operator is
+rejected first: ``haar`` checks ``--samples`` and ``--seed``, ``analyze``
+each ``--ci-levels`` entry.
 
 Each JSON payload embeds the schema version, tool version, input file
 hash, and every parameter that influenced the numbers, so a rerun with
@@ -111,25 +112,16 @@ def _error_operator(args, system):
     return build_error_operator(sequence, args.dt)
 
 
-def _dense_limit(args) -> dict:
-    """``dense_limit`` keyword for the solvers, empty when not given."""
-    if args.dense_limit is None:
-        return {}
-    if args.dense_limit < 0:
-        raise ValidationError(f"--dense-limit must be >= 0, got {args.dense_limit}")
-    return {"dense_limit": args.dense_limit}
-
-
-def _dense_basis(system, full_fock: bool, extra: dict):
+def _dense_basis(system, full_fock: bool):
     """The basis ``spectrum`` and ``haar`` diagonalize densely, refused above
     the dense limit before the error operator is built."""
-    from .fock import SectorBasis, _check_dense_limit
+    from .fock import SectorBasis, _check_dense_size
 
     if full_fock:
         basis = SectorBasis.full(system.n_spin_orbitals)
     else:
         basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-    _check_dense_limit(basis, **extra)
+    _check_dense_size(basis)
     return basis
 
 
@@ -152,7 +144,6 @@ def _cmd_analyze(args) -> None:
             raise ValidationError(
                 f"--ci-levels must be comma-separated integers, got {args.ci_levels!r}"
             ) from None
-    extra = _dense_limit(args)
     report = analyze(
         system,
         delta_t=args.dt,
@@ -163,7 +154,6 @@ def _cmd_analyze(args) -> None:
         evolution_time=args.time,
         target_delta=args.target_delta,
         source_sha256=digest,
-        **extra,
     )
     _emit(args, report.to_json())
 
@@ -172,51 +162,40 @@ def _cmd_spectrum(args) -> None:
     from .analysis import spectrum_csv
     from .fock import full_spectrum
 
-    extra = _dense_limit(args)
     system, _ = _load_system(args)
-    basis = _dense_basis(system, args.full_fock, extra)
+    basis = _dense_basis(system, args.full_fock)
     error = _error_operator(args, system)
-    _emit(args, spectrum_csv(full_spectrum(error.op, basis, **extra)))
+    _emit(args, spectrum_csv(full_spectrum(error.op, basis)))
 
 
 def _cmd_haar(args) -> None:
+    from dataclasses import fields
+
     from .haar import _check_sampling, haar_error_distribution
 
-    extra = _dense_limit(args)
     system, digest = _load_system(args)
     _check_sampling(args.samples, args.seed, args.ensemble)
-    basis = _dense_basis(system, args.full_fock, extra)
+    basis = _dense_basis(system, args.full_fock)
     error = _error_operator(args, system)
     report = haar_error_distribution(
-        error, basis, args.samples, args.seed, ensemble=args.ensemble, **extra
+        error, basis, args.samples, args.seed, ensemble=args.ensemble
     )
-    _emit(
-        args,
-        _json_payload(
-            {
-                "schema_version": 1,
-                "tool_version": __version__,
-                "kind": "haar-report",
-                "source_sha256": digest,
-                "ordering_label": error.ordering_label,
-                "delta_t": args.dt,
-                "space": "full" if args.full_fock else "sector",
-                "dim": report.dim,
-                "ensemble": report.ensemble,
-                "seed": report.seed,
-                "n_samples": report.n_samples,
-                "empirical_mean": report.empirical_mean,
-                "empirical_variance": report.empirical_variance,
-                "closed_form_mean": report.closed_form_mean,
-                "closed_form_variance": report.closed_form_variance,
-                "component_variance": report.component_variance,
-                "concentration_bound": report.concentration_bound,
-                "within_bound_fraction": report.within_bound_fraction,
-                "mean_standard_error": report.mean_standard_error(),
-                "mean_within_three_stderr": report.mean_is_unbiased(),
-            }
-        ),
+    payload = {
+        "schema_version": 1,
+        "tool_version": __version__,
+        "kind": "haar-report",
+        "source_sha256": digest,
+        "ordering_label": error.ordering_label,
+        "delta_t": args.dt,
+        "space": "full" if args.full_fock else "sector",
+        "mean_standard_error": report.mean_standard_error(),
+        "mean_within_three_stderr": report.mean_is_unbiased(),
+    }
+    # every scalar field; asdict would copy the samples array
+    payload.update(
+        (f.name, getattr(report, f.name)) for f in fields(report) if f.name != "samples"
     )
+    _emit(args, _json_payload(payload))
 
 
 def _cmd_marginals(args) -> None:
@@ -326,15 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fragment ordering strategy",
     )
 
-    dense = argparse.ArgumentParser(add_help=False)
-    dense.add_argument(
-        "--dense-limit",
-        type=int,
-        default=None,
-        help="largest dimension diagonalized densely (above it analyze uses "
-        "Lanczos; spectrum and haar refuse)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="trotterr",
         description="Trotter step error analysis for molecular Hamiltonians",
@@ -346,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        parents=[common, fixture, stepping, dense],
+        parents=[common, fixture, stepping],
         help="full error report as JSON",
     )
     p.add_argument(
@@ -382,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("haar", _cmd_haar, "random-vector error statistics as JSON"),
     ):
         p = sub.add_parser(
-            name, parents=[common, fixture, stepping, dense], help=extra_help
+            name, parents=[common, fixture, stepping], help=extra_help
         )
         group = p.add_mutually_exclusive_group()
         group.add_argument(

@@ -621,12 +621,10 @@ def trace(op: NormalOrderedOperator, n_orbitals: int) -> float:
             f"operator touches orbital {op.max_orbital()} but n_orbitals={n_orbitals}"
         )
     diagonal = op.cre == op.ann
-    total = 0.0
-    for mask, c in zip(op.cre[diagonal].tolist(), op.val[diagonal].tolist()):
-        k = mask.bit_count()
-        sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
-        total += c * sign * (1 << (n_orbitals - k))
-    return total
+    k = np.bitwise_count(op.cre[diagonal]).astype(np.int64)
+    sign = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
+    # ldexp scales by 2^(N-k) exactly, so no contribution is rounded
+    return _term_order_sum(np.ldexp(op.val[diagonal] * sign, n_orbitals - k))
 
 
 def number_operator(n_orbitals: int) -> NormalOrderedOperator:

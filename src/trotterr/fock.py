@@ -15,7 +15,10 @@ so applying the operator or building its matrix accumulates them in exactly
 the order a term-by-term loop would, and the results are bit-identical to
 it.  A :class:`RestrictedOperator` builds the table once and evaluates
 everything from it; each public function builds one and calls it once.
-scipy is imported only by the Lanczos branches (above ``dense_limit``).
+
+``DENSE_LIMIT`` is read here only, at call time: a basis of at most that
+many states is diagonalized densely, a larger one by Lanczos (the only
+code that imports scipy), and ``to_dense`` refuses it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .fermion import NormalOrderedOperator, _prefix_parity
 
 log = logging.getLogger(__name__)
 
+# at least 1, so a one-state basis, on which Lanczos cannot run, is dense
 DENSE_LIMIT = 16384
 
 # the budget of an eigenpair residual ||H v - E v|| relative to max(1, |E|),
@@ -212,8 +216,7 @@ class RestrictedOperator:
     action table are done once, and every evaluation reuses the table.
 
     ``lowest`` and ``spectral_norm`` require a Hermitian ``op``; they
-    diagonalize densely up to ``dense_limit`` states (and always for a
-    single state) and by Lanczos beyond.
+    diagonalize densely up to ``DENSE_LIMIT`` states and by Lanczos beyond.
     """
 
     __slots__ = ("op", "basis", "_table")
@@ -247,10 +250,10 @@ class RestrictedOperator:
             log.warning("expectation input norm %.6f != 1; normalizing", math.sqrt(nrm2))
         return float(v @ self.apply(v)) / nrm2
 
-    def lowest(self, *, dense_limit: int = DENSE_LIMIT) -> tuple[float, CIVector]:
+    def lowest(self) -> tuple[float, CIVector]:
         self.op.require_hermitian("operator is not Hermitian")
         basis = self.basis
-        if basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
+        if basis.dim <= DENSE_LIMIT:
             vals, vecs = np.linalg.eigh(self.dense())
         else:
             vals, vecs = self._lanczos("SA", SOLVER_REL_TOL / 10, vectors=True)
@@ -262,9 +265,9 @@ class RestrictedOperator:
             raise NumericalError(f"eigenpair residual {rnorm:.3e} too large")
         return energy, state
 
-    def spectral_norm(self, *, dense_limit: int = DENSE_LIMIT) -> float:
+    def spectral_norm(self) -> float:
         self.op.require_hermitian("operator is not Hermitian")
-        if self.basis.dim <= max(dense_limit, 1):  # Lanczos needs dim >= 2
+        if self.basis.dim <= DENSE_LIMIT:
             vals = np.linalg.eigvalsh(self.dense())
             return float(np.max(np.abs(vals))) if len(vals) else 0.0
         hi = self._lanczos("LA", SOLVER_REL_TOL, vectors=False)
@@ -304,22 +307,17 @@ def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
     return CIVector(vector.basis, restricted.apply(vector.amplitudes))
 
 
-def to_dense(
-    op: NormalOrderedOperator,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-) -> np.ndarray:
+def to_dense(op: NormalOrderedOperator, basis: SectorBasis) -> np.ndarray:
     """Dense matrix of ``op`` restricted to ``basis`` (column = source)."""
-    _check_dense_limit(basis, dense_limit=dense_limit)  # before any table is built
+    _check_dense_size(basis)  # before any table is built
     return RestrictedOperator(op, basis).dense()
 
 
-def _check_dense_limit(basis: SectorBasis, *, dense_limit: int = DENSE_LIMIT) -> None:
-    """Refuse a dense matrix on ``basis`` above ``dense_limit`` states."""
-    if basis.dim > dense_limit:
+def _check_dense_size(basis: SectorBasis) -> None:
+    """Refuse a dense matrix on ``basis`` above ``DENSE_LIMIT`` states."""
+    if basis.dim > DENSE_LIMIT:
         raise ResourceLimitError(
-            f"dense matrix of dim {basis.dim} exceeds limit {dense_limit}"
+            f"dense matrix of dim {basis.dim} exceeds limit {DENSE_LIMIT}"
         )
 
 
@@ -329,37 +327,24 @@ def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:
 
 
 def ground_state(
-    op: NormalOrderedOperator,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
+    op: NormalOrderedOperator, basis: SectorBasis
 ) -> tuple[float, CIVector]:
     """Minimal eigenpair of a Hermitian operator on ``basis``.
 
-    Dense diagonalization up to ``dense_limit`` states (and always for a
-    single state), Lanczos beyond; the residual norm ||H v - E v|| is
-    verified against ``SOLVER_REL_TOL`` either way.
+    Dense diagonalization up to ``DENSE_LIMIT`` states, Lanczos beyond; the
+    residual norm ||H v - E v|| is verified against ``SOLVER_REL_TOL``
+    either way.
     """
-    return RestrictedOperator(op, basis).lowest(dense_limit=dense_limit)
+    return RestrictedOperator(op, basis).lowest()
 
 
-def spectral_norm(
-    op: NormalOrderedOperator,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-) -> float:
+def spectral_norm(op: NormalOrderedOperator, basis: SectorBasis) -> float:
     """Largest |eigenvalue| of a Hermitian operator on ``basis``."""
-    return RestrictedOperator(op, basis).spectral_norm(dense_limit=dense_limit)
+    return RestrictedOperator(op, basis).spectral_norm()
 
 
-def full_spectrum(
-    op: NormalOrderedOperator,
-    basis: SectorBasis,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-) -> np.ndarray:
+def full_spectrum(op: NormalOrderedOperator, basis: SectorBasis) -> np.ndarray:
     """All eigenvalues ascending (dense path only)."""
-    matrix = to_dense(op, basis, dense_limit=dense_limit)
+    matrix = to_dense(op, basis)
     op.require_hermitian("operator is not Hermitian")
     return np.linalg.eigvalsh(matrix)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fermion import NormalOrderedOperator
-from .fock import DENSE_LIMIT, SectorBasis, full_spectrum, to_dense
+from .fock import SectorBasis, full_spectrum, to_dense
 from .trotter import ErrorOperator
 
 ENSEMBLES = ("complex", "real")
@@ -189,7 +189,6 @@ def haar_error_distribution(
     seed: int,
     *,
     ensemble: str = "complex",
-    dense_limit: int = DENSE_LIMIT,
 ) -> HaarReport:
     """Sample <v|V|v> over Haar-random unit vectors on ``basis``.
 
@@ -198,7 +197,7 @@ def haar_error_distribution(
     ``SAMPLE_BLOCK`` samples.
     """
     _check_sampling(n_samples, seed, ensemble)
-    lam = full_spectrum(error.op, basis, dense_limit=dense_limit)
+    lam = full_spectrum(error.op, basis)
     # the squares of eigenvalues above ~1e154 overflow long before V itself
     # does: that is a numerical failure, not a report of inf
     with np.errstate(over="ignore", invalid="ignore"):

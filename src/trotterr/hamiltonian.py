@@ -79,6 +79,12 @@ class MolecularSystem:
             raise ValidationError(
                 f"MS2={self.ms2} inconsistent with NELEC={self.n_electrons}"
             )
+        n_major = (self.n_electrons + abs(self.ms2)) // 2
+        if n_major > norb:
+            raise ValidationError(
+                f"MS2={self.ms2} puts {n_major} electrons of one spin in "
+                f"NORB={norb} orbitals"
+            )
         if not np.all(np.abs(self.h1 - self.h1.T) <= 1e-12):
             raise ValidationError("h1 is not symmetric")
         # electron relabeling and real orbitals
@@ -218,6 +224,12 @@ def parse_fcidump(
         raise FcidumpError(f"NELEC={nelec} impossible for NORB={norb}", line=1)
     if abs(ms2) > nelec or (ms2 - nelec) % 2:
         raise FcidumpError(f"MS2={ms2} inconsistent with NELEC={nelec}", line=1)
+    n_major = (nelec + abs(ms2)) // 2
+    if n_major > norb:
+        raise FcidumpError(
+            f"MS2={ms2} puts {n_major} electrons of one spin in NORB={norb} orbitals",
+            line=1,
+        )
 
     system = MolecularSystem(
         n_electrons=nelec,

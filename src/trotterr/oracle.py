@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import SectorBasis, _check_dense_limit, to_dense
+from .fock import SectorBasis, _check_dense_size, to_dense
 from .hamiltonian import TrotterSequence
 
 UNITARITY_TOL = 1e-10
@@ -36,7 +36,7 @@ def trotter_propagator(
     # to_dense's refusal, up front: a sequence with no fragments (a system
     # with only a core energy has none) would never reach to_dense, and the
     # identity below alone is dim^2 complex entries
-    _check_dense_limit(basis)
+    _check_dense_size(basis)
     import scipy.linalg
 
     halves = [

@@ -19,6 +19,18 @@ def fixture_dir() -> Path:
     return FIXTURE_DIR
 
 
+@pytest.fixture()
+def set_dense_limit(monkeypatch):
+    """``set_dense_limit(k)`` makes ``fock.DENSE_LIMIT`` k for one test, so
+    a small basis takes the Lanczos path or is refused."""
+    import trotterr.fock
+
+    def set_limit(k: int) -> None:
+        monkeypatch.setattr(trotterr.fock, "DENSE_LIMIT", k)
+
+    return set_limit
+
+
 @pytest.fixture(scope="session")
 def fresh_python():
     """Run a script in a new interpreter that imports the package under

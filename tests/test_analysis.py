@@ -362,13 +362,6 @@ class TestAnalyze:
         with pytest.raises(ValidationError):
             analyze(h2_local, space="nowhere")
 
-    def test_dense_limit_domain(self, h2_local):
-        with pytest.raises(ValidationError, match="dense_limit"):
-            analyze(h2_local, dense_limit=-1)
-        # Lanczos for the sector, the dense path for the one-state CI level 0
-        report = analyze(h2_local, dense_limit=0)
-        assert report.ci_results[0].subspace_dim == 1
-
     def test_ci_levels_need_the_parity_ms2(self):
         # a triplet reference against the whole-sector ground state would mix spins
         system = random_system(np.random.default_rng(5), 3)

@@ -1,7 +1,9 @@
 """Command-line surface: outputs, determinism, and the exit-code map."""
 
+import argparse
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from trotterr.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -66,17 +69,21 @@ class TestAnalyzeCommand:
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_lanczos_reruns_are_byte_identical(self, fixture_dir, capsys, fresh_python):
+    def test_lanczos_reruns_are_byte_identical(
+        self, fixture_dir, capsys, fresh_python, set_dense_limit
+    ):
         # dimension 70 > 20: the ground state, the norm and the doubles level
         # take the Lanczos path, whose start vector must not vary per run
-        argv = ["analyze", "--fcidump", str(fixture_dir / "h4_sto6g_local.fcidump"),
-                "--dense-limit", "20"]
+        argv = ["analyze", "--fcidump", str(fixture_dir / "h4_sto6g_local.fcidump")]
         script = f"""
             import sys
+            import trotterr.fock
             from trotterr.cli import main
+            trotterr.fock.DENSE_LIMIT = 20
             sys.exit(main({argv!r}))
             """
         runs = [fresh_python(script) for _ in range(2)]
+        set_dense_limit(20)
         code, stdout, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert runs == [stdout, stdout]
@@ -123,6 +130,20 @@ class TestAnalyzeCommand:
         assert code == EXIT_PARSE
         assert "line 1" in err
 
+    def test_one_spin_beyond_the_orbitals_is_parse(self, tmp_path, capsys):
+        # NELEC=4, MS2=2: 3 alpha electrons in 2 spatial orbitals, refused by
+        # every command that reads the file
+        bad = tmp_path / "ms2.fcidump"
+        bad.write_text("&FCI NORB=2,NELEC=4,MS2=2 /\n 0.5 1 1 1 1\n -1.0 1 1 0 0\n")
+        for argv in (["analyze"], ["analyze", "--ci-levels="], ["spectrum"],
+                     ["prep-cost", "--delta", "1e-3", "--ci-vector"]):
+            code, _, err = run(capsys, argv[0], "--fcidump", str(bad), *argv[1:])
+            assert (code, err) == (
+                EXIT_PARSE,
+                "trotterr: parse error: line 1: MS2=2 puts 3 electrons of one spin "
+                "in NORB=2 orbitals\n",
+            ), argv
+
     def test_ci_levels_off_the_parity_ms2_are_usage(self, tmp_path, fixture_dir, capsys):
         triplet = tmp_path / "triplet.fcidump"
         triplet.write_text((fixture_dir / H2).read_text().replace("MS2=0,", "MS2=2,", 1))
@@ -144,14 +165,17 @@ class TestAnalyzeCommand:
         assert code == EXIT_RESOURCE
         assert "NORB=32" in err
 
-    def test_lanczos_no_convergence_is_numerical(self, h2_path, capsys, monkeypatch):
+    def test_lanczos_no_convergence_is_numerical(
+        self, h2_path, capsys, monkeypatch, set_dense_limit
+    ):
         import scipy.sparse.linalg
 
         def stalled(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-        code, _, err = run(capsys, "analyze", "--fcidump", h2_path, "--dense-limit", "1")
+        set_dense_limit(1)
+        code, _, err = run(capsys, "analyze", "--fcidump", h2_path)
         assert code == EXIT_NUMERICAL
         assert "Lanczos did not converge" in err
 
@@ -187,10 +211,6 @@ EDGE_CASES = [
     (["spectrum", "--dt", "1e-170"], EXIT_NUMERICAL),
     (["haar", "--dt", "1e-170"], EXIT_NUMERICAL),
     (["marginals", "--dt", "1e-170"], EXIT_NUMERICAL),
-    (["analyze", "--dense-limit", "-1"], EXIT_USAGE),
-    (["spectrum", "--dense-limit", "-1"], EXIT_USAGE),
-    (["haar", "--dense-limit", "-1"], EXIT_USAGE),
-    (["analyze", "--dense-limit", "0"], EXIT_OK),
     (["prep-cost", "--delta", "1e-300"], EXIT_OK),
     (["analyze", "--time", "nan"], EXIT_USAGE),
     (["analyze", "--time", "inf"], EXIT_USAGE),
@@ -222,30 +242,34 @@ def test_bad_time_is_rejected_before_any_work(h2_path, capsys, monkeypatch, flag
     assert "positive and finite" in err
 
 
-# Inputs refused without the error operator, with exit code and message;
-# each is refused before V is built.
+# Inputs refused without the error operator, with the dense limit (None:
+# the default), exit code and message; each is refused before V is built.
 REFUSED_BEFORE_V = [
-    (["spectrum", "--dense-limit", "3"], EXIT_RESOURCE,
+    (["spectrum"], 3, EXIT_RESOURCE,
      "resource error: dense matrix of dim 6 exceeds limit 3"),
-    (["haar", "--samples", "1"], EXIT_USAGE, "usage error: need n_samples >= 2, got 1"),
-    (["haar", "--seed", "-1"], EXIT_USAGE,
+    (["haar", "--samples", "1"], None, EXIT_USAGE,
+     "usage error: need n_samples >= 2, got 1"),
+    (["haar", "--seed", "-1"], None, EXIT_USAGE,
      "usage error: seed must be a 64-bit unsigned integer, got -1"),
-    (["haar", "--full-fock", "--dense-limit", "10"], EXIT_RESOURCE,
+    (["haar", "--full-fock"], 10, EXIT_RESOURCE,
      "resource error: dense matrix of dim 16 exceeds limit 10"),
-    (["analyze", "--ci-levels", "3"], EXIT_USAGE,
+    (["analyze", "--ci-levels", "3"], None, EXIT_USAGE,
      "usage error: CI level 3: level 3 exceeds N - n = 2"),
-    (["analyze", "--ci-levels=-1"], EXIT_USAGE,
+    (["analyze", "--ci-levels=-1"], None, EXIT_USAGE,
      "usage error: CI level -1: truncation level must be >= 0, got -1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, expected, message",
+    "argv, limit, expected, message",
     REFUSED_BEFORE_V,
-    ids=[" ".join(argv) for argv, _, _ in REFUSED_BEFORE_V],
+    ids=[
+        " ".join(argv) + ("" if limit is None else f" DENSE_LIMIT={limit}")
+        for argv, limit, _, _ in REFUSED_BEFORE_V
+    ],
 )
 def test_refused_before_the_error_operator_is_built(
-    h2_path, capsys, monkeypatch, argv, expected, message
+    h2_path, capsys, monkeypatch, set_dense_limit, argv, limit, expected, message
 ):
     import trotterr.analysis
     import trotterr.trotter
@@ -256,6 +280,8 @@ def test_refused_before_the_error_operator_is_built(
     # the commands look the builder up here at call time, analyze in analysis
     monkeypatch.setattr(trotterr.trotter, "build_error_operator", unreachable)
     monkeypatch.setattr(trotterr.analysis, "build_error_operator", unreachable)
+    if limit is not None:
+        set_dense_limit(limit)
     code, _, err = run(capsys, argv[0], "--fcidump", h2_path, *argv[1:])
     assert (code, err) == (expected, f"trotterr: {message}\n")
 
@@ -303,10 +329,9 @@ class TestSpectrumCommand:
         assert code == EXIT_OK
         assert len(stdout.strip().split("\n")) == 17
 
-    def test_dense_limit_maps_to_resource_exit(self, h2_path, capsys):
-        code, _, err = run(
-            capsys, "spectrum", "--fcidump", h2_path, "--dense-limit", "3"
-        )
+    def test_dense_limit_maps_to_resource_exit(self, h2_path, capsys, set_dense_limit):
+        set_dense_limit(3)
+        code, _, err = run(capsys, "spectrum", "--fcidump", h2_path)
         assert code == EXIT_RESOURCE
         assert "resource" in err
 
@@ -525,7 +550,7 @@ REPORT_VARIANTS = {
     "analyze-term": ["analyze", "--granularity", "term"],
     "analyze-magnitude": ["analyze", "--ordering", "magnitude-descending"],
     "analyze-flat": ["analyze", "--ordering", "flat-lexicographic", "--dt", "0.5"],
-    "analyze-lanczos": ["analyze", "--dense-limit", "4", "--ci-levels", "0,1"],
+    "analyze-lanczos": ["analyze", "--ci-levels", "0,1"],
     "spectrum": ["spectrum"],
     "spectrum-full": ["spectrum", "--full-fock"],
     "haar": ["haar", "--samples", "10000", "--seed", "3"],
@@ -534,6 +559,9 @@ REPORT_VARIANTS = {
     "prep-cost": ["prep-cost", "--delta", "1e-3"],
     "prep-cost-ci": ["prep-cost", "--delta", "1e-3", "--ci-vector"],
 }
+
+# variants run with fock.DENSE_LIMIT set to this; the others use the default
+REPORT_DENSE_LIMITS = {"analyze-lanczos": 4}
 
 REPORT_HASHES = Path(__file__).resolve().parent / "cli_stdout_sha256.json"
 
@@ -548,6 +576,7 @@ def test_report_bytes_are_pinned(fixture_dir, fresh_python):
         import contextlib, hashlib, io, json
         from pathlib import Path
         import numpy as np
+        import trotterr.fock
         from trotterr.cli import main
 
         config = np.show_config(mode="dicts")
@@ -558,8 +587,10 @@ def test_report_bytes_are_pinned(fixture_dir, fresh_python):
             "cpu_simd": config["SIMD Extensions"]["found"],
         }}
         hashes = {{}}
+        default_limit = trotterr.fock.DENSE_LIMIT
         for path in {fixtures!r}:
             for name, argv in {REPORT_VARIANTS!r}.items():
+                trotterr.fock.DENSE_LIMIT = {REPORT_DENSE_LIMITS!r}.get(name, default_limit)
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
                     code = main(argv[:1] + ["--fcidump", path] + argv[1:])
@@ -582,6 +613,39 @@ def test_report_bytes_are_pinned(fixture_dir, fresh_python):
             f"not be a code change: {changed}"
         )
     assert not changed, "report bytes changed on the pinned numerical stack"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _unaccepted_readme_flags(readme: str) -> list[str]:
+    """``"command --flag"`` for every flag that README's "Command line"
+    synopsis names for a subcommand whose parser does not accept it."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    seen, unaccepted = set(), []
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "trotterr":
+            command = words[1]  # continuation lines belong to it
+            seen.add(command)
+        accepted = subparsers.choices[command]._option_string_actions
+        unaccepted += [
+            f"{command} {flag}"
+            for flag in re.findall(r"--[a-z][a-z-]*", line)
+            if flag not in accepted
+        ]
+    assert seen == set(subparsers.choices), seen
+    return unaccepted
+
+
+def test_readme_synopsis_names_only_accepted_flags():
+    readme = README.read_text()
+    assert _unaccepted_readme_flags(readme) == []
+    stale = readme.replace("[--target-delta D]", "[--target-delta D] [--dense-limit L]", 1)
+    assert _unaccepted_readme_flags(stale) == ["analyze --dense-limit"]
 
 
 def test_version_flag(capsys):

@@ -263,6 +263,18 @@ def test_coefficient_l1_adds_in_term_order():
     assert repr(NormalOrderedOperator.zero().coefficient_l1()) == "0.0"
 
 
+def test_trace_adds_in_term_order():
+    # the exact trace is 4.0; added one by one in term order the 4 is lost
+    values = [1e16, 1.0, -1e16]
+    op = NormalOrderedOperator(
+        {((p,), (p,)): v for p, v in enumerate(values)}, drop_tolerance=0.0
+    )
+    total = 0.0
+    for v in values:
+        total += v * 2.0**2
+    assert trace(op, 3) == total == 0.0
+
+
 def test_trace_number_operator_full_fock():
     n1 = normal_order(LadderTerm(1.0, (cre(1), ann(1))))
     assert trace(n1, 2) == pytest.approx(2.0)

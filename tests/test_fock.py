@@ -262,7 +262,9 @@ def test_term_actions_equal_per_term_reference(fixture_dir):
 
 @pytest.mark.parametrize("solver", ["dense", "lanczos"])
 @pytest.mark.parametrize("name", FIXTURES)
-def test_restricted_operator_is_the_public_functions(fixture_dir, name, solver):
+def test_restricted_operator_is_the_public_functions(
+    fixture_dir, set_dense_limit, name, solver
+):
     # one restriction, evaluated many times, gives exactly the bits of the
     # one-shot functions
     kind = name.rsplit("_", 1)[1]
@@ -270,22 +272,21 @@ def test_restricted_operator_is_the_public_functions(fixture_dir, name, solver):
     error = build_error_operator(build_trotter_sequence(system), 1.0)
     n = system.n_spin_orbitals
     for basis in (SectorBasis.sector(n, system.n_electrons), SectorBasis.full(n)):
-        limit = DENSE_LIMIT if solver == "dense" else basis.dim - 1
+        set_dense_limit(DENSE_LIMIT if solver == "dense" else basis.dim - 1)
         vector = CIVector(basis, probe_vector(basis.dim)).normalized()
         for op in (system.hamiltonian(), error.op):
             restricted = RestrictedOperator(op, basis)
             assert np.array_equal(
                 restricted.apply(vector.amplitudes), apply(op, vector).amplitudes
             )
-            assert np.array_equal(restricted.dense(), to_dense(op, basis))
+            if solver == "dense":  # to_dense refuses above the limit
+                assert np.array_equal(restricted.dense(), to_dense(op, basis))
             assert restricted.expectation(vector) == expectation(op, vector)
-            energy, state = restricted.lowest(dense_limit=limit)
-            ref_energy, ref_state = ground_state(op, basis, dense_limit=limit)
+            energy, state = restricted.lowest()
+            ref_energy, ref_state = ground_state(op, basis)
             assert energy == ref_energy
             assert np.array_equal(state.amplitudes, ref_state.amplitudes)
-            assert restricted.spectral_norm(dense_limit=limit) == spectral_norm(
-                op, basis, dense_limit=limit
-            )
+            assert restricted.spectral_norm() == spectral_norm(op, basis)
 
 
 def test_restricted_expectation_rejects_another_basis():
@@ -295,10 +296,10 @@ def test_restricted_expectation_rejects_another_basis():
         restricted.expectation(CIVector.unit(SectorBasis.sector(4, 1), 0b1))
 
 
-def test_to_dense_respects_resource_limit():
-    basis = SectorBasis.full(6)
+def test_to_dense_respects_resource_limit(set_dense_limit):
+    set_dense_limit(63)
     with pytest.raises(ResourceLimitError):
-        to_dense(number_operator(6), basis, dense_limit=63)
+        to_dense(number_operator(6), SectorBasis.full(6))
 
 
 # ---------------------------------------------------------------------------
@@ -355,37 +356,37 @@ class TestEigensolvers:
         assert abs(state.amplitudes @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-8)
         assert state.norm() == pytest.approx(1.0)
 
-    def test_ground_state_lanczos_path(self, hermitian_case):
+    def test_ground_state_lanczos_path(self, hermitian_case, set_dense_limit):
         op, basis, ref = hermitian_case
-        # dense_limit below dim forces the iterative solver
-        energy, _ = ground_state(op, basis, dense_limit=1)
+        # a limit below dim forces the iterative solver
+        set_dense_limit(1)
+        energy, _ = ground_state(op, basis)
         assert energy == pytest.approx(float(np.linalg.eigvalsh(ref)[0]), abs=1e-7)
 
-    def test_lanczos_path_on_fixture_hamiltonian(self, fixture_dir):
+    def test_lanczos_path_on_fixture_hamiltonian(self, fixture_dir, set_dense_limit):
         system = load_fcidump(
             fixture_dir / "h4_sto6g_local.fcidump", orbital_kind="local"
         )
         h = system.hamiltonian()
         basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
         dense_energy, dense_state = ground_state(h, basis)
-        energy, state = ground_state(h, basis, dense_limit=basis.dim // 4)
+        dense_norm = spectral_norm(h, basis)
+        set_dense_limit(basis.dim // 4)
+        energy, state = ground_state(h, basis)
         assert energy == pytest.approx(dense_energy, abs=1e-9)
         assert abs(state.dot(dense_state)) == pytest.approx(1.0, abs=1e-6)
-        assert spectral_norm(h, basis, dense_limit=basis.dim // 4) == pytest.approx(
-            spectral_norm(h, basis), rel=1e-8
-        )
+        assert spectral_norm(h, basis) == pytest.approx(dense_norm, rel=1e-8)
 
-    def test_spectral_norm_both_paths(self, hermitian_case):
+    def test_spectral_norm_both_paths(self, hermitian_case, set_dense_limit):
         op, basis, ref = hermitian_case
         expected = float(np.max(np.abs(np.linalg.eigvalsh(ref))))
         assert spectral_norm(op, basis) == pytest.approx(expected, abs=1e-10)
-        assert spectral_norm(op, basis, dense_limit=1) == pytest.approx(
-            expected, rel=1e-6
-        )
+        set_dense_limit(1)
+        assert spectral_norm(op, basis) == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("solver", [ground_state, spectral_norm])
     def test_lanczos_no_convergence_is_numerical_error(
-        self, hermitian_case, solver, monkeypatch
+        self, hermitian_case, solver, monkeypatch, set_dense_limit
     ):
         import scipy.sparse.linalg
 
@@ -394,16 +395,40 @@ class TestEigensolvers:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         op, basis, _ = hermitian_case
+        set_dense_limit(1)
         with pytest.raises(NumericalError, match="Lanczos did not converge"):
-            solver(op, basis, dense_limit=1)
+            solver(op, basis)
 
-    def test_single_state_takes_the_dense_path(self, hermitian_case):
-        # Lanczos cannot run on one state, whatever dense_limit says
+    def test_dense_limit_boundary(self, hermitian_case, set_dense_limit, monkeypatch):
+        # DENSE_LIMIT states are diagonalized densely; one more takes Lanczos
+        # and is refused by the dense-only paths
         op, basis, ref = hermitian_case
-        one = SectorBasis.subset(5, 2, [basis.states[3]])
-        energy, state = ground_state(op, one, dense_limit=0)
-        assert energy == ref[3, 3] and state.amplitudes.tolist() == [1.0]
-        assert spectral_norm(op, one, dense_limit=0) == abs(ref[3, 3])
+        d = 6
+        set_dense_limit(d)
+        lanczos_dims = []
+        lanczos = RestrictedOperator._lanczos
+
+        def spy(self, *args, **kwargs):
+            lanczos_dims.append(self.basis.dim)
+            return lanczos(self, *args, **kwargs)
+
+        monkeypatch.setattr(RestrictedOperator, "_lanczos", spy)
+        for dim, expected in ((d, []), (d + 1, [d + 1] * 3)):
+            restricted = RestrictedOperator(op, SectorBasis.subset(5, 2, basis.states[:dim]))
+            lanczos_dims.clear()
+            energy, _ = restricted.lowest()
+            norm = restricted.spectral_norm()
+            assert lanczos_dims == expected
+            vals = np.linalg.eigvalsh(ref[:dim, :dim])
+            assert energy == pytest.approx(vals[0], abs=1e-9)
+            assert norm == pytest.approx(np.max(np.abs(vals)), rel=1e-8)
+        at_limit = SectorBasis.subset(5, 2, basis.states[:d])
+        assert np.allclose(to_dense(op, at_limit), ref[:d, :d], atol=1e-12)
+        assert np.allclose(full_spectrum(op, at_limit), np.linalg.eigvalsh(ref[:d, :d]))
+        above = SectorBasis.subset(5, 2, basis.states[: d + 1])
+        for dense_only in (to_dense, full_spectrum):
+            with pytest.raises(ResourceLimitError, match=f"dim {d + 1} exceeds limit {d}$"):
+                dense_only(op, above)
 
     def test_full_spectrum_ascending_and_exact(self, hermitian_case):
         op, basis, ref = hermitian_case
@@ -411,10 +436,11 @@ class TestEigensolvers:
         assert np.all(np.diff(spec) >= 0)
         assert np.allclose(spec, np.linalg.eigvalsh(ref), atol=1e-10)
 
-    def test_full_spectrum_is_dense_only(self, hermitian_case):
+    def test_full_spectrum_is_dense_only(self, hermitian_case, set_dense_limit):
         op, basis, _ = hermitian_case
+        set_dense_limit(basis.dim - 1)
         with pytest.raises(ResourceLimitError):
-            full_spectrum(op, basis, dense_limit=basis.dim - 1)
+            full_spectrum(op, basis)
 
     def test_non_hermitian_rejected(self):
         hop = NormalOrderedOperator.from_key(((1,), (0,)), 1.0)

@@ -195,10 +195,11 @@ class TestHaarDistribution:
         with pytest.raises(ValidationError):
             haar_error_distribution(err, basis, 10, 0, ensemble="none")
 
-    def test_dense_limit(self):
+    def test_dense_limit(self, set_dense_limit):
         err = synthetic_error(number_operator(10), 10)
+        set_dense_limit(100)
         with pytest.raises(ResourceLimitError):
-            haar_error_distribution(err, SectorBasis.full(10), 10, 0, dense_limit=100)
+            haar_error_distribution(err, SectorBasis.full(10), 10, 0)
 
 
 class TestEigenstateDistribution:

@@ -98,6 +98,13 @@ class TestParser:
         with pytest.raises(FcidumpError):
             parse_fcidump("&FCI NORB=2,NELEC=2,MS2=1 /\n 0.0 0 0 0 0\n")
 
+    @pytest.mark.parametrize("ms2", [2, -2])
+    def test_one_spin_beyond_the_orbitals(self, ms2):
+        # 3 electrons of one spin and 1 of the other in 2 spatial orbitals
+        text = f"&FCI NORB=2,NELEC=4,MS2={ms2} /\n 0.5 1 1 1 1\n -1.0 1 1 0 0\n"
+        with pytest.raises(FcidumpError, match=f"line 1: MS2={ms2} puts 3 electrons"):
+            parse_fcidump(text)
+
     def test_non_integer_ms2_is_fcidump_error(self):
         with pytest.raises(FcidumpError, match="line 1"):
             parse_fcidump("&FCI NORB=1,NELEC=2,MS2=x /\n 0.0 0 0 0 0\n")
@@ -231,6 +238,12 @@ class TestValidate:
         for index in touched:
             syst.eri[index] += 1e-6
         with pytest.raises(ValidationError, match=re.escape(symmetry)):
+            syst.validate()
+
+    def test_rejects_one_spin_beyond_the_orbitals(self):
+        syst = self._system()  # 3 spatial orbitals
+        syst.n_electrons, syst.ms2 = 4, 4
+        with pytest.raises(ValidationError, match="MS2=4 puts 4 electrons of one spin"):
             syst.validate()
 
     def test_rejects_misshapen_eri(self):

@@ -123,6 +123,7 @@ def test_lanczos_and_oracle_import_scipy_on_demand(fixture_dir, fresh_python):
         import sys
         import numpy as np
         import trotterr
+        import trotterr.fock
 
         system = trotterr.load_fcidump({h2!r})
         h = system.hamiltonian()
@@ -131,11 +132,14 @@ def test_lanczos_and_oracle_import_scipy_on_demand(fixture_dir, fresh_python):
         dense_norm = trotterr.spectral_norm(h, basis)
         assert "scipy" not in sys.modules
 
-        energy, _ = trotterr.ground_state(h, basis, dense_limit=basis.dim - 1)
+        default_limit = trotterr.fock.DENSE_LIMIT
+        trotterr.fock.DENSE_LIMIT = basis.dim - 1
+        energy, _ = trotterr.ground_state(h, basis)
         assert abs(energy - dense_energy) <= 1e-9
-        norm = trotterr.spectral_norm(h, basis, dense_limit=basis.dim - 1)
+        norm = trotterr.spectral_norm(h, basis)
         assert abs(norm - dense_norm) <= 1e-8 * dense_norm
         assert "scipy.sparse.linalg" in sys.modules
+        trotterr.fock.DENSE_LIMIT = default_limit
 
         seq = trotterr.build_trotter_sequence(system)
         u = trotterr.trotter_propagator(seq, 0.1, basis)
