@@ -1,6 +1,10 @@
 """Leading-order product-formula error operator."""
 
+import hashlib
+import json
 import tracemalloc
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,13 @@ from trotterr import trotter
 from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
-from trotterr.hamiltonian import TrotterSequence, build_trotter_sequence, parse_fcidump
+from trotterr.hamiltonian import (
+    GRANULARITIES,
+    ORDERINGS,
+    TrotterSequence,
+    build_trotter_sequence,
+    parse_fcidump,
+)
 from trotterr.synthetic import random_system
 from trotterr.trotter import ErrorOperator, build_error_operator, estimate_trotter_number
 
@@ -256,6 +266,63 @@ def test_folding_is_byte_identical(fixture_dir, monkeypatch, case, granularity):
         # at budget 1 every case with a nonzero V folds at least twice in the
         # loop before the last fold
         assert folds[1] >= 3
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# SHA-256 of V's cre, ann and val bytes per case, pinned when V was still
+# built by summing both halves of every adjoint pair
+V_HASHES = json.loads(
+    (Path(__file__).resolve().parent / "error_operator_sha256.json").read_text()
+)
+
+
+def _pinned_cases():
+    for path in sorted(FIXTURES.glob("*.fcidump")):
+        for granularity in GRANULARITIES:
+            for ordering in ORDERINGS:
+                yield f"{path.stem} {granularity} {ordering} 1.0"
+    for n in range(1, 6):
+        for seed in range(3):
+            yield f"synthetic-{n}-{seed} integral lexicographic 1.0"
+            if n <= 4:
+                yield f"synthetic-{n}-{seed} term lexicographic 1.0"
+    yield "h4_sto6g_local integral lexicographic 0.5"
+
+
+@lru_cache(maxsize=None)
+def _pinned_error_operator(case: str):
+    name, granularity, ordering, delta_t = case.split()
+    if name.startswith("synthetic-"):
+        n, seed = map(int, name.removeprefix("synthetic-").split("-"))
+        syst = random_system(np.random.default_rng(seed), n)
+    else:
+        syst = parse_fcidump((FIXTURES / f"{name}.fcidump").read_text())
+    seq = build_trotter_sequence(syst, ordering, granularity=granularity)
+    return build_error_operator(seq, float(delta_t))
+
+
+def _digest(op) -> str:
+    h = hashlib.sha256()
+    for a in (op.cre, op.ann, op.val):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_pinned_cases_match_the_pin_file():
+    assert sorted(_pinned_cases()) == sorted(V_HASHES)
+
+
+@pytest.mark.parametrize("case", list(_pinned_cases()))
+def test_error_operator_bytes_are_pinned(case):
+    assert _digest(_pinned_error_operator(case).op) == V_HASHES[case]
+
+
+@pytest.mark.parametrize("case", list(_pinned_cases()))
+def test_error_operator_is_hermitian_to_the_bit(case):
+    # each piece H_alpha W + (H_alpha W)^+ holds V[k^+] = s V[k] exactly, so
+    # their running sum does too
+    assert _pinned_error_operator(case).hermitian_defect() == 0.0
 
 
 # tracemalloc peak of the synthetic-5 V build (10 spin orbitals, 1.45M
