@@ -44,10 +44,7 @@ _EXPORTS = {
         "CIVector", "SectorBasis", "apply", "expectation", "full_spectrum",
         "ground_state", "spectral_norm", "to_dense",
     ),
-    "haar": (
-        "EigenstateReport", "HaarReport", "eigenstate_error_distribution",
-        "haar_error_distribution", "haar_quadratic_form_stats",
-    ),
+    "haar": ("HaarReport", "haar_error_distribution", "haar_quadratic_form_stats"),
     "hamiltonian": (
         "MolecularSystem", "TrotterSequence", "build_trotter_sequence",
         "load_fcidump", "parse_fcidump",

@@ -40,6 +40,11 @@ reach ``np.bincount`` in input order, which adds them from 0.0 exactly as
 the term-map loop does, and each key's first sorted entry is its first
 appearance.
 
+A Hermitian sum ``m + m.adjoint()`` of a product can also be built as one
+entry per adjoint pair (``hermitian_product``, ``PairTerms``), with the
+coefficients of the full sum bit for bit; ``expand_pairs`` restores both
+keys of every pair and the full sum's term order.
+
 Ladder strings are reduced by the same product kernel: ``normal_order``
 multiplies the identity by one single-operator term per ladder operator,
 left to right, so its keys follow the product rule.  The classic small case
@@ -272,17 +277,9 @@ class NormalOrderedOperator:
     # -- structure ---------------------------------------------------------
 
     def adjoint(self) -> "NormalOrderedOperator":
-        """Hermitian adjoint (real coefficients, so no conjugation).
-
-        ``(C^+ A)^+ = A^+ C`` with both groups reversed to ascending order;
-        restoring descending order costs k(k-1)/2 + l(l-1)/2 transpositions
-        for |C| = k and |A| = l.
-        """
-        k = np.bitwise_count(self.cre).astype(np.int64)
-        l = np.bitwise_count(self.ann).astype(np.int64)
-        flips = (k * (k - 1) // 2 + l * (l - 1) // 2) & 1
+        """Hermitian adjoint (real coefficients, so no conjugation)."""
         return NormalOrderedOperator._from_arrays(
-            self.ann, self.cre, self.val * (1.0 - 2.0 * flips)
+            self.ann, self.cre, self.val * adjoint_sign(self.cre, self.ann)
         )
 
     def hermitian_defect(self) -> float:
@@ -319,34 +316,48 @@ def _combine(
     *,
     first_seen: bool,
 ) -> NormalOrderedOperator:
-    """Add up the coefficients of equal keys and drop the small sums.
+    """Add up the coefficients of equal keys and drop the small sums (see
+    :func:`_accumulate`)."""
+    if not len(coeffs):
+        return NormalOrderedOperator.zero()
+    rows, sums = _accumulate((cmasks, amasks), coeffs, first_seen=first_seen)
+    keep = np.abs(sums) >= drop_tolerance
+    rows = rows[keep]
+    return NormalOrderedOperator._from_arrays(cmasks[rows], amasks[rows], sums[keep])
 
-    Each term gets one int64 sort key, ascending in ``(cre, ann)`` order:
-    the creation mask shifted above the annihilation mask while both fit in
-    63 bits beside the position tag below, else the dense rank of the term's
-    ``(cre, ann)`` pair, counted from 1 in lexsort order.  The key is
-    shifted left and tagged with the term's input position in the freed low
-    bits, so one plain ``np.sort`` orders the terms by key and, within a
+
+def _accumulate(
+    columns: tuple[np.ndarray, ...], coeffs: np.ndarray, *, first_seen: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key's first input position and its summed coefficient.
+
+    A key is a row across the non-negative integer (or bool) ``columns``;
+    keys order lexicographically over them, first column first.  Each term gets one
+    int64 sort key in that order: the columns shifted side by side while
+    they fit in 63 bits beside the position tag below, else the dense rank
+    of the term's key, counted from 1 in lexsort order.  The sort key is
+    shifted left and tagged with the term's input position in the freed
+    low bits, so one plain ``np.sort`` orders the terms by key and, within a
     key, by input position.  ``np.bincount`` over the sorted labels then
     adds each key's coefficients in input order starting from 0.0, bit for
     bit what ``out[key] = out.get(key, 0.0) + c`` over the same input gives.
     Keys come out ascending, or with ``first_seen`` in order of first
-    appearance.
+    appearance.  ``coeffs`` must not be empty.
     """
     n = len(coeffs)
-    if not n:
-        return NormalOrderedOperator.zero()
     # inputs can be millions of unsummed product terms, so the key buffer is
     # sorted, shifted and relabelled in place, and every n-sized temporary is
-    # dropped before the result's arrays are allocated, to keep the peak and
-    # the retained heap down
+    # dropped before returning, to keep the peak and the retained heap down
     tag = (n - 1).bit_length()
-    width = int(amasks.max()).bit_length()
-    if int(cmasks.max()).bit_length() + width + tag <= _MASK_ORBITALS:
-        key = cmasks << width
-        key |= amasks
+    widths = [int(col.max()).bit_length() for col in columns]
+    if sum(widths) + tag <= _MASK_ORBITALS:
+        key = columns[0] << widths[1]
+        key |= columns[1]
+        for col, width in zip(columns[2:], widths[2:]):
+            key <<= width
+            key |= col
     else:
-        key = _rank(cmasks, amasks)
+        key = _rank(*columns)
     key <<= tag
     key |= np.arange(n)
     key.sort()
@@ -359,22 +370,16 @@ def _combine(
     sums = np.bincount(group, weights=coeffs[order])
     rows = order[head]  # each key's first input position, ascending by key
     del order, head
-    if first_seen:
-        # mark each key's first position and give it the key's label (the
-        # sorted labels are spent); reading the marks in input order lists
-        # the keys in order of first appearance
-        mark = np.zeros(n, dtype=bool)
-        mark[rows] = True
-        group[rows] = np.arange(1, len(rows) + 1)
-        rows = np.flatnonzero(mark)
-        del mark
-        sums = sums[group[rows]]
-    else:
-        sums = sums[1:]
-    del key, group
-    keep = np.abs(sums) >= drop_tolerance
-    rows = rows[keep]
-    return NormalOrderedOperator._from_arrays(cmasks[rows], amasks[rows], sums[keep])
+    if not first_seen:
+        return rows, sums[1:]
+    # mark each key's first position and give it the key's label (the sorted
+    # labels are spent); reading the marks in input order lists the keys in
+    # order of first appearance
+    mark = np.zeros(n, dtype=bool)
+    mark[rows] = True
+    group[rows] = np.arange(1, len(rows) + 1)
+    rows = np.flatnonzero(mark)
+    return rows, sums[group[rows]]
 
 
 def _term_order_sum(weights: np.ndarray) -> float:
@@ -384,14 +389,15 @@ def _term_order_sum(weights: np.ndarray) -> float:
     return float(np.bincount(np.zeros(len(weights), dtype=np.intp), weights, 1)[0])
 
 
-def _rank(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
-    """Dense rank from 1 of each term's ``(cre, ann)`` pair, ascending in
-    ``(cre, ann)`` order."""
-    order = np.lexsort((amasks, cmasks))
-    c, a = cmasks[order], amasks[order]
-    new = np.empty(len(order), dtype=bool)
+def _rank(*columns: np.ndarray) -> np.ndarray:
+    """Dense rank from 1 of each term's key across ``columns``, ascending
+    in their lexicographic order."""
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(len(order), dtype=bool)
     new[:1] = True  # no terms, no ranks
-    new[1:] = (c[1:] != c[:-1]) | (a[1:] != a[:-1])
+    for col in columns:
+        c = col[order]
+        new[1:] |= c[1:] != c[:-1]
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.cumsum(new)
     return rank
@@ -457,6 +463,119 @@ def multiply(
     return _combine(*_product_terms(a, b), drop_tolerance, first_seen=False)
 
 
+def adjoint_sign(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
+    """The factor, 1.0 or -1.0, that the adjoint puts on each key.
+
+    ``(C^+ A)^+ = A^+ C`` with both groups reversed to ascending order;
+    restoring descending order costs k(k-1)/2 + l(l-1)/2 transpositions
+    for |C| = k and |A| = l, so a key and its adjoint share the factor.
+    """
+    k = np.bitwise_count(cmasks).astype(np.int64)
+    l = np.bitwise_count(amasks).astype(np.int64)
+    return 1.0 - 2.0 * ((k * (k - 1) // 2 + l * (l - 1) // 2) & 1)
+
+
+class PairTerms(NamedTuple):
+    """A Hermitian operator ``m + m.adjoint()`` held as one entry per
+    adjoint pair.
+
+    Entry i is the key ``k = (cre[i], ann[i])`` with ``cre[i] <= ann[i]``
+    and its coefficient ``val[i]``.  Unless ``cre[i] == ann[i]`` it also
+    stands for ``k^+ = (ann[i], cre[i])``, whose coefficient is
+    ``adjoint_sign(k) * val[i]`` to the bit.  ``own[i]`` and ``mirror[i]``
+    say whether ``k`` and ``k^+`` are keys of ``m``; that fixes where each
+    first appears in the sum (see :func:`expand_pairs`).
+    """
+
+    cre: np.ndarray
+    ann: np.ndarray
+    val: np.ndarray
+    own: np.ndarray
+    mirror: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "PairTerms":
+        none = np.zeros(0, dtype=np.int64)
+        no = np.zeros(0, dtype=bool)
+        return cls(none, none, np.zeros(0), no, no)
+
+
+def hermitian_product(
+    a: NormalOrderedOperator,
+    b: NormalOrderedOperator,
+    *,
+    drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
+) -> PairTerms:
+    """``m + m.adjoint()`` for ``m = multiply(a, b, drop_tolerance=0.0)``,
+    one entry per adjoint pair, with that sum's coefficients bit for bit.
+
+    The unsummed product terms are grouped once, by canonical key and by
+    whether the term's own key is the canonical key or its adjoint, which
+    gives ``m[k]`` and ``m[k^+]`` each added from 0.0 in input order as
+    ``multiply`` adds them.  The pair's coefficient is then
+    ``(0.0 + m[k]) + s m[k^+]``, the two values ``m + m.adjoint()`` adds
+    for ``k`` in that order (``2 m[k]`` for a self-adjoint key).  The sum
+    for ``k^+`` adds ``s`` times those two values, in the other order;
+    addition commutes and negation is exact, so it is ``s`` times the
+    pair's coefficient to the bit.
+    """
+    cre, ann, val = _product_terms(a, b)
+    if not len(val):
+        return PairTerms.empty()
+    mirrored = cre > ann
+    hi = np.maximum(cre, ann)
+    lo = np.minimum(cre, ann, out=cre)  # the terms' masks are spent
+    del ann
+    rows, m = _accumulate((lo, hi, mirrored), val, first_seen=False)
+    lo, hi, mirrored = lo[rows], hi[rows], mirrored[rows]
+    del rows, val
+    # a pair's one or two groups are adjacent, its own key's first
+    head = np.empty(len(m), dtype=bool)
+    head[0] = True
+    head[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    pair = np.cumsum(head) - 1
+    first = np.flatnonzero(head)
+    last = np.append(first[1:] - 1, len(m) - 1)
+    lo, hi = lo[first], hi[first]
+    m *= np.where(mirrored, adjoint_sign(lo, hi)[pair], 1.0)
+    val = np.bincount(pair, weights=m)
+    val[lo == hi] *= 2.0  # m + m.adjoint() adds a self-adjoint key's m[k] twice
+    keep = np.abs(val) >= drop_tolerance
+    own, mirror = ~mirrored[first], mirrored[last]
+    return PairTerms(lo[keep], hi[keep], val[keep], own[keep], mirror[keep])
+
+
+def expand_pairs(pairs: PairTerms, piece: np.ndarray) -> NormalOrderedOperator:
+    """The sum ``P_0 + P_1 + ...`` of ``m + m.adjoint()`` pieces, from each
+    pair's summed entry and ``piece``, the index of the first piece that
+    holds the pair, in the sum's order of first appearance.
+
+    A key first appears in its pair's first piece: pruning drops both keys
+    of a pair or neither, since their coefficients differ only in sign.
+    Inside a piece, ``m + m.adjoint()`` lists the keys of ``m`` ascending by
+    ``(cre, ann)``, then the keys only in ``m.adjoint()`` ascending by their
+    partner's ``(cre, ann)``, each partner being a key of ``m``.  One
+    lexsort on (piece, only in the adjoint, the ``(cre, ann)`` it is listed
+    by) restores that order; no key is packed, so it holds at any orbital
+    count.
+    """
+    cre, ann, val, own, mirror = pairs
+    two = cre != ann  # self-adjoint keys are their own partner
+    c = np.concatenate([cre, ann[two]])
+    a = np.concatenate([ann, cre[two]])
+    v = np.concatenate([val, val[two] * adjoint_sign(cre[two], ann[two])])
+    in_m = np.concatenate([own, mirror[two]])
+    order = np.lexsort(
+        (
+            np.where(in_m, a, c),
+            np.where(in_m, c, a),
+            ~in_m,
+            np.concatenate([piece, piece[two]]),
+        )
+    )
+    return NormalOrderedOperator._from_arrays(c[order], a[order], v[order])
+
+
 # -- bitmask product kernel --------------------------------------------------
 #
 # Each key half is one machine-word bitmask, so a whole product A.B
@@ -503,7 +622,7 @@ def multiply(
 # ``_PRODUCT_CELLS`` cells, so the temporaries beyond the product's own
 # output stay a fixed size however large the operands are.
 
-_PRODUCT_CELLS = 1 << 20
+_PRODUCT_CELLS = 1 << 17
 
 
 def _prefix_parity(masks: np.ndarray) -> np.ndarray:

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fermion import NormalOrderedOperator
-from .fock import SectorBasis, full_spectrum, to_dense
+from .fock import SectorBasis, full_spectrum
 from .trotter import ErrorOperator
 
 ENSEMBLES = ("complex", "real")
@@ -52,10 +51,6 @@ SAMPLE_BLOCK = 8192
 # rows of the complex ensemble's second Gaussian drawn at a time, which
 # keeps that buffer cache-sized; the stream does not depend on it
 _GAUSS_CHUNK = 256
-
-# eigenvalue gap, relative to max(1, spectral radius), below which two
-# eigenstates count as one degenerate cluster
-DEGENERACY_REL_TOL = 1e-8
 
 
 def _check_ensemble(ensemble: str) -> None:
@@ -220,54 +215,4 @@ def haar_error_distribution(
         concentration_bound=bound,
         within_bound_fraction=float(np.mean(np.abs(samples) <= 3.0 * bound)),
         samples=samples,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class EigenstateReport:
-    """<psi_i|V|psi_i> across a complete eigenbasis of some Hamiltonian.
-
-    ``degenerate_clusters`` lists (first index, multiplicity) for every
-    group of eigenvalues the dense solver could not separate; inside such
-    a group the individual expectation values depend on the arbitrary
-    basis the solver returned.
-    """
-
-    energies: np.ndarray
-    errors: np.ndarray
-    std_dev: float
-    degenerate_clusters: tuple[tuple[int, int], ...]
-
-    @property
-    def has_degeneracies(self) -> bool:
-        return bool(self.degenerate_clusters)
-
-
-def eigenstate_error_distribution(
-    error: ErrorOperator, hamiltonian: NormalOrderedOperator, basis: SectorBasis
-) -> EigenstateReport:
-    """Error expectation on every eigenvector of ``hamiltonian``.
-
-    Eigenvalues closer than ``DEGENERACY_REL_TOL`` relative to the
-    spectral radius are flagged as one degenerate cluster (chained gaps
-    merge).
-    """
-    hamiltonian.require_hermitian("hamiltonian is not Hermitian")
-    hmat = to_dense(hamiltonian, basis)
-    vals, vecs = np.linalg.eigh(hmat)
-    vmat = to_dense(error.op, basis)
-    errors = np.einsum("ji,jk,ki->i", vecs, vmat, vecs, optimize=True)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    clusters = []
-    start = 0
-    for i in range(1, basis.dim + 1):
-        if i == basis.dim or vals[i] - vals[i - 1] > DEGENERACY_REL_TOL * scale:
-            if i - start > 1:
-                clusters.append((start, i - start))
-            start = i
-    return EigenstateReport(
-        energies=vals,
-        errors=errors,
-        std_dev=float(np.std(errors)),
-        degenerate_clusters=tuple(clusters),
     )

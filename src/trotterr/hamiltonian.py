@@ -162,8 +162,10 @@ def parse_fcidump(
     one-electron when ``k == l == 0``, the core energy when all four are
     zero.  Orbital-energy records (``i > 0``, ``j == k == l == 0``) are
     skipped.  Anything else, and any non-finite value, raises with its line
-    number.  A NORB whose spin orbitals exceed the operator mask width raises
-    :class:`ResourceLimitError` before any record is read.
+    number.  The header is checked before any record is read: a NORB whose
+    spin orbitals exceed the operator mask width raises
+    :class:`ResourceLimitError`, and an impossible NELEC or MS2 raises with
+    line 1.
     """
     lines = text.splitlines()
     fields, first_record = _parse_namelist(lines)
@@ -181,6 +183,16 @@ def parse_fcidump(
         raise ResourceLimitError(
             f"NORB={norb} gives {2 * norb} spin orbitals, beyond the "
             f"{_MASK_ORBITALS}-orbital mask width"
+        )
+    if not 0 <= nelec <= 2 * norb:
+        raise FcidumpError(f"NELEC={nelec} impossible for NORB={norb}", line=1)
+    if abs(ms2) > nelec or (ms2 - nelec) % 2:
+        raise FcidumpError(f"MS2={ms2} inconsistent with NELEC={nelec}", line=1)
+    n_major = (nelec + abs(ms2)) // 2
+    if n_major > norb:
+        raise FcidumpError(
+            f"MS2={ms2} puts {n_major} electrons of one spin in NORB={norb} orbitals",
+            line=1,
         )
 
     h1 = np.zeros((norb, norb))
@@ -219,17 +231,6 @@ def parse_fcidump(
                 eri[key] = value
         else:
             raise FcidumpError(f"unclassifiable index pattern in {line!r}", line=offset)
-
-    if not 0 <= nelec <= 2 * norb:
-        raise FcidumpError(f"NELEC={nelec} impossible for NORB={norb}", line=1)
-    if abs(ms2) > nelec or (ms2 - nelec) % 2:
-        raise FcidumpError(f"MS2={ms2} inconsistent with NELEC={nelec}", line=1)
-    n_major = (nelec + abs(ms2)) // 2
-    if n_major > norb:
-        raise FcidumpError(
-            f"MS2={ms2} puts {n_major} electrons of one spin in NORB={norb} orbitals",
-            line=1,
-        )
 
     system = MolecularSystem(
         n_electrons=nelec,

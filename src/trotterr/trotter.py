@@ -30,18 +30,33 @@ product followed by an adjoint reflection.  Results differ from the fully
 expanded triple loop only by floating-point reassociation and rounding of
 that reflection, both far below every validation tolerance used here.
 
-The products H_alpha (D_alpha - C_alpha/2) hold far more unsummed terms
-than V (1.45M against 21k at 10 spin orbitals), so they are folded into a
-running sum as they come rather than summed once at the end: whenever the
-pieces pending since the last fold hold at least max(FOLD_TERMS, |sum|)
-terms, one accumulation pass replaces them and the sum by their total.
-The memory held is then a few times the larger of the budget and V
-itself, and each term is re-sorted O(1) times on average.  Folding leaves
-V byte-identical to one final sum: without a drop tolerance an exact zero
-keeps its place, so keys keep their order of first appearance; each key's
-coefficients are still added one by one in input order starting from
-+0.0, the running value first; and a sum started from +0.0 is never -0.0,
-so the next fold adds the same value.
+Each piece P_alpha = m + m^+, with m = H_alpha (D_alpha - C_alpha/2), is
+Hermitian to the bit: P[k^+] = s P[k], where s = +-1 is the sign the
+adjoint puts on the key k (``fermion.hermitian_product``).  So is V, a sum
+of such pieces.  The pieces are therefore built, and summed, as one entry
+per adjoint pair, on the canonical key (cre <= ann); the other key of the
+pair is restored only once, at the end.
+
+The products hold far more unsummed terms than V (1.45M against 21k at 10
+spin orbitals), so the pieces are folded into a running sum as they come
+rather than summed once at the end: whenever the pair entries pending since
+the last fold number at least max(FOLD_TERMS, |sum|), one accumulation pass
+replaces them and the sum by their total.  The memory held is then a few
+times the larger of the budget and V itself, and each entry is re-sorted
+O(1) times on average.
+
+The result is byte-identical to summing the full pieces in order, m + m^+
+included.  Values: each pair's entries are added one by one in piece order
+from +0.0, the running value first; a sum started from +0.0 is never -0.0,
+so the next fold adds the same value, and the partner's running sum adds
+the same values negated when s = -1, so it is s times the pair's value to
+the bit.  Order: that sum lists its keys in order of first appearance.  A
+pair first appears in its first piece, for both keys, since pruning drops
+both keys of a pair or neither; the fold keeps each pair's first entry, and
+with it the piece's index and where inside the piece each key is listed.
+One lexsort on those tags restores the order after the last fold
+(``fermion.expand_pairs``).  Without a drop tolerance in the folds an
+exact zero keeps its place, so only the final pruning removes keys.
 """
 
 from __future__ import annotations
@@ -55,9 +70,13 @@ from .errors import NumericalError, ValidationError
 from .fermion import (
     DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
+    PairTerms,
+    _accumulate,
     commutator,  # noqa: F401  looked up here by bench/tracing.py
+    expand_pairs,
+    hermitian_product,
     multiply,
-    operator_sum,
+    operator_sum,  # noqa: F401  looked up here by bench/tracing.py
     trace,
 )
 from .hamiltonian import TrotterSequence
@@ -66,9 +85,9 @@ from .hamiltonian import TrotterSequence
 # one-norm
 VALIDATE_REL_TOL = 1e-8
 
-# unsummed terms build_error_operator holds before folding them into its
+# pair entries build_error_operator holds before folding them into its
 # running sum (more once the sum itself is larger)
-FOLD_TERMS = 1 << 18
+FOLD_TERMS = 1 << 15
 
 
 @dataclass
@@ -132,14 +151,19 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     """Assemble the leading error operator for ``sequence`` at ``delta_t``.
 
     A single-fragment sequence (or any mutually commuting one) yields the
-    zero operator.  The commutator pieces are folded into a running sum
-    whenever those pending hold at least ``max(FOLD_TERMS, len(sum))``
-    terms, which bounds the memory held by the larger of the budget and
-    ``V`` and leaves the result byte-identical to a single sum (see the
-    module docstring).  Pruning happens once, after the full accumulation,
-    and at the ``delta_t = 1`` scale: a term is kept when its unscaled sum times
-    1/12 reaches ``DEFAULT_DROP_TOLERANCE`` in magnitude, so every step
-    keeps the same terms in the same order.  Each kept coefficient is then
+    zero operator.  Each commutator piece is built as one entry per
+    adjoint pair, tagged with its piece index and where in the piece each
+    key is listed, and folded into a running sum whenever the entries
+    pending hold at least ``max(FOLD_TERMS, len(sum))``; this bounds the
+    memory held by the larger of the budget and ``V``.  After the last fold
+    each pair is expanded to its two keys and one lexsort on the tags
+    restores the term order of a single sum over the full pieces, so the
+    result is byte-identical to it (see the module docstring).
+
+    Pruning happens once, after the full accumulation, and at the
+    ``delta_t = 1`` scale: a term is kept when its unscaled sum times 1/12
+    reaches ``DEFAULT_DROP_TOLERANCE`` in magnitude, so every step keeps
+    the same terms in the same order.  Each kept coefficient is then
     its sum times ``delta_t**2 / 12``.  A step at which a kept coefficient
     overflows, or underflows to zero or a subnormal value, raises
     ``NumericalError``; the result is then checked by
@@ -157,21 +181,22 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
         # to exact 0.0 never reach a later product
         cross.append(m - m.adjoint())
         prefix = prefix + frag
-    total = NormalOrderedOperator.zero()
-    pending: list[NormalOrderedOperator] = []  # pieces since the last fold
+    total = (*PairTerms.empty(), np.zeros(0, dtype=np.int64))
+    pending: list[tuple[np.ndarray, ...]] = []  # pieces since the last fold
     pending_terms = 0
     suffix = NormalOrderedOperator.zero()  # D_alpha, accumulated backwards
-    for frag, c in zip(reversed(fragments), reversed(cross)):
+    for piece, (frag, c) in enumerate(zip(reversed(fragments), reversed(cross))):
         suffix = suffix + c
         weight = suffix + c.scaled(-0.5)  # D_alpha - C_alpha/2, anti-Hermitian
         if weight:
-            m = multiply(frag, weight, drop_tolerance=0.0)
-            pending.append(m + m.adjoint())
-            pending_terms += len(pending[-1])
-            if pending_terms >= max(FOLD_TERMS, len(total)):
-                total = operator_sum([total, *pending], drop_tolerance=0.0)
+            pairs = hermitian_product(frag, weight)
+            pending.append((*pairs, np.full(len(pairs.val), piece)))
+            pending_terms += len(pairs.val)
+            if pending_terms >= max(FOLD_TERMS, len(total[0])):
+                total = _fold([total, *pending])
                 pending, pending_terms = [], 0
-    total = operator_sum([total, *pending], drop_tolerance=0.0)
+    total = _fold([total, *pending])
+    total = expand_pairs(PairTerms(*total[:5]), total[5])
     keep = np.abs(total.val * (1.0 / 12.0)) >= DEFAULT_DROP_TOLERANCE
     val = total.val[keep] * ((delta_t * delta_t) / 12.0)
     if not np.isfinite(val).all():
@@ -192,6 +217,18 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     )
     error_op.validate()
     return error_op
+
+
+def _fold(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """One running-sum pass over pair entries, each a :class:`PairTerms`
+    row followed by the index of its piece; the first part is the running
+    sum.  Each pair's coefficients are added in input order from 0.0, and
+    its first entry's ``own``, ``mirror`` and piece are kept."""
+    cre, ann, val, own, mirror, piece = (np.concatenate(c) for c in zip(*parts))
+    if not len(val):
+        return cre, ann, val, own, mirror, piece
+    rows, sums = _accumulate((cre, ann), val, first_seen=False)
+    return cre[rows], ann[rows], sums, own[rows], mirror[rows], piece[rows]
 
 
 def check_time_and_delta(time: float, delta: float) -> None:

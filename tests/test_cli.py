@@ -144,6 +144,15 @@ class TestAnalyzeCommand:
                 "in NORB=2 orbitals\n",
             ), argv
 
+    def test_bad_header_over_a_bad_record_is_parse_of_line_1(self, tmp_path, capsys):
+        bad = tmp_path / "nelec.fcidump"
+        bad.write_text("&FCI NORB=2,NELEC=99,MS2=0 /\n abc 1 1 0 0\n")
+        code, _, err = run(capsys, "analyze", "--fcidump", str(bad))
+        assert (code, err) == (
+            EXIT_PARSE,
+            "trotterr: parse error: line 1: NELEC=99 impossible for NORB=2\n",
+        )
+
     def test_ci_levels_off_the_parity_ms2_are_usage(self, tmp_path, fixture_dir, capsys):
         triplet = tmp_path / "triplet.fcidump"
         triplet.write_text((fixture_dir / H2).read_text().replace("MS2=0,", "MS2=2,", 1))

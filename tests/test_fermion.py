@@ -19,6 +19,8 @@ from trotterr.fermion import (
     ann,
     commutator,
     cre,
+    expand_pairs,
+    hermitian_product,
     multiply,
     normal_order,
     number_operator,
@@ -647,6 +649,22 @@ def test_product_kernel_matches_loop(branch, cells, data):
     a, b = data.draw(kernel_operands(*KEY_BRANCHES[branch]))
     with mock.patch.object(fermion, "_PRODUCT_CELLS", cells or fermion._PRODUCT_CELLS):
         _assert_same_arrays(_product_terms(a, b), loop_product_terms(a, b))
+
+
+@pytest.mark.parametrize("branch", sorted(COMBINE_BRANCHES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hermitian_product_is_the_sum_with_the_adjoint(branch, data):
+    # one entry per adjoint pair, expanded, is m + m.adjoint() to the byte:
+    # the same keys in the same order with the same coefficients
+    a, b = data.draw(kernel_operands(*COMBINE_BRANCHES[branch]))
+    m = multiply(a, b, drop_tolerance=0.0)
+    want = m + m.adjoint()
+    pairs = hermitian_product(a, b)
+    assert (pairs.cre <= pairs.ann).all()
+    assert len(pairs.val) == np.count_nonzero(want.cre <= want.ann)
+    got = expand_pairs(pairs, np.zeros(len(pairs.val), dtype=np.int64))
+    _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
 
 
 def test_product_kernel_matches_loop_on_empty_and_identity():

@@ -11,10 +11,8 @@ from trotterr.errors import ResourceLimitError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, number_operator
 from trotterr.fock import SectorBasis, full_spectrum
 from trotterr.haar import (
-    EigenstateReport,
     HaarReport,
     _sample_quadratic_form,
-    eigenstate_error_distribution,
     haar_error_distribution,
     haar_projection_variance,
     haar_quadratic_form_stats,
@@ -202,39 +200,6 @@ class TestHaarDistribution:
             haar_error_distribution(err, SectorBasis.full(10), 10, 0)
 
 
-class TestEigenstateDistribution:
-    def test_diagonal_pointwise(self):
-        # both operators diagonal in the occupation basis: the expectation
-        # on each eigenstate is just the matching diagonal entry of V
-        h = number_term(0, 1.0) + number_term(1, 2.5)
-        v = number_term(0, 0.3) + number_term(1, -0.7)
-        basis = SectorBasis.full(2)
-        rep = eigenstate_error_distribution(synthetic_error(v, 2), h, basis)
-        assert np.allclose(rep.energies, [0.0, 1.0, 2.5, 3.5])
-        assert np.allclose(rep.errors, [0.0, 0.3, -0.7, -0.4])
-        assert not rep.has_degeneracies
-
-    def test_h_equals_v(self, fixture_dir):
-        system = load_fcidump(fixture_dir / "h2_sto6g_local.fcidump")
-        basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-        err = build_error_operator(build_trotter_sequence(system), 1.0)
-        rep = eigenstate_error_distribution(err, err.op, basis)
-        assert np.allclose(rep.errors, full_spectrum(err.op, basis), atol=1e-10)
-
-    def test_degeneracy_flagging(self):
-        h = number_term(0) + number_term(1)
-        v = number_term(0, 0.3) + number_term(1, -0.7)
-        rep = eigenstate_error_distribution(synthetic_error(v, 2), h, SectorBasis.full(2))
-        assert rep.has_degeneracies
-        assert rep.degenerate_clusters == ((1, 2),)
-
-    def test_rejects_non_hermitian(self):
-        hopping = NormalOrderedOperator.from_key(((1,), (0,)), 1.0)
-        err = synthetic_error(number_term(0), 2)
-        with pytest.raises(ValidationError):
-            eigenstate_error_distribution(err, hopping, SectorBasis.full(2))
-
-
 @pytest.fixture(scope="module")
 def h2_error(fixture_dir):
     system = load_fcidump(fixture_dir / "h2_sto6g_local.fcidump")
@@ -259,24 +224,3 @@ class TestFixtureStatistics:
         ):
             lam = full_spectrum(err.op, basis)
             assert abs(lam.sum()) <= 1e-8 * np.abs(lam).sum()
-
-    def test_eigenstate_report_shapes(self, h2_error):
-        system, err = h2_error
-        basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-        rep = eigenstate_error_distribution(err, system.hamiltonian(), basis)
-        assert rep.energies.shape == rep.errors.shape == (basis.dim,)
-        assert rep.std_dev > 0.0
-        # the middle level is a spin triplet, so a 3-fold cluster is flagged
-        assert (1, 3) in rep.degenerate_clusters
-
-    def test_eigenstate_spread_exceeds_haar_h4(self, fixture_dir):
-        # for the four-electron chain the molecular eigenstates sample the
-        # error operator far less evenly than Haar vectors do; the
-        # two-electron systems sit in the opposite regime, so this is the
-        # fixture to probe the inequality on
-        system = load_fcidump(fixture_dir / "h4_sto6g_local.fcidump")
-        err = build_error_operator(build_trotter_sequence(system), 1.0)
-        basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-        rep = eigenstate_error_distribution(err, system.hamiltonian(), basis)
-        _, haar_var = haar_quadratic_form_stats(full_spectrum(err.op, basis))
-        assert rep.std_dev > math.sqrt(haar_var)

@@ -105,6 +105,20 @@ class TestParser:
         with pytest.raises(FcidumpError, match=f"line 1: MS2={ms2} puts 3 electrons"):
             parse_fcidump(text)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("NORB=2,NELEC=99,MS2=0", "NELEC=99 impossible for NORB=2"),
+            ("NORB=2,NELEC=2,MS2=1", "MS2=1 inconsistent with NELEC=2"),
+            ("NORB=2,NELEC=4,MS2=2", "MS2=2 puts 3 electrons of one spin"),
+        ],
+    )
+    def test_header_is_checked_before_the_records(self, header, message):
+        # the record on line 2 is unparseable too; the header error wins
+        text = f"&FCI {header} /\n abc 1 1 0 0\n"
+        with pytest.raises(FcidumpError, match=f"^line 1: {message}"):
+            parse_fcidump(text)
+
     def test_non_integer_ms2_is_fcidump_error(self):
         with pytest.raises(FcidumpError, match="line 1"):
             parse_fcidump("&FCI NORB=1,NELEC=2,MS2=x /\n 0.0 0 0 0 0\n")
