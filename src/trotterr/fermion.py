@@ -42,8 +42,9 @@ appearance.
 
 A Hermitian sum ``m + m.adjoint()`` of a product can also be built as one
 entry per adjoint pair (``hermitian_product``, ``PairTerms``), with the
-coefficients of the full sum bit for bit; ``expand_pairs`` restores both
-keys of every pair and the full sum's term order.
+coefficients of the full sum bit for bit.  ``sum_pairs`` adds such pieces
+pair by pair, and ``expand_pairs`` restores both keys of every pair and
+the term order of the sum over the full pieces.
 
 Ladder strings are reduced by the same product kernel: ``normal_order``
 multiplies the identity by one single-operator term per ladder operator,
@@ -476,15 +477,17 @@ def adjoint_sign(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
 
 
 class PairTerms(NamedTuple):
-    """A Hermitian operator ``m + m.adjoint()`` held as one entry per
+    """A sum of Hermitian pieces ``m + m.adjoint()`` held as one entry per
     adjoint pair.
 
     Entry i is the key ``k = (cre[i], ann[i])`` with ``cre[i] <= ann[i]``
     and its coefficient ``val[i]``.  Unless ``cre[i] == ann[i]`` it also
     stands for ``k^+ = (ann[i], cre[i])``, whose coefficient is
-    ``adjoint_sign(k) * val[i]`` to the bit.  ``own[i]`` and ``mirror[i]``
-    say whether ``k`` and ``k^+`` are keys of ``m``; that fixes where each
-    first appears in the sum (see :func:`expand_pairs`).
+    ``adjoint_sign(k) * val[i]`` to the bit.  ``piece[i]`` is the index of
+    the first piece that holds the pair, and ``own[i]`` and ``mirror[i]``
+    say whether ``k`` and ``k^+`` are keys of that piece's ``m``; together
+    they fix where each key first appears in the sum (see
+    :func:`expand_pairs`).
     """
 
     cre: np.ndarray
@@ -492,22 +495,26 @@ class PairTerms(NamedTuple):
     val: np.ndarray
     own: np.ndarray
     mirror: np.ndarray
+    piece: np.ndarray
 
     @classmethod
     def empty(cls) -> "PairTerms":
         none = np.zeros(0, dtype=np.int64)
         no = np.zeros(0, dtype=bool)
-        return cls(none, none, np.zeros(0), no, no)
+        return cls(none, none, np.zeros(0), no, no, none)
+
+    def n_terms(self) -> int:
+        """The number of keys the entries stand for: two per pair, one per
+        self-adjoint key."""
+        return len(self.val) + int(np.count_nonzero(self.cre != self.ann))
 
 
 def hermitian_product(
-    a: NormalOrderedOperator,
-    b: NormalOrderedOperator,
-    *,
-    drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
+    a: NormalOrderedOperator, b: NormalOrderedOperator, piece: int
 ) -> PairTerms:
     """``m + m.adjoint()`` for ``m = multiply(a, b, drop_tolerance=0.0)``,
-    one entry per adjoint pair, with that sum's coefficients bit for bit.
+    one entry per adjoint pair, with that sum's coefficients bit for bit,
+    as piece number ``piece`` of a sum.
 
     The unsummed product terms are grouped once, by canonical key and by
     whether the term's own key is the canonical key or its adjoint, which
@@ -517,7 +524,8 @@ def hermitian_product(
     for ``k`` in that order (``2 m[k]`` for a self-adjoint key).  The sum
     for ``k^+`` adds ``s`` times those two values, in the other order;
     addition commutes and negation is exact, so it is ``s`` times the
-    pair's coefficient to the bit.
+    pair's coefficient to the bit.  Pairs below ``DEFAULT_DROP_TOLERANCE``
+    are dropped, as that sum drops both of their keys.
     """
     cre, ann, val = _product_terms(a, b)
     if not len(val):
@@ -540,15 +548,29 @@ def hermitian_product(
     m *= np.where(mirrored, adjoint_sign(lo, hi)[pair], 1.0)
     val = np.bincount(pair, weights=m)
     val[lo == hi] *= 2.0  # m + m.adjoint() adds a self-adjoint key's m[k] twice
-    keep = np.abs(val) >= drop_tolerance
+    keep = np.abs(val) >= DEFAULT_DROP_TOLERANCE
     own, mirror = ~mirrored[first], mirrored[last]
-    return PairTerms(lo[keep], hi[keep], val[keep], own[keep], mirror[keep])
+    return PairTerms(
+        lo[keep], hi[keep], val[keep], own[keep], mirror[keep],
+        np.full(np.count_nonzero(keep), piece),
+    )
 
 
-def expand_pairs(pairs: PairTerms, piece: np.ndarray) -> NormalOrderedOperator:
-    """The sum ``P_0 + P_1 + ...`` of ``m + m.adjoint()`` pieces, from each
-    pair's summed entry and ``piece``, the index of the first piece that
-    holds the pair, in the sum's order of first appearance.
+def sum_pairs(parts: Iterable[PairTerms]) -> PairTerms:
+    """One accumulation pass over the entries of ``parts``: each pair's
+    coefficients are added in input order from 0.0, with no drop
+    tolerance, and its first entry's ``own``, ``mirror`` and ``piece`` are
+    kept."""
+    total = PairTerms(*(np.concatenate(col) for col in zip(PairTerms.empty(), *parts)))
+    if not len(total.val):
+        return total
+    rows, sums = _accumulate((total.cre, total.ann), total.val, first_seen=False)
+    return PairTerms(*(col[rows] for col in total))._replace(val=sums)
+
+
+def expand_pairs(pairs: PairTerms) -> NormalOrderedOperator:
+    """The sum ``P_0 + P_1 + ...`` of the ``m + m.adjoint()`` pieces that
+    ``pairs`` has summed, in the sum's order of first appearance.
 
     A key first appears in its pair's first piece: pruning drops both keys
     of a pair or neither, since their coefficients differ only in sign.
@@ -559,7 +581,7 @@ def expand_pairs(pairs: PairTerms, piece: np.ndarray) -> NormalOrderedOperator:
     by) restores that order; no key is packed, so it holds at any orbital
     count.
     """
-    cre, ann, val, own, mirror = pairs
+    cre, ann, val, own, mirror, piece = pairs
     two = cre != ann  # self-adjoint keys are their own partner
     c = np.concatenate([cre, ann[two]])
     a = np.concatenate([ann, cre[two]])

@@ -39,11 +39,13 @@ pair is restored only once, at the end.
 
 The products hold far more unsummed terms than V (1.45M against 21k at 10
 spin orbitals), so the pieces are folded into a running sum as they come
-rather than summed once at the end: whenever the pair entries pending since
-the last fold number at least max(FOLD_TERMS, |sum|), one accumulation pass
-replaces them and the sum by their total.  The memory held is then a few
-times the larger of the budget and V itself, and each entry is re-sorted
-O(1) times on average.
+rather than summed once at the end: whenever the pieces pending since the
+last fold hold at least max(FOLD_TERMS, |sum|) terms, one accumulation pass
+(``fermion.sum_pairs``) replaces them and the sum by their total.  Terms
+are the keys the pair entries stand for, two per pair and one per
+self-adjoint key, so the folds fall where they would for the full pieces.
+The memory held is then a few times the larger of the budget and V
+itself, and each entry is re-sorted O(1) times on average.
 
 The result is byte-identical to summing the full pieces in order, m + m^+
 included.  Values: each pair's entries are added one by one in piece order
@@ -71,12 +73,12 @@ from .fermion import (
     DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
     PairTerms,
-    _accumulate,
     commutator,  # noqa: F401  looked up here by bench/tracing.py
     expand_pairs,
     hermitian_product,
     multiply,
     operator_sum,  # noqa: F401  looked up here by bench/tracing.py
+    sum_pairs,
     trace,
 )
 from .hamiltonian import TrotterSequence
@@ -85,9 +87,10 @@ from .hamiltonian import TrotterSequence
 # one-norm
 VALIDATE_REL_TOL = 1e-8
 
-# pair entries build_error_operator holds before folding them into its
-# running sum (more once the sum itself is larger)
-FOLD_TERMS = 1 << 15
+# terms build_error_operator holds, counted as the keys its pair entries
+# stand for, before folding them into its running sum (more once the sum
+# itself is larger)
+FOLD_TERMS = 1 << 16
 
 
 @dataclass
@@ -153,9 +156,9 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     A single-fragment sequence (or any mutually commuting one) yields the
     zero operator.  Each commutator piece is built as one entry per
     adjoint pair, tagged with its piece index and where in the piece each
-    key is listed, and folded into a running sum whenever the entries
-    pending hold at least ``max(FOLD_TERMS, len(sum))``; this bounds the
-    memory held by the larger of the budget and ``V``.  After the last fold
+    key is listed, and folded into a running sum whenever the pieces
+    pending stand for at least ``max(FOLD_TERMS, len(sum))`` terms; this
+    bounds the memory held by the larger of the budget and ``V``.  After the last fold
     each pair is expanded to its two keys and one lexsort on the tags
     restores the term order of a single sum over the full pieces, so the
     result is byte-identical to it (see the module docstring).
@@ -181,22 +184,22 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
         # to exact 0.0 never reach a later product
         cross.append(m - m.adjoint())
         prefix = prefix + frag
-    total = (*PairTerms.empty(), np.zeros(0, dtype=np.int64))
-    pending: list[tuple[np.ndarray, ...]] = []  # pieces since the last fold
+    total = PairTerms.empty()
+    total_terms = 0
+    pending: list[PairTerms] = []  # pieces since the last fold
     pending_terms = 0
     suffix = NormalOrderedOperator.zero()  # D_alpha, accumulated backwards
     for piece, (frag, c) in enumerate(zip(reversed(fragments), reversed(cross))):
         suffix = suffix + c
         weight = suffix + c.scaled(-0.5)  # D_alpha - C_alpha/2, anti-Hermitian
         if weight:
-            pairs = hermitian_product(frag, weight)
-            pending.append((*pairs, np.full(len(pairs.val), piece)))
-            pending_terms += len(pairs.val)
-            if pending_terms >= max(FOLD_TERMS, len(total[0])):
-                total = _fold([total, *pending])
+            pending.append(hermitian_product(frag, weight, piece))
+            pending_terms += pending[-1].n_terms()
+            if pending_terms >= max(FOLD_TERMS, total_terms):
+                total = sum_pairs([total, *pending])
+                total_terms = total.n_terms()
                 pending, pending_terms = [], 0
-    total = _fold([total, *pending])
-    total = expand_pairs(PairTerms(*total[:5]), total[5])
+    total = expand_pairs(sum_pairs([total, *pending]))
     keep = np.abs(total.val * (1.0 / 12.0)) >= DEFAULT_DROP_TOLERANCE
     val = total.val[keep] * ((delta_t * delta_t) / 12.0)
     if not np.isfinite(val).all():
@@ -217,18 +220,6 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     )
     error_op.validate()
     return error_op
-
-
-def _fold(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """One running-sum pass over pair entries, each a :class:`PairTerms`
-    row followed by the index of its piece; the first part is the running
-    sum.  Each pair's coefficients are added in input order from 0.0, and
-    its first entry's ``own``, ``mirror`` and piece are kept."""
-    cre, ann, val, own, mirror, piece = (np.concatenate(c) for c in zip(*parts))
-    if not len(val):
-        return cre, ann, val, own, mirror, piece
-    rows, sums = _accumulate((cre, ann), val, first_seen=False)
-    return cre[rows], ann[rows], sums, own[rows], mirror[rows], piece[rows]
 
 
 def check_time_and_delta(time: float, delta: float) -> None:

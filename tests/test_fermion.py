@@ -660,10 +660,11 @@ def test_hermitian_product_is_the_sum_with_the_adjoint(branch, data):
     a, b = data.draw(kernel_operands(*COMBINE_BRANCHES[branch]))
     m = multiply(a, b, drop_tolerance=0.0)
     want = m + m.adjoint()
-    pairs = hermitian_product(a, b)
+    pairs = hermitian_product(a, b, 0)
     assert (pairs.cre <= pairs.ann).all()
     assert len(pairs.val) == np.count_nonzero(want.cre <= want.ann)
-    got = expand_pairs(pairs, np.zeros(len(pairs.val), dtype=np.int64))
+    assert pairs.n_terms() == len(want)
+    got = expand_pairs(pairs)
     _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
 
 

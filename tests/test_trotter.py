@@ -243,14 +243,14 @@ def test_folding_is_byte_identical(fixture_dir, monkeypatch, case, granularity):
     else:
         syst = random_system(np.random.default_rng(case[1]), case[0])
     seq = build_trotter_sequence(syst, granularity=granularity)
-    fold = trotter._fold
+    sum_pairs = trotter.sum_pairs
     calls = []
 
     def spy(parts):
         calls.append(len(parts))
-        return fold(parts)
+        return sum_pairs(parts)
 
-    monkeypatch.setattr(trotter, "_fold", spy)
+    monkeypatch.setattr(trotter, "sum_pairs", spy)
     default = trotter.FOLD_TERMS
     built = {}
     folds = {}
@@ -263,10 +263,9 @@ def test_folding_is_byte_identical(fixture_dir, monkeypatch, case, granularity):
     assert built[1] == built[1 << 62] == built[default]
     assert folds[1 << 62] == 1
     if len(op):
-        # at budget 1 every case with a nonzero V folds in the loop before
-        # the last fold; all but the H2 canonical and natural fixtures, whose
-        # later pieces hold one pair each, fold there at least twice
-        assert folds[1] >= (2 if case in ("h2_sto6g_canonical", "h2_sto6g_natural") else 3)
+        # at budget 1 every case with a nonzero V folds at least twice in the
+        # loop before the last fold
+        assert folds[1] >= 3
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
