@@ -556,12 +556,12 @@ def hermitian_product(
     )
 
 
-def sum_pairs(parts: Iterable[PairTerms]) -> PairTerms:
-    """One accumulation pass over the entries of ``parts``: each pair's
-    coefficients are added in input order from 0.0, with no drop
-    tolerance, and its first entry's ``own``, ``mirror`` and ``piece`` are
-    kept."""
-    total = PairTerms(*(np.concatenate(col) for col in zip(PairTerms.empty(), *parts)))
+def sum_pairs(parts: list[PairTerms]) -> PairTerms:
+    """One accumulation pass over the entries of ``parts`` (at least one):
+    each pair's coefficients are added in input order from 0.0, with no
+    drop tolerance, and its first entry's ``own``, ``mirror`` and
+    ``piece`` are kept."""
+    total = PairTerms(*(np.concatenate(col) for col in zip(*parts)))
     if not len(total.val):
         return total
     rows, sums = _accumulate((total.cre, total.ann), total.val, first_seen=False)

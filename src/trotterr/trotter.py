@@ -158,10 +158,10 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     adjoint pair, tagged with its piece index and where in the piece each
     key is listed, and folded into a running sum whenever the pieces
     pending stand for at least ``max(FOLD_TERMS, len(sum))`` terms; this
-    bounds the memory held by the larger of the budget and ``V``.  After the last fold
-    each pair is expanded to its two keys and one lexsort on the tags
-    restores the term order of a single sum over the full pieces, so the
-    result is byte-identical to it (see the module docstring).
+    bounds the memory held by the larger of the budget and ``V``.  After
+    the last fold each pair is expanded to its two keys and one lexsort on
+    the tags restores the term order of a single sum over the full pieces,
+    so the result is byte-identical to it (see the module docstring).
 
     Pruning happens once, after the full accumulation, and at the
     ``delta_t = 1`` scale: a term is kept when its unscaled sum times 1/12
