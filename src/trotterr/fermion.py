@@ -40,11 +40,12 @@ reach ``np.bincount`` in input order, which adds them from 0.0 exactly as
 the term-map loop does, and each key's first sorted entry is its first
 appearance.
 
-A Hermitian sum ``m + m.adjoint()`` of a product can also be built as one
-entry per adjoint pair (``hermitian_product``, ``PairTerms``), with the
-coefficients of the full sum bit for bit.  ``sum_pairs`` adds such pieces
-pair by pair, and ``expand_pairs`` restores both keys of every pair and
-the term order of the sum over the full pieces.
+A Hermitian sum ``m + m.adjoint()`` of a product, or the anti-Hermitian
+``m - m.adjoint()``, can also be built as one entry per adjoint pair
+(``hermitian_product``, ``PairTerms``), with the coefficients of the full
+sum bit for bit.  ``sum_pairs`` adds such pieces pair by pair, and
+``expand_pairs`` restores both keys of every pair and the term order of
+the sum over the full pieces.
 
 Ladder strings are reduced by the same product kernel: ``normal_order``
 multiplies the identity by one single-operator term per ladder operator,
@@ -477,16 +478,17 @@ def adjoint_sign(cmasks: np.ndarray, amasks: np.ndarray) -> np.ndarray:
 
 
 class PairTerms(NamedTuple):
-    """A sum of Hermitian pieces ``m + m.adjoint()`` held as one entry per
-    adjoint pair.
+    """A sum of Hermitian pieces ``m + m.adjoint()``, or anti-Hermitian ones
+    ``m - m.adjoint()`` (``sign`` +1 or -1), held as one entry per adjoint
+    pair.
 
     Entry i is the key ``k = (cre[i], ann[i])`` with ``cre[i] <= ann[i]``
     and its coefficient ``val[i]``.  Unless ``cre[i] == ann[i]`` it also
     stands for ``k^+ = (ann[i], cre[i])``, whose coefficient is
-    ``adjoint_sign(k) * val[i]`` to the bit.  ``piece[i]`` is the index of
-    the first piece that holds the pair, and ``own[i]`` and ``mirror[i]``
-    say whether ``k`` and ``k^+`` are keys of that piece's ``m``; together
-    they fix where each key first appears in the sum (see
+    ``sign * adjoint_sign(k) * val[i]`` to the bit.  ``piece[i]`` is the
+    index of the first piece that holds the pair, and ``own[i]`` and
+    ``mirror[i]`` say whether ``k`` and ``k^+`` are keys of that piece's
+    ``m``; together they fix where each key first appears in the sum (see
     :func:`expand_pairs`).
     """
 
@@ -510,20 +512,21 @@ class PairTerms(NamedTuple):
 
 
 def hermitian_product(
-    a: NormalOrderedOperator, b: NormalOrderedOperator, piece: int
+    a: NormalOrderedOperator, b: NormalOrderedOperator, piece: int, sign: int = 1
 ) -> PairTerms:
-    """``m + m.adjoint()`` for ``m = multiply(a, b, drop_tolerance=0.0)``,
-    one entry per adjoint pair, with that sum's coefficients bit for bit,
-    as piece number ``piece`` of a sum.
+    """``m + sign * m.adjoint()`` for ``m = multiply(a, b, drop_tolerance=0.0)``
+    and ``sign`` +1 or -1 (then the sum is ``m - m.adjoint()``), one entry
+    per adjoint pair, with that sum's coefficients bit for bit, as piece
+    number ``piece`` of a sum.
 
     The unsummed product terms are grouped once, by canonical key and by
     whether the term's own key is the canonical key or its adjoint, which
     gives ``m[k]`` and ``m[k^+]`` each added from 0.0 in input order as
     ``multiply`` adds them.  The pair's coefficient is then
-    ``(0.0 + m[k]) + s m[k^+]``, the two values ``m + m.adjoint()`` adds
-    for ``k`` in that order (``2 m[k]`` for a self-adjoint key).  The sum
-    for ``k^+`` adds ``s`` times those two values, in the other order;
-    addition commutes and negation is exact, so it is ``s`` times the
+    ``(0.0 + m[k]) + sign s m[k^+]``, the two values the sum adds for ``k``
+    in that order (``2 m[k]`` or 0 for a self-adjoint key).  The sum for
+    ``k^+`` adds ``sign s`` times those two values, in the other order;
+    addition commutes and negation is exact, so it is ``sign s`` times the
     pair's coefficient to the bit.  Pairs below ``DEFAULT_DROP_TOLERANCE``
     are dropped, as that sum drops both of their keys.
     """
@@ -545,9 +548,9 @@ def hermitian_product(
     first = np.flatnonzero(head)
     last = np.append(first[1:] - 1, len(m) - 1)
     lo, hi = lo[first], hi[first]
-    m *= np.where(mirrored, adjoint_sign(lo, hi)[pair], 1.0)
+    m *= np.where(mirrored, sign * adjoint_sign(lo, hi)[pair], 1.0)
     val = np.bincount(pair, weights=m)
-    val[lo == hi] *= 2.0  # m + m.adjoint() adds a self-adjoint key's m[k] twice
+    val[lo == hi] *= 1.0 + sign  # the sum adds m[k] and sign * m[k] there
     keep = np.abs(val) >= DEFAULT_DROP_TOLERANCE
     own, mirror = ~mirrored[first], mirrored[last]
     return PairTerms(
@@ -568,13 +571,13 @@ def sum_pairs(parts: list[PairTerms]) -> PairTerms:
     return PairTerms(*(col[rows] for col in total))._replace(val=sums)
 
 
-def expand_pairs(pairs: PairTerms) -> NormalOrderedOperator:
-    """The sum ``P_0 + P_1 + ...`` of the ``m + m.adjoint()`` pieces that
-    ``pairs`` has summed, in the sum's order of first appearance.
+def expand_pairs(pairs: PairTerms, sign: int = 1) -> NormalOrderedOperator:
+    """The sum ``P_0 + P_1 + ...`` of the ``m + sign * m.adjoint()`` pieces
+    that ``pairs`` has summed, in the sum's order of first appearance.
 
     A key first appears in its pair's first piece: pruning drops both keys
     of a pair or neither, since their coefficients differ only in sign.
-    Inside a piece, ``m + m.adjoint()`` lists the keys of ``m`` ascending by
+    Inside a piece, the sum lists the keys of ``m`` ascending by
     ``(cre, ann)``, then the keys only in ``m.adjoint()`` ascending by their
     partner's ``(cre, ann)``, each partner being a key of ``m``.  One
     lexsort on (piece, only in the adjoint, the ``(cre, ann)`` it is listed
@@ -585,7 +588,7 @@ def expand_pairs(pairs: PairTerms) -> NormalOrderedOperator:
     two = cre != ann  # self-adjoint keys are their own partner
     c = np.concatenate([cre, ann[two]])
     a = np.concatenate([ann, cre[two]])
-    v = np.concatenate([val, val[two] * adjoint_sign(cre[two], ann[two])])
+    v = np.concatenate([val, val[two] * (sign * adjoint_sign(cre[two], ann[two]))])
     in_m = np.concatenate([own, mirror[two]])
     order = np.lexsort(
         (

@@ -26,6 +26,7 @@ therefore conserves the number of electrons of each spin.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .fermion import (
     _MASK_ORBITALS,
     DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
-    _bits_desc,
+    _accumulate,
     _combine,
     _rank,
     operator_sum,
@@ -70,21 +71,9 @@ class MolecularSystem:
         norb = len(self.h1)
         if self.eri.shape != (norb,) * 4:
             raise ValidationError(f"eri shape {self.eri.shape} != {(norb,) * 4}")
-        n = 2 * norb
-        if not 0 <= self.n_electrons <= n:
-            raise ValidationError(
-                f"n_electrons {self.n_electrons} outside [0, {n}]"
-            )
-        if abs(self.ms2) > self.n_electrons or (self.ms2 - self.n_electrons) % 2:
-            raise ValidationError(
-                f"MS2={self.ms2} inconsistent with NELEC={self.n_electrons}"
-            )
-        n_major = (self.n_electrons + abs(self.ms2)) // 2
-        if n_major > norb:
-            raise ValidationError(
-                f"MS2={self.ms2} puts {n_major} electrons of one spin in "
-                f"NORB={norb} orbitals"
-            )
+        problem = _electron_count_problem(self.n_electrons, self.ms2, norb)
+        if problem:
+            raise ValidationError(problem)
         if not np.all(np.abs(self.h1 - self.h1.T) <= 1e-12):
             raise ValidationError("h1 is not symmetric")
         # electron relabeling and real orbitals
@@ -117,6 +106,19 @@ class MolecularSystem:
 # ---------------------------------------------------------------------------
 
 
+def _electron_count_problem(nelec: int, ms2: int, norb: int) -> str | None:
+    """Why ``nelec`` electrons with spin excess ``ms2`` cannot occupy
+    ``norb`` spatial orbitals, or None when they can."""
+    if not 0 <= nelec <= 2 * norb:
+        return f"NELEC={nelec} impossible for NORB={norb}"
+    if abs(ms2) > nelec or (ms2 - nelec) % 2:
+        return f"MS2={ms2} inconsistent with NELEC={nelec}"
+    n_major = (nelec + abs(ms2)) // 2
+    if n_major > norb:
+        return f"MS2={ms2} puts {n_major} electrons of one spin in NORB={norb} orbitals"
+    return None
+
+
 def _parse_namelist(lines: list[str]) -> tuple[dict[str, str], int]:
     """Return header key/value pairs and the index of the first record line."""
     if not lines or "&" not in lines[0]:
@@ -131,9 +133,8 @@ def _parse_namelist(lines: list[str]) -> tuple[dict[str, str], int]:
             break
     if end is None:
         raise FcidumpError("namelist header never terminated (&END or /)", line=len(lines))
-    text = " ".join(header_parts)
-    for token in ("&FCI", "&END", "&fci", "&end"):
-        text = text.replace(token, " ")
+    # namelist names are case-insensitive
+    text = re.sub("&(FCI|END)", " ", " ".join(header_parts), flags=re.IGNORECASE)
     text = text.rstrip("/ ")
     fields: dict[str, str] = {}
     for chunk in text.split(","):
@@ -184,16 +185,9 @@ def parse_fcidump(
             f"NORB={norb} gives {2 * norb} spin orbitals, beyond the "
             f"{_MASK_ORBITALS}-orbital mask width"
         )
-    if not 0 <= nelec <= 2 * norb:
-        raise FcidumpError(f"NELEC={nelec} impossible for NORB={norb}", line=1)
-    if abs(ms2) > nelec or (ms2 - nelec) % 2:
-        raise FcidumpError(f"MS2={ms2} inconsistent with NELEC={nelec}", line=1)
-    n_major = (nelec + abs(ms2)) // 2
-    if n_major > norb:
-        raise FcidumpError(
-            f"MS2={ms2} puts {n_major} electrons of one spin in NORB={norb} orbitals",
-            line=1,
-        )
+    problem = _electron_count_problem(nelec, ms2, norb)
+    if problem:
+        raise FcidumpError(problem, line=1)
 
     h1 = np.zeros((norb, norb))
     eri = np.zeros((norb,) * 4)
@@ -277,10 +271,6 @@ ORDERINGS = ("lexicographic", "magnitude-descending", "flat-lexicographic")
 GRANULARITIES = ("integral", "term")
 
 
-def _is_diagonal(frag: NormalOrderedOperator) -> bool:
-    return bool(np.all(frag.cre == frag.ann))
-
-
 @dataclass
 class TrotterSequence:
     """An ordered list of Hermitian Hamiltonian fragments H_alpha.
@@ -327,17 +317,30 @@ def build_trotter_sequence(
     the circuit convention of applying the cheap phase rotations together.
     The ``ordering`` strategy then arranges the off-diagonal tail:
 
-      lexicographic         by fragment index tuple, one-body before
-                            two-body (default)
-      magnitude-descending  by descending coefficient one-norm, index
-                            tuple as tie-break
+      lexicographic         by fragment label, one-body before two-body
+                            (default)
+      magnitude-descending  by descending coefficient one-norm, label as
+                            tie-break
       flat-lexicographic    no diagonal hoisting at all: every fragment
-                            in index-tuple order, one-body block first
+                            in label order, one-body block first
 
-    Each fragment is Hermitian and the fragments sum to the Hamiltonian.
-    Inside a fragment, terms come in order of first appearance among the
-    Hamiltonian's terms: one-body pairs row by row, then two-body terms
-    ascending by spin ``(p, q, r, s)`` (see ``_integral_terms``).
+    At granularity "integral" a fragment's label is the one
+    ``_integral_terms`` gives its terms, ascending by the spatial index
+    tuple ``(i, j)`` of a one-body pair, then ``(i, j, k, l)`` of a chemist
+    class.  At granularity "term" it is the rank of
+    ``(popcount(cre), min(cre, ann), max(cre, ann))``: one-body before
+    two-body, then by the pair's lesser key.  For masks with one bit count
+    integer order is the order of their descending orbital tuples, so this
+    is the order of the creation-then-annihilation index tuples.
+
+    Every fragment is built in one pass: the terms are summed per
+    ``(label, cre, ann)`` in order of first appearance, pruned at
+    ``DEFAULT_DROP_TOLERANCE`` and stably sorted by label.  A fragment
+    therefore lists its terms in order of first appearance among the
+    Hamiltonian's terms (one-body pairs row by row, then two-body terms
+    ascending by spin ``(p, q, r, s)``), and one whose terms all cancel is
+    left out.  Each fragment is Hermitian and the fragments sum to the
+    Hamiltonian.
     """
     if ordering not in ORDERINGS:
         raise ValidationError(f"unknown ordering {ordering!r}; use one of {ORDERINGS}")
@@ -345,21 +348,33 @@ def build_trotter_sequence(
         raise ValidationError(
             f"unknown granularity {granularity!r}; use one of {GRANULARITIES}"
         )
-    keyed = _fragments(system, granularity)
-    if ordering == "flat-lexicographic":
-        keyed.sort(key=lambda t: t[0])
-    else:
-        diagonal = sorted(
-            (t for t in keyed if _is_diagonal(t[1])), key=lambda t: t[0]
-        )
-        off = [t for t in keyed if not _is_diagonal(t[1])]
+    cre, ann, val, label = _integral_terms(system)
+    if granularity == "term":
+        label = _rank(np.bitwise_count(cre), np.minimum(cre, ann), np.maximum(cre, ann))
+    rows = np.arange(0)
+    if len(val):
+        rows, val = _accumulate((label, cre, ann), val, first_seen=True)
+        keep = np.abs(val) >= DEFAULT_DROP_TOLERANCE
+        rows, val = rows[keep], val[keep]
+    by_label = np.argsort(label[rows], kind="stable")
+    rows, val = rows[by_label], val[by_label]
+    cre, ann, label = cre[rows], ann[rows], label[rows]
+    head = np.diff(label, prepend=-1) != 0  # each fragment's first term
+    fragment = np.cumsum(head) - 1
+    starts = np.flatnonzero(head)
+    order = np.arange(len(starts))
+    if ordering != "flat-lexicographic":
+        # diagonal fragments first; lexsort is stable, so the label breaks ties
+        off_diagonal = np.bincount(fragment, cre != ann, len(starts)) > 0
+        tail = np.zeros(len(starts))
         if ordering == "magnitude-descending":
-            off.sort(key=lambda t: (-t[1].coefficient_l1(), t[0]))
-        else:
-            off.sort(key=lambda t: t[0])
-        keyed = diagonal + off
+            # each fragment's coefficient one-norm, added in term order from 0.0
+            l1 = np.bincount(fragment, np.abs(val), len(starts))
+            tail = np.where(off_diagonal, -l1, 0.0)
+        order = np.lexsort((tail, off_diagonal))
+    pieces = list(zip(*(np.split(x, starts[1:]) for x in (cre, ann, val))))
     sequence = TrotterSequence(
-        fragments=[frag for _, frag in keyed],
+        fragments=[NormalOrderedOperator._from_arrays(*pieces[f]) for f in order.tolist()],
         ordering=ordering,
         granularity=granularity,
         n_spin_orbitals=system.n_spin_orbitals,
@@ -388,11 +403,12 @@ def _integral_terms(system):
     below the operator drop tolerance are left out, as reducing each term on
     its own would.
 
-    ``label`` names the term's integral fragment as one integer, ascending
-    in the same order as the fragment keys: ``i * norb + j`` for the
-    one-body spatial pair ``i <= j`` and ``norb**2`` plus the base-``norb``
-    digits of the chemist class representative ``(ij|kl)`` for a two-body
-    term.
+    ``label`` names the term's integral fragment as one integer, and label
+    order is sequence order (see :func:`build_trotter_sequence`):
+    ``i * norb + j`` for the one-body spatial pair ``i <= j`` and
+    ``norb**2`` plus the base-``norb`` digits of the chemist class
+    representative ``(ij|kl)`` for a two-body term, so labels ascend with
+    ``(i, j)``, one-body first, then with ``(i, j, k, l)``.
     """
     norb = len(system.h1)
     h1 = np.kron(system.h1, np.eye(2))
@@ -432,59 +448,3 @@ def _integral_terms(system):
     keep = np.concatenate([one_keep, (p != q) & (r != s)])
     keep &= np.abs(val) >= DEFAULT_DROP_TOLERANCE
     return cre[keep], ann[keep], val[keep], label[keep]
-
-
-def _groups(label: np.ndarray):
-    """``(label, rows)`` per distinct label, rows in input order."""
-    if not len(label):
-        return []
-    order = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    return [(int(label[rows[0]]), rows) for rows in np.split(order, cuts)]
-
-
-def _fragments(system, granularity):
-    """``(sort key, fragment)`` per nonempty fragment, each the first-seen
-    sum of the Hamiltonian terms that share one label.
-
-    Granularity "integral" labels a term by its spatial integral (see
-    :func:`_integral_terms`): the key is ``(0, i, j, 0, 0)`` for a one-body
-    pair and ``(1, i, j, k, l)`` for a chemist class ``(ij|kl)``.
-    Granularity "term" labels a term by its ``(min(cre, ann), max(cre, ann))``
-    masks, which puts every term with its adjoint; the key comes from the
-    fragment's least ``rep = creations + annihilations`` (both descending):
-    ``(0, p, q, 0, 0)`` for a one-body pair, ``(1,) + rep`` for a two-body
-    term.
-
-    A single sum per fragment matches adding the terms one at a time except
-    where a partial sum of a key falls below the drop tolerance while its
-    total does not: the running sum drops the key and re-adds it last,
-    without the dropped part, and the single sum keeps it whole and in
-    place.  Within one chemist class the terms of a key arrive as
-    +A, -B, -B, +A for two integrals A and B, so that takes A - B or A - 2B
-    within the tolerance of zero; no shipped or generated system has one.
-    """
-    norb = len(system.h1)
-    cre, ann, val, label = _integral_terms(system)
-    if granularity == "term":
-        label = _rank(np.minimum(cre, ann), np.maximum(cre, ann))
-    out = []
-    for code, rows in _groups(label):
-        frag = _combine(
-            cre[rows], ann[rows], val[rows], DEFAULT_DROP_TOLERANCE, first_seen=True
-        )
-        if not frag:
-            continue
-        if granularity == "term":
-            rep = min(
-                _bits_desc(c) + _bits_desc(a)
-                for c, a in zip(frag.cre.tolist(), frag.ann.tolist())
-            )
-            key = (0, *rep, 0, 0) if len(rep) == 2 else (1, *rep)
-        elif code < norb * norb:
-            key = (0, *divmod(code, norb), 0, 0)
-        else:
-            code -= norb * norb
-            key = (1, *(code // norb**e % norb for e in (3, 2, 1, 0)))
-        out.append((key, frag))
-    return out

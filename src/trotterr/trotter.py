@@ -26,16 +26,19 @@ small factor:
 Every commutator then has one small operand (a fragment), which is the
 cheap shape for the term-map product.  Since fragments are Hermitian and
 the C/D accumulations anti-Hermitian, each commutator needs only a single
-product followed by an adjoint reflection.  Results differ from the fully
-expanded triple loop only by floating-point reassociation and rounding of
-that reflection, both far below every validation tolerance used here.
+product m and its adjoint: C_beta = m - m^+ with m = H_beta S_{beta-1},
+and the piece P_alpha = m + m^+ with m = H_alpha (D_alpha - C_alpha/2).
+Results differ from the fully expanded triple loop only by floating-point
+reassociation and rounding of that reflection, both far below every
+validation tolerance used here.
 
-Each piece P_alpha = m + m^+, with m = H_alpha (D_alpha - C_alpha/2), is
-Hermitian to the bit: P[k^+] = s P[k], where s = +-1 is the sign the
-adjoint puts on the key k (``fermion.hermitian_product``).  So is V, a sum
-of such pieces.  The pieces are therefore built, and summed, as one entry
-per adjoint pair, on the canonical key (cre <= ann); the other key of the
-pair is restored only once, at the end.
+Each is Hermitian or anti-Hermitian to the bit: P[k^+] = s P[k] and
+C[k^+] = -s C[k], where s = +-1 is the sign the adjoint puts on the key k
+(``fermion.hermitian_product``).  So both are built as one entry per
+adjoint pair, on the canonical key (cre <= ann), from one grouping of the
+product's terms.  Each C_beta is expanded to both keys at once, since it
+feeds the running sums D.  The pieces are summed as pairs, and so is V,
+their sum; the other key of each pair is restored only once, at the end.
 
 The products hold far more unsummed terms than V (1.45M against 21k at 10
 spin orbitals), so the pieces are folded into a running sum as they come
@@ -76,7 +79,7 @@ from .fermion import (
     commutator,  # noqa: F401  looked up here by bench/tracing.py
     expand_pairs,
     hermitian_product,
-    multiply,
+    multiply,  # noqa: F401  looked up here by bench/tracing.py
     operator_sum,  # noqa: F401  looked up here by bench/tracing.py
     sum_pairs,
     trace,
@@ -175,14 +178,13 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
     fragments = sequence.fragments
-    # C_beta = [H_beta, S_{beta-1}]: Hermitian pair, one product suffices
+    # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1}; the
+    # pair build prunes, so keys that commuting fragments cancel to exact
+    # 0.0 never reach a later product
     cross: list[NormalOrderedOperator] = []
     prefix = NormalOrderedOperator.zero()
     for frag in fragments:
-        m = multiply(frag, prefix, drop_tolerance=0.0)
-        # the subtraction prunes, so keys that commuting fragments cancel
-        # to exact 0.0 never reach a later product
-        cross.append(m - m.adjoint())
+        cross.append(expand_pairs(hermitian_product(frag, prefix, 0, -1), -1))
         prefix = prefix + frag
     total = PairTerms.empty()
     total_terms = 0

@@ -424,7 +424,9 @@ def loop_integral_terms(system):
 # Every integral is reduced by ``loop_normal_order`` and the pieces are
 # summed with ``+`` or ``operator_sum``: the construction that
 # ``trotterr.hamiltonian._integral_terms`` replaces.  Fragments are returned
-# as the package's ``(key, fragment)`` pairs.
+# as ``(key, fragment)`` pairs, the key being the fragment's index tuple, and
+# ``ordered_fragments`` puts them in sequence order by sorting those tuples:
+# the construction that ``build_trotter_sequence``'s label sort replaces.
 # ---------------------------------------------------------------------------
 
 
@@ -501,6 +503,21 @@ def per_integral_fragments_by_term(system):
         rep = min(k[0] + k[1] for k in group)
         out.append(((1,) + rep, frag))
     return out
+
+
+def ordered_fragments(keyed, ordering):
+    """The nonzero fragments of ``keyed`` in sequence order: by key tuple
+    (``flat-lexicographic``), or the diagonal ones by key followed by the
+    rest by key (``lexicographic``) or by descending coefficient one-norm,
+    key as tie-break (``magnitude-descending``)."""
+    keyed = sorted((t for t in keyed if t[1]), key=lambda t: t[0])
+    if ordering != "flat-lexicographic":
+        diagonal = [t for t in keyed if np.all(t[1].cre == t[1].ann)]
+        off = [t for t in keyed if not np.all(t[1].cre == t[1].ann)]
+        if ordering == "magnitude-descending":
+            off.sort(key=lambda t: (-t[1].coefficient_l1(), t[0]))
+        keyed = diagonal + off
+    return [frag for _, frag in keyed]
 
 
 # ---------------------------------------------------------------------------

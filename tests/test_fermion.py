@@ -655,17 +655,18 @@ def test_product_kernel_matches_loop(branch, cells, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_hermitian_product_is_the_sum_with_the_adjoint(branch, data):
-    # one entry per adjoint pair, expanded, is m + m.adjoint() to the byte:
-    # the same keys in the same order with the same coefficients
+    # one entry per adjoint pair, expanded, is m + m.adjoint() (sign +1) or
+    # m - m.adjoint() (sign -1) to the byte: the same keys in the same order
+    # with the same coefficients
     a, b = data.draw(kernel_operands(*COMBINE_BRANCHES[branch]))
     m = multiply(a, b, drop_tolerance=0.0)
-    want = m + m.adjoint()
-    pairs = hermitian_product(a, b, 0)
-    assert (pairs.cre <= pairs.ann).all()
-    assert len(pairs.val) == np.count_nonzero(want.cre <= want.ann)
-    assert pairs.n_terms() == len(want)
-    got = expand_pairs(pairs)
-    _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
+    for sign, want in ((1, m + m.adjoint()), (-1, m - m.adjoint())):
+        pairs = hermitian_product(a, b, 0, sign)
+        assert (pairs.cre <= pairs.ann).all()
+        assert len(pairs.val) == np.count_nonzero(want.cre <= want.ann)
+        assert pairs.n_terms() == len(want)
+        got = expand_pairs(pairs, sign)
+        _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
 
 
 def test_product_kernel_matches_loop_on_empty_and_identity():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import trotterr.hamiltonian
 from bruteforce import (
     dense_operator,
     loop_integral_terms,
+    ordered_fragments,
     per_integral_fragments_by_integral,
     per_integral_fragments_by_term,
     per_integral_hamiltonian,
@@ -64,6 +64,14 @@ class TestParser:
     def test_slash_terminator_and_d_notation(self):
         text = "&FCI NORB=1,NELEC=2,MS2=0 /\n 5.0D-01 1 1 0 0\n 0.0 0 0 0 0\n"
         sys1 = parse_fcidump(text)
+        assert sys1.h1[0, 0] == pytest.approx(0.5, abs=0)
+
+    @pytest.mark.parametrize("name", ["Fci", "fCI"])
+    def test_mixed_case_namelist_name(self, name):
+        # Fortran namelist names are case-insensitive, &END's too
+        text = f"&{name} NORB=1,NELEC=2,MS2=0,\n &End\n 0.5 1 1 0 0\n"
+        sys1 = parse_fcidump(text)
+        assert sys1.n_electrons == 2
         assert sys1.h1[0, 0] == pytest.approx(0.5, abs=0)
 
     def test_orbital_energy_records_skipped(self):
@@ -458,26 +466,18 @@ class TestIntegralTerms:
         assert _hex_terms(syst.hamiltonian()) == _hex_terms(per_integral_hamiltonian(syst))
 
     @pytest.mark.parametrize("name", INTEGRAL_SYSTEMS)
-    def test_fragments_match_per_integral(self, name, fixture_dir, monkeypatch):
+    def test_fragments_match_per_integral(self, name, fixture_dir):
         syst = _integral_system(name, fixture_dir)
-        built = {
-            (g, o): build_trotter_sequence(syst, o, granularity=g)
-            for g in GRANULARITIES for o in ORDERINGS
-        }
         references = {
-            "integral": per_integral_fragments_by_integral,
-            "term": per_integral_fragments_by_term,
+            "integral": per_integral_fragments_by_integral(syst),
+            "term": per_integral_fragments_by_term(syst),
         }
-
-        def fragments(system, granularity):
-            return [t for t in references[granularity](system) if t[1]]
-
-        monkeypatch.setattr(trotterr.hamiltonian, "_fragments", fragments)
-        for (g, o), seq in built.items():
-            ref = build_trotter_sequence(syst, o, granularity=g)
-            assert [_hex_terms(f) for f in seq.fragments] == [
-                _hex_terms(f) for f in ref.fragments
-            ], (g, o)
+        for g in GRANULARITIES:
+            for o in ORDERINGS:
+                seq = build_trotter_sequence(syst, o, granularity=g)
+                assert [_hex_terms(f) for f in seq.fragments] == [
+                    _hex_terms(f) for f in ordered_fragments(references[g], o)
+                ], (g, o)
 
     def test_vanishing_and_signed_terms(self):
         # (11|11) on one spatial orbital: same-spin pairs vanish, the two
