@@ -77,6 +77,14 @@ DEFAULT_DROP_TOLERANCE = 1e-12
 # coefficient one-norm)
 HERMITIAN_REL_TOL = 1e-8
 
+# The one bound on the transient arrays of every chunked array pass: the
+# product kernel's pair slices, the term chunks of ``fock``'s action table
+# and the slices its ``apply`` and ``dense`` add up.  2^18 int64 cells are
+# 2 MiB.  A smaller budget is not free: glibc sets its mmap and trim
+# thresholds from the largest block freed, so smaller blocks let the heap
+# be trimmed and regrown more often, at a page fault per regrown page.
+_CELL_BUDGET = 1 << 18
+
 # A canonical term key: (creation orbitals desc, annihilation orbitals desc).
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -553,9 +561,11 @@ def hermitian_product(
     val[lo == hi] *= 1.0 + sign  # the sum adds m[k] and sign * m[k] there
     keep = np.abs(val) >= DEFAULT_DROP_TOLERANCE
     own, mirror = ~mirrored[first], mirrored[last]
+    # one index for the whole piece: a read-only view, until sum_pairs
+    # concatenates it
     return PairTerms(
         lo[keep], hi[keep], val[keep], own[keep], mirror[keep],
-        np.full(np.count_nonzero(keep), piece),
+        np.broadcast_to(np.int64(piece), (np.count_nonzero(keep),)),
     )
 
 
@@ -643,11 +653,9 @@ def expand_pairs(pairs: PairTerms, sign: int = 1) -> NormalOrderedOperator:
 # in row-major order, so terms come out by term of A, then T, then row of
 # B.  That order is fixed: ``_combine`` adds each key's values in input
 # order, so any other order could move the last bits of a sum, and with them
-# every report.  The pair axis is cut into slices of at most
-# ``_PRODUCT_CELLS`` cells, so the temporaries beyond the product's own
-# output stay a fixed size however large the operands are.
-
-_PRODUCT_CELLS = 1 << 17
+# every report.  The pair axis is cut into slices of at most ``_CELL_BUDGET``
+# cells, so the temporaries beyond the product's own output stay a fixed
+# size however large the operands are.
 
 
 def _prefix_parity(masks: np.ndarray) -> np.ndarray:
@@ -689,7 +697,7 @@ def _product_terms(
     cre_flip = t ^ c1  # C2 ^ T ^ C1 = C1 u (C2\T)
     b_cre, b_ann, b_val = b.cre, b.ann, b.val
     n_rows = len(b)
-    step = max(1, _PRODUCT_CELLS // max(1, n_rows))
+    step = max(1, _CELL_BUDGET // max(1, n_rows))
     cre_chunks, ann_chunks, val_chunks = [], [], []
     for lo in range(0, len(t), step):
         cut = slice(lo, lo + step)

@@ -16,6 +16,13 @@ the order a term-by-term loop would, and the results are bit-identical to
 it.  A :class:`RestrictedOperator` builds the table once and evaluates
 everything from it; each public function builds one and calls it once.
 
+The table's size is known before it is built: a term with masks C and A
+acts on comb(N - |A | C|, n - |A|) states of the n-electron sector and on
+2^(N - |A | C|) of the full space, and on at most that many of a subset.
+So it is allocated once, with int32 row and column indices, and filled
+in chunks of terms; the chunks, like the slices ``apply`` and ``dense``
+accumulate over, stay within ``fermion._CELL_BUDGET`` cells.
+
 ``DENSE_LIMIT`` is read here only, at call time: a basis of at most that
 many states is diagonalized densely, a larger one by Lanczos (the only
 code that imports scipy), and ``to_dense`` refuses it.
@@ -29,6 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import fermion
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .fermion import NormalOrderedOperator, _prefix_parity
 
@@ -152,9 +160,31 @@ def _check_operator(op: NormalOrderedOperator, basis: SectorBasis) -> None:
         )
 
 
-# Term actions are computed in chunks of about this many (term, state)
-# pairs, which bounds the temporaries whatever the operator or basis size.
-_CHUNK_ELEMENTS = 1 << 20
+def _source_counts(op: NormalOrderedOperator, basis: SectorBasis) -> np.ndarray:
+    """How many states of ``basis`` each term of ``op`` can act on, exact on
+    a full space or a whole sector and an upper bound on a subset of one.
+
+    A term with masks C and A acts on the states that hold all of A and
+    none of C & ~A, whatever they hold on the other N - |A | C| orbitals:
+    all 2^(N - |A | C|) of them on the full space, and the
+    comb(N - |A | C|, n - |A|) of them that hold n electrons on the
+    n-electron sector.  No term acts on more states than the basis has.
+    """
+    n_orbitals, n_electrons = basis.n_orbitals, basis.n_electrons
+    free = n_orbitals - np.bitwise_count(op.cre | op.ann).astype(np.int64)
+    if n_electrons is None:
+        counts = np.left_shift(1, free)
+    else:
+        need = n_electrons - np.bitwise_count(op.ann).astype(np.int64)
+        pascal = np.array(
+            [
+                [math.comb(f, e) for e in range(n_electrons + 1)]
+                for f in range(n_orbitals + 1)
+            ],
+            dtype=np.int64,
+        )
+        counts = np.where(need >= 0, pascal[free, np.maximum(need, 0)], 0)
+    return np.minimum(counts, basis.dim)
 
 
 def _action_table(
@@ -182,17 +212,25 @@ def _action_table(
     state-dependent part reduces to popcount(P(s) & (A ^ C)), and the rest
     is one constant per term, whose pair count sum_{q in C} |A below q| has
     the parity of popcount(C & P(A)).
+
+    The arrays are allocated once, at the size :func:`_source_counts` gives,
+    and filled chunk by chunk, each chunk's (term, state) cells within
+    ``fermion._CELL_BUDGET``; on a subset basis they are then cut to the
+    entries found.  ``rows`` and ``cols`` are int32.
     """
-    n_terms = len(op)
     cre, ann, coeff = op.cre, op.ann, op.val
     k = np.bitwise_count(cre).astype(np.int64)
     l = np.bitwise_count(ann).astype(np.int64)
     const = k * (k - 1) // 2 + l * (l - 1) // 2 + np.bitwise_count(cre & _prefix_parity(ann))
     states = basis.states
     parity = _prefix_parity(states)
-    step = max(1, _CHUNK_ELEMENTS // basis.dim)
-    rows, cols, vals = [], [], []
-    for lo in range(0, n_terms, step):
+    size = int(_source_counts(op, basis).sum())
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    end = 0
+    step = max(1, fermion._CELL_BUDGET // basis.dim)
+    for lo in range(0, len(op), step):
         c, a = cre[lo : lo + step], ann[lo : lo + step]
         term, src = np.nonzero((states & (a | c)[:, None]) == a[:, None])
         image = (states[src] & ~a[term]) | c[term]
@@ -201,14 +239,16 @@ def _action_table(
         found = states[pos] == image
         term, src = term[found] + lo, src[found]
         flips = np.bitwise_count(parity[src] & (ann[term] ^ cre[term])) + const[term]
-        rows.append(pos[found])
-        cols.append(src)
+        cut = slice(end, end + len(src))
+        rows[cut] = pos[found]
+        cols[cut] = src
         # popcount is uint8: take the sign in float64, never in the popcount type
-        vals.append(coeff[term] * (1.0 - 2.0 * (flips & 1)))
-    if not rows:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        vals[cut] = coeff[term] * (1.0 - 2.0 * (flips & 1))
+        end += len(src)
+    if end < size:  # a subset basis; shrinking in place copies nothing
+        for column in (rows, cols, vals):
+            column.resize(end, refcheck=False)
+    return rows, cols, vals
 
 
 class RestrictedOperator:
@@ -227,16 +267,32 @@ class RestrictedOperator:
         self.basis = basis
         self._table = _action_table(op, basis)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def _slices(self):
+        """The table in consecutive slices of ``fermion._CELL_BUDGET``
+        entries, so an accumulation over them adds every row in table
+        order.  Each slice's indices are fresh intp copies, since numpy
+        gathers through intp indices about twice as fast as through int32."""
         rows, cols, vals = self._table
+        step = fermion._CELL_BUDGET
+        for lo in range(0, len(vals), step):
+            cut = slice(lo, lo + step)
+            yield rows[cut].astype(np.intp), cols[cut].astype(np.intp), vals[cut]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(len(v))
-        np.add.at(out, rows, vals * v[cols])
+        for rows, cols, vals in self._slices():
+            np.add.at(out, rows, vals * v[cols])
         return out
 
     def dense(self) -> np.ndarray:
-        rows, cols, vals = self._table
-        mat = np.zeros((self.basis.dim, self.basis.dim))
-        np.add.at(mat, (rows, cols), vals)
+        dim = self.basis.dim
+        mat = np.zeros((dim, dim))
+        # one flat index per entry: np.add.at is fastest on one axis
+        flat = mat.reshape(-1)
+        for rows, cols, vals in self._slices():
+            rows *= dim
+            rows += cols
+            np.add.at(flat, rows, vals)
         return mat
 
     def expectation(self, vector: CIVector) -> float:

@@ -36,10 +36,12 @@ from .errors import FcidumpError, ResourceLimitError, ValidationError
 from .fermion import (
     _MASK_ORBITALS,
     DEFAULT_DROP_TOLERANCE,
+    HERMITIAN_REL_TOL,
     NormalOrderedOperator,
     _accumulate,
     _combine,
     _rank,
+    adjoint_sign,
     operator_sum,
 )
 
@@ -372,16 +374,42 @@ def build_trotter_sequence(
             l1 = np.bincount(fragment, np.abs(val), len(starts))
             tail = np.where(off_diagonal, -l1, 0.0)
         order = np.lexsort((tail, off_diagonal))
+    if len(val):
+        _require_hermitian_fragments(fragment, cre, ann, val, order)
     pieces = list(zip(*(np.split(x, starts[1:]) for x in (cre, ann, val))))
-    sequence = TrotterSequence(
+    return TrotterSequence(
         fragments=[NormalOrderedOperator._from_arrays(*pieces[f]) for f in order.tolist()],
         ordering=ordering,
         granularity=granularity,
         n_spin_orbitals=system.n_spin_orbitals,
     )
-    for frag in sequence.fragments:
-        frag.require_hermitian("fragment not Hermitian")
-    return sequence
+
+
+def _require_hermitian_fragments(fragment, cre, ann, val, order) -> None:
+    """``require_hermitian("fragment not Hermitian")`` on every fragment,
+    in sequence ``order``, from one pass over the terms of all of them.
+
+    Term i has key ``(cre[i], ann[i])``, coefficient ``val[i]`` and lies in
+    fragment ``fragment[i]``; a fragment's terms are listed in its term
+    order.  The terms and their negated adjoints are summed per
+    ``(fragment, cre, ann)``, each key's own term first, which are the
+    differences ``hermitian_defect`` takes fragment by fragment, bit for
+    bit, and each fragment's one-norm is added in its term order.
+    """
+    n_fragments = len(order)
+    owner = np.concatenate([fragment, fragment])
+    rows, diff = _accumulate(
+        (owner, np.concatenate([cre, ann]), np.concatenate([ann, cre])),
+        np.concatenate([val, -(val * adjoint_sign(cre, ann))]),
+        first_seen=False,
+    )
+    defect = np.zeros(n_fragments)
+    np.maximum.at(defect, owner[rows], np.abs(diff))
+    l1 = np.bincount(fragment, np.abs(val), n_fragments)
+    bad = defect[order] > HERMITIAN_REL_TOL * np.maximum(1.0, l1[order])
+    if bad.any():
+        worst = defect[order[np.argmax(bad)]]
+        raise ValidationError(f"fragment not Hermitian (defect {worst:.3e})")
 
 
 def _integral_terms(system):

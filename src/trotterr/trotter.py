@@ -36,9 +36,11 @@ Each is Hermitian or anti-Hermitian to the bit: P[k^+] = s P[k] and
 C[k^+] = -s C[k], where s = +-1 is the sign the adjoint puts on the key k
 (``fermion.hermitian_product``).  So both are built as one entry per
 adjoint pair, on the canonical key (cre <= ann), from one grouping of the
-product's terms.  Each C_beta is expanded to both keys at once, since it
-feeds the running sums D.  The pieces are summed as pairs, and so is V,
-their sum; the other key of each pair is restored only once, at the end.
+product's terms.  Each C_beta is held as pairs, about half the memory of
+its full keys, until the backward loop reaches it; it is then expanded to
+both keys, since it feeds the running sums D, and dropped after that step.
+The pieces are summed as pairs, and so is V, their sum; the other key of
+each pair is restored only once, at the end.
 
 The products hold far more unsummed terms than V (1.45M against 21k at 10
 spin orbitals), so the pieces are folded into a running sum as they come
@@ -157,9 +159,10 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     """Assemble the leading error operator for ``sequence`` at ``delta_t``.
 
     A single-fragment sequence (or any mutually commuting one) yields the
-    zero operator.  Each commutator piece is built as one entry per
-    adjoint pair, tagged with its piece index and where in the piece each
-    key is listed, and folded into a running sum whenever the pieces
+    zero operator.  Each C_beta is held as one entry per adjoint pair until
+    the backward loop uses it.  Each commutator piece is built as one entry
+    per adjoint pair, tagged with its piece index and where in the piece
+    each key is listed, and folded into a running sum whenever the pieces
     pending stand for at least ``max(FOLD_TERMS, len(sum))`` terms; this
     bounds the memory held by the larger of the budget and ``V``.  After
     the last fold each pair is expanded to its two keys and one lexsort on
@@ -178,20 +181,22 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
     fragments = sequence.fragments
-    # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1}; the
-    # pair build prunes, so keys that commuting fragments cancel to exact
-    # 0.0 never reach a later product
-    cross: list[NormalOrderedOperator] = []
+    # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1}, held
+    # as pairs until the backward loop uses it; the pair build prunes, so
+    # keys that commuting fragments cancel to exact 0.0 never reach a later
+    # product
+    cross: list[PairTerms] = []
     prefix = NormalOrderedOperator.zero()
     for frag in fragments:
-        cross.append(expand_pairs(hermitian_product(frag, prefix, 0, -1), -1))
+        cross.append(hermitian_product(frag, prefix, 0, -1))
         prefix = prefix + frag
     total = PairTerms.empty()
     total_terms = 0
     pending: list[PairTerms] = []  # pieces since the last fold
     pending_terms = 0
     suffix = NormalOrderedOperator.zero()  # D_alpha, accumulated backwards
-    for piece, (frag, c) in enumerate(zip(reversed(fragments), reversed(cross))):
+    for piece, frag in enumerate(reversed(fragments)):
+        c = expand_pairs(cross.pop(), -1)  # C_alpha, freed after this step
         suffix = suffix + c
         weight = suffix + c.scaled(-0.5)  # D_alpha - C_alpha/2, anti-Hermitian
         if weight:

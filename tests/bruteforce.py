@@ -9,6 +9,7 @@ the package's vectorized kernels replace.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -129,6 +130,43 @@ def per_term_dense(op: NormalOrderedOperator, basis) -> np.ndarray:
     for rows, cols, vals in _per_term(op, basis.states):
         mat[rows, cols] += vals
     return mat
+
+
+def concatenated_table(op: NormalOrderedOperator, basis):
+    """The per-term entries as one unsliced table with int64 indices, and
+    the ``apply`` and ``dense`` that one ``np.add.at`` over it gives: the
+    term-action table before it was preallocated and sliced."""
+    parts = [
+        (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)),
+        *_per_term(op, basis.states),
+    ]
+    rows, cols, vals = (np.concatenate(col) for col in zip(*parts))
+
+    def table_apply(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(basis.dim)
+        np.add.at(out, rows, vals * v[cols])
+        return out
+
+    def table_dense() -> np.ndarray:
+        mat = np.zeros((basis.dim, basis.dim))
+        np.add.at(mat, (rows, cols), vals)
+        return mat
+
+    return (rows, cols, vals), table_apply, table_dense
+
+
+def source_count_formula(op: NormalOrderedOperator, basis) -> int:
+    """Sources of all terms on the complete basis of ``basis``'s kind: a
+    term with masks C, A acts on comb(N - |A u C|, n - |A|) states of the
+    n-electron sector and on 2^(N - |A u C|) of the full space."""
+    total = 0
+    for c, a in zip(op.cre.tolist(), op.ann.tolist()):
+        free = basis.n_orbitals - (c | a).bit_count()
+        if basis.n_electrons is None:
+            total += 2**free
+        elif basis.n_electrons >= a.bit_count():
+            total += math.comb(free, basis.n_electrons - a.bit_count())
+    return total
 
 
 # ---------------------------------------------------------------------------

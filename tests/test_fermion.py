@@ -647,7 +647,7 @@ def test_product_kernel_matches_loop(branch, cells, data):
     # orbital 62 puts a bit next to the sign bit, where the prefix-parity
     # shift must drop it; a tiny cell budget cuts the pair axis into slices
     a, b = data.draw(kernel_operands(*KEY_BRANCHES[branch]))
-    with mock.patch.object(fermion, "_PRODUCT_CELLS", cells or fermion._PRODUCT_CELLS):
+    with mock.patch.object(fermion, "_CELL_BUDGET", cells or fermion._CELL_BUDGET):
         _assert_same_arrays(_product_terms(a, b), loop_product_terms(a, b))
 
 

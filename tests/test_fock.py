@@ -1,12 +1,14 @@
 """Occupation-basis machinery against the dense brute-force oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trotterr.ci import excitation_basis, hartree_fock_state
+from trotterr import fermion
 from trotterr.errors import NumericalError, ResourceLimitError, ValidationError
 from trotterr.fermion import (
     LadderTerm,
@@ -32,7 +34,13 @@ from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
 from trotterr.synthetic import random_system
 from trotterr.trotter import build_error_operator
 
-from bruteforce import dense_operator, per_term_apply, per_term_dense
+from bruteforce import (
+    concatenated_table,
+    dense_operator,
+    per_term_apply,
+    per_term_dense,
+    source_count_formula,
+)
 
 
 def op_strings(n_orbitals=4, max_len=5):
@@ -223,16 +231,20 @@ def test_to_dense_matches_bruteforce():
 # ---------------------------------------------------------------------------
 
 FIXTURES = ("h2_sto6g_local", "h2_sto6g_canonical", "h2_sto6g_natural", "h4_sto6g_local")
+RANDOM = tuple(f"random n={n}" for n in range(1, 6))
+
+
+def _system(fixture_dir, name):
+    if name in RANDOM:
+        n_spatial = int(name.rsplit("=", 1)[1])
+        return random_system(np.random.default_rng(n_spatial), n_spatial)
+    kind = name.rsplit("_", 1)[1]
+    return load_fcidump(fixture_dir / f"{name}.fcidump", orbital_kind=kind)
 
 
 def _systems(fixture_dir):
-    for name in FIXTURES:
-        kind = name.rsplit("_", 1)[1]
-        yield name, load_fcidump(fixture_dir / f"{name}.fcidump", orbital_kind=kind)
-    for n_spatial in range(1, 5):
-        yield f"random n={n_spatial}", random_system(
-            np.random.default_rng(n_spatial), n_spatial
-        )
+    for name in (*FIXTURES, *RANDOM[:4]):
+        yield name, _system(fixture_dir, name)
 
 
 def _bases(system):
@@ -258,6 +270,33 @@ def test_term_actions_equal_per_term_reference(fixture_dir):
         for basis in _bases(system):
             for op in (system.hamiltonian(), error.op):
                 _assert_matches_per_term(op, basis, (name, basis))
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *RANDOM])
+def test_sliced_table_is_the_concatenated_reference(fixture_dir, name):
+    # a budget of a few cells cuts the table build into chunks of one or a
+    # few terms and apply and dense into many slices; the preallocated
+    # int32 table must still give the bits of one unsliced int64 table
+    system = _system(fixture_dir, name)
+    error = build_error_operator(build_trotter_sequence(system), 1.0)
+    with mock.patch.object(fermion, "_CELL_BUDGET", 5):
+        for basis in _bases(system):
+            complete = basis.n_electrons is None or basis.dim == math.comb(
+                basis.n_orbitals, basis.n_electrons
+            )
+            for op in (system.hamiltonian(), error.op):
+                label = (name, basis, len(op))
+                restricted = RestrictedOperator(op, basis)
+                rows, cols, vals = restricted._table
+                assert rows.dtype == cols.dtype == np.int32, label
+                want, want_apply, want_dense = concatenated_table(op, basis)
+                for got, ref in zip((rows, cols, vals), want):
+                    assert np.array_equal(got, ref), label
+                count = source_count_formula(op, basis)
+                assert len(vals) == count if complete else len(vals) <= count, label
+                v = probe_vector(basis.dim)
+                assert restricted.apply(v).tobytes() == want_apply(v).tobytes(), label
+                assert restricted.dense().tobytes() == want_dense().tobytes(), label
 
 
 @pytest.mark.parametrize("solver", ["dense", "lanczos"])

@@ -385,6 +385,17 @@ class TestSequences:
         for frag in seq.fragments:
             assert frag.hermitian_defect() <= 1e-10
 
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_non_hermitian_fragment_is_refused(self, granularity):
+        # (01|22) no longer equals (10|22): the term and its adjoint differ
+        # by 0.5e-3 in the fragment that holds both
+        syst = random_system(np.random.default_rng(0), 3)
+        syst.eri[0, 1, 2, 2] += 1e-3
+        with pytest.raises(ValidationError, match=re.escape(
+            "fragment not Hermitian (defect 5.000e-04)"
+        )):
+            build_trotter_sequence(syst, granularity=granularity)
+
     def test_diagonal_block_leads_default(self, fixture_dir):
         syst = parse_fcidump((fixture_dir / "h2_sto6g_local.fcidump").read_text())
         seq = build_trotter_sequence(syst)

@@ -14,6 +14,7 @@ from trotterr import trotter
 from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
+from trotterr.fock import RestrictedOperator, SectorBasis
 from trotterr.hamiltonian import (
     GRANULARITIES,
     ORDERINGS,
@@ -328,8 +329,15 @@ def test_error_operator_is_hermitian_to_the_bit(case):
 # tracemalloc peak of the synthetic-5 V build (10 spin orbitals, 1.45M
 # unsummed piece terms, 21,125 terms in V): 105 MiB when every piece is held
 # for one final sum, 24.9 MiB with the pieces folded at a budget of 2^18
-# terms, 8.1 MiB with one entry per adjoint pair folded at 2^15 entries
-SYN5_BUILD_PEAK_BUDGET = 16 * 2**20
+# terms, 8.1 MiB with one entry per adjoint pair folded at 2^15 entries,
+# 5.7 MiB with each C_beta held as pairs until it is used
+SYN5_BUILD_PEAK_BUDGET = 7 * 2**20
+
+# tracemalloc peak of V's action table on the synthetic-5 sector (210
+# states, 59,170 entries): 10.9 MiB with an 8 MiB int64 temporary per term
+# chunk and the chunks concatenated, 3.9 MiB preallocated with int32
+# indices and 2 MiB chunks
+SYN5_TABLE_PEAK_BUDGET = 6 * 2**20
 
 
 def test_synthetic5_build_stays_in_bounded_memory():
@@ -342,6 +350,20 @@ def test_synthetic5_build_stays_in_bounded_memory():
         tracemalloc.stop()
     assert len(error.op) == 21125
     assert peak < SYN5_BUILD_PEAK_BUDGET, f"{peak / 2**20:.1f} MiB"
+
+
+def test_synthetic5_table_stays_in_bounded_memory():
+    system = random_system(np.random.default_rng(0), 5)
+    error = build_error_operator(build_trotter_sequence(system), 1.0)
+    sector = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
+    tracemalloc.start()
+    try:
+        restricted = RestrictedOperator(error.op, sector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(restricted._table[0]) == 59170
+    assert peak < SYN5_TABLE_PEAK_BUDGET, f"{peak / 2**20:.1f} MiB"
 
 
 class TestTrotterNumber:
