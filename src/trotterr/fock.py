@@ -268,31 +268,44 @@ class RestrictedOperator:
         self._table = _action_table(op, basis)
 
     def _slices(self):
-        """The table in consecutive slices of ``fermion._CELL_BUDGET``
-        entries, so an accumulation over them adds every row in table
-        order.  Each slice's indices are fresh intp copies, since numpy
-        gathers through intp indices about twice as fast as through int32."""
-        rows, cols, vals = self._table
+        """Consecutive slices ``cut`` of at most ``fermion._CELL_BUDGET``
+        table entries, each with ``index``, an intp scratch array of the
+        slice's length; accumulating slice by slice adds every row in table
+        order.  Indices are copied into ``index`` since numpy gathers
+        through int32 indices about twice as slowly as through intp, and
+        every slice reuses its memory, since a fresh 2 MiB block per slice
+        can cost a page fault per page."""
+        n = len(self._table[2])
         step = fermion._CELL_BUDGET
-        for lo in range(0, len(vals), step):
-            cut = slice(lo, lo + step)
-            yield rows[cut].astype(np.intp), cols[cut].astype(np.intp), vals[cut]
+        scratch = np.empty(min(step, n), dtype=np.intp)
+        for lo in range(0, n, step):
+            cut = slice(lo, min(lo + step, n))
+            yield cut, scratch[: cut.stop - lo]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        rows, cols, vals = self._table
+        v = np.asarray(v, dtype=float)  # take writes into float64 scratch
         out = np.zeros(len(v))
-        for rows, cols, vals in self._slices():
-            np.add.at(out, rows, vals * v[cols])
+        work = np.empty(min(fermion._CELL_BUDGET, len(vals)))
+        for cut, index in self._slices():
+            index[...] = cols[cut]
+            # every index is in range; "clip" spares take's buffered check
+            products = np.take(v, index, out=work[: len(index)], mode="clip")
+            products *= vals[cut]
+            index[...] = rows[cut]
+            np.add.at(out, index, products)
         return out
 
     def dense(self) -> np.ndarray:
+        rows, cols, vals = self._table
         dim = self.basis.dim
         mat = np.zeros((dim, dim))
-        # one flat index per entry: np.add.at is fastest on one axis
-        flat = mat.reshape(-1)
-        for rows, cols, vals in self._slices():
-            rows *= dim
-            rows += cols
-            np.add.at(flat, rows, vals)
+        flat = mat.reshape(-1)  # np.add.at is fastest on one axis
+        for cut, index in self._slices():
+            index[...] = rows[cut]
+            index *= dim
+            index += cols[cut]
+            np.add.at(flat, index, vals[cut])
         return mat
 
     def expectation(self, vector: CIVector) -> float:
