@@ -11,12 +11,12 @@ caller chooses another.
 
 from __future__ import annotations
 
-from itertools import combinations
+import numpy as np
 
 from .errors import ValidationError
 from .fermion import NormalOrderedOperator
 from .fock import CIVector, SectorBasis, ground_state
-from .hamiltonian import MolecularSystem
+from .hamiltonian import MolecularSystem, _electron_count_problem
 
 
 def hartree_fock_state(system: MolecularSystem) -> int:
@@ -30,15 +30,10 @@ def hartree_fock_state(system: MolecularSystem) -> int:
     responsibility and is documented there.
     """
     n, ms2 = system.n_electrons, system.ms2
-    norb = system.n_spin_orbitals // 2
-    if (n + ms2) % 2:
-        raise ValidationError(f"MS2={ms2} inconsistent with {n} electrons")
+    problem = _electron_count_problem(n, ms2, system.n_spin_orbitals // 2)
+    if problem:
+        raise ValidationError(problem)
     n_alpha, n_beta = (n + ms2) // 2, (n - ms2) // 2
-    if not (0 <= n_alpha <= norb and 0 <= n_beta <= norb):
-        raise ValidationError(
-            f"{n_alpha} alpha and {n_beta} beta electrons do not fit in "
-            f"{norb} spatial orbitals"
-        )
     state = 0
     for i in range(n_alpha):
         state |= 1 << (2 * i)
@@ -60,22 +55,13 @@ def _check_excitation_level(reference: int, level: int, n_orbitals: int) -> None
 
 
 def excitation_basis(reference: int, level: int, n_orbitals: int) -> SectorBasis:
-    """All configurations within ``level`` excitations of ``reference``."""
+    """All configurations within ``level`` excitations of ``reference``,
+    filtered from its sector: a state with j holes in the reference differs
+    from it in 2j orbitals."""
     _check_excitation_level(reference, level, n_orbitals)
-    occupied = [p for p in range(n_orbitals) if reference >> p & 1]
-    virtual = [p for p in range(n_orbitals) if not reference >> p & 1]
-    states = set()
-    for j in range(min(level, len(occupied)) + 1):
-        for holes in combinations(occupied, j):
-            removed = reference
-            for p in holes:
-                removed ^= 1 << p
-            for parts in combinations(virtual, j):
-                state = removed
-                for p in parts:
-                    state |= 1 << p
-                states.add(state)
-    return SectorBasis.subset(n_orbitals, len(occupied), sorted(states))
+    sector = SectorBasis.sector(n_orbitals, reference.bit_count())
+    near = np.bitwise_count(sector.states ^ reference) <= 2 * level
+    return SectorBasis(n_orbitals, sector.n_electrons, sector.states[near])
 
 
 def ci_ground_state(

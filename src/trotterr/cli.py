@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -91,8 +92,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_payload(mapping: dict) -> str:
-    return json.dumps(mapping, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _json_payload(kind: str, source_sha256: str, fields: dict) -> str:
+    """A JSON report: ``fields`` under the envelope every report shares."""
+    payload = {
+        "schema_version": 1,
+        "tool_version": __version__,
+        "kind": kind,
+        "source_sha256": source_sha256,
+        **fields,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _load_system(args):
@@ -114,15 +123,14 @@ def _error_operator(args, system):
 
 def _dense_basis(system, full_fock: bool):
     """The basis ``spectrum`` and ``haar`` diagonalize densely, refused above
-    the dense limit before the error operator is built."""
+    the dense limit from its state count, before any state is listed."""
     from .fock import SectorBasis, _check_dense_size
 
+    n, n_electrons = system.n_spin_orbitals, system.n_electrons
+    _check_dense_size(1 << n if full_fock else math.comb(n, n_electrons))
     if full_fock:
-        basis = SectorBasis.full(system.n_spin_orbitals)
-    else:
-        basis = SectorBasis.sector(system.n_spin_orbitals, system.n_electrons)
-    _check_dense_size(basis)
-    return basis
+        return SectorBasis.full(n)
+    return SectorBasis.sector(n, n_electrons)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +189,6 @@ def _cmd_haar(args) -> None:
         error, basis, args.samples, args.seed, ensemble=args.ensemble
     )
     payload = {
-        "schema_version": 1,
-        "tool_version": __version__,
-        "kind": "haar-report",
-        "source_sha256": digest,
         "ordering_label": error.ordering_label,
         "delta_t": args.dt,
         "space": "full" if args.full_fock else "sector",
@@ -195,7 +199,7 @@ def _cmd_haar(args) -> None:
     payload.update(
         (f.name, getattr(report, f.name)) for f in fields(report) if f.name != "samples"
     )
-    _emit(args, _json_payload(payload))
+    _emit(args, _json_payload("haar-report", digest, payload))
 
 
 def _cmd_marginals(args) -> None:
@@ -230,21 +234,13 @@ def _cmd_fit(args) -> None:
                 f"{args.csv}:{lineno}: non-numeric data {raw!r}"
             ) from None
     fit = fit_power_law(points)
-    _emit(
-        args,
-        _json_payload(
-            {
-                "schema_version": 1,
-                "tool_version": __version__,
-                "kind": "power-law-fit",
-                "source_sha256": _sha256(args.csv),
-                "n_points": len(points),
-                "exponent": fit.exponent,
-                "prefactor": fit.prefactor,
-                "r_squared": fit.r_squared,
-            }
-        ),
-    )
+    fields = {
+        "n_points": len(points),
+        "exponent": fit.exponent,
+        "prefactor": fit.prefactor,
+        "r_squared": fit.r_squared,
+    }
+    _emit(args, _json_payload("power-law-fit", _sha256(args.csv), fields))
 
 
 def _cmd_prep_cost(args) -> None:
@@ -259,15 +255,8 @@ def _cmd_prep_cost(args) -> None:
 
         _, vector = ci_ground_state(system, 2)
     report = prep_cost_report(system, args.delta, vector)
-    payload = {
-        "schema_version": 1,
-        "tool_version": __version__,
-        "kind": "prep-cost",
-        "source_sha256": digest,
-        "support_from_solved_vector": bool(args.ci_vector),
-    }
-    payload.update(asdict(report))
-    _emit(args, _json_payload(payload))
+    payload = {"support_from_solved_vector": bool(args.ci_vector), **asdict(report)}
+    _emit(args, _json_payload("prep-cost", digest, payload))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -68,6 +67,8 @@ class SectorBasis:
         self.n_orbitals = int(n_orbitals)
         self.n_electrons = None if n_electrons is None else int(n_electrons)
         self.states = np.asarray(states, dtype=np.int64)
+        if self.n_electrons is not None:
+            _check_electrons(self.n_orbitals, self.n_electrons)
         if self.states.ndim != 1:
             raise ValidationError("states must be one-dimensional")
         if len(self.states) == 0:
@@ -76,13 +77,10 @@ class SectorBasis:
             raise ValidationError("states must be sorted strictly ascending")
         if self.states[0] < 0 or self.states[-1] >= (1 << self.n_orbitals):
             raise ValidationError("state outside the orbital range")
-        if self.n_electrons is not None:
-            if not 0 <= self.n_electrons <= self.n_orbitals:
-                raise ValidationError(
-                    f"n_electrons {self.n_electrons} outside [0, {self.n_orbitals}]"
-                )
-            if np.any(np.bitwise_count(self.states) != self.n_electrons):
-                raise ValidationError("state occupation does not match the sector")
+        if self.n_electrons is not None and np.any(
+            np.bitwise_count(self.states) != self.n_electrons
+        ):
+            raise ValidationError("state occupation does not match the sector")
 
     @classmethod
     def full(cls, n_orbitals: int) -> "SectorBasis":
@@ -90,11 +88,20 @@ class SectorBasis:
 
     @classmethod
     def sector(cls, n_orbitals: int, n_electrons: int) -> "SectorBasis":
-        states = [
-            sum(1 << p for p in occ)
-            for occ in combinations(range(n_orbitals), n_electrons)
-        ]
-        return cls(n_orbitals, n_electrons, np.sort(np.array(states, dtype=np.int64)))
+        """The ``n_electrons``-electron states, ascending, built orbital by
+        orbital: ``by_count[k]`` holds the ascending states with k electrons
+        among the orbitals seen so far, and orbital p appends
+        ``by_count[k - 1] | 1 << p``, all above them, to each.  A count too
+        small to reach ``n_electrons`` on the orbitals left is dropped."""
+        _check_electrons(n_orbitals, n_electrons)
+        empty = np.zeros(0, dtype=np.int64)
+        by_count = [np.zeros(1, dtype=np.int64)] + [empty] * n_electrons
+        for p in range(n_orbitals):
+            least = max(0, n_electrons - (n_orbitals - 1 - p))
+            for k in range(n_electrons, max(least, 1) - 1, -1):
+                by_count[k] = np.concatenate([by_count[k], by_count[k - 1] | (1 << p)])
+            by_count[:least] = [empty] * least
+        return cls(n_orbitals, n_electrons, by_count[n_electrons])
 
     @classmethod
     def subset(cls, n_orbitals: int, n_electrons: int, states) -> "SectorBasis":
@@ -113,6 +120,11 @@ class SectorBasis:
     def __repr__(self) -> str:
         sector = "full" if self.n_electrons is None else f"n={self.n_electrons}"
         return f"SectorBasis(N={self.n_orbitals}, {sector}, dim={self.dim})"
+
+
+def _check_electrons(n_orbitals: int, n_electrons: int) -> None:
+    if not 0 <= n_electrons <= n_orbitals:
+        raise ValidationError(f"n_electrons {n_electrons} outside [0, {n_orbitals}]")
 
 
 class CIVector:
@@ -378,16 +390,16 @@ def apply(op: NormalOrderedOperator, vector: CIVector) -> CIVector:
 
 def to_dense(op: NormalOrderedOperator, basis: SectorBasis) -> np.ndarray:
     """Dense matrix of ``op`` restricted to ``basis`` (column = source)."""
-    _check_dense_size(basis)  # before any table is built
+    _check_dense_size(basis.dim)  # before any table is built
     return RestrictedOperator(op, basis).dense()
 
 
-def _check_dense_size(basis: SectorBasis) -> None:
-    """Refuse a dense matrix on ``basis`` above ``DENSE_LIMIT`` states."""
-    if basis.dim > DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"dense matrix of dim {basis.dim} exceeds limit {DENSE_LIMIT}"
-        )
+def _check_dense_size(dim: int) -> None:
+    """Refuse a dense matrix on a basis of ``dim`` states above
+    ``DENSE_LIMIT``; callers that can count the states check before listing
+    them."""
+    if dim > DENSE_LIMIT:
+        raise ResourceLimitError(f"dense matrix of dim {dim} exceeds limit {DENSE_LIMIT}")
 
 
 def expectation(op: NormalOrderedOperator, vector: CIVector) -> float:

@@ -36,12 +36,12 @@ from .errors import FcidumpError, ResourceLimitError, ValidationError
 from .fermion import (
     _MASK_ORBITALS,
     DEFAULT_DROP_TOLERANCE,
-    HERMITIAN_REL_TOL,
     NormalOrderedOperator,
     _accumulate,
     _combine,
+    _hermitian_defects,
     _rank,
-    adjoint_sign,
+    _require_hermitian,
     operator_sum,
 )
 
@@ -156,7 +156,6 @@ def parse_fcidump(
     *,
     basis_label: str = "",
     orbital_kind: str = "unspecified",
-    z_max: int = 0,
 ) -> MolecularSystem:
     """Parse FCIDUMP text into a :class:`MolecularSystem`.
 
@@ -236,7 +235,6 @@ def parse_fcidump(
         ms2=ms2,
         basis_label=basis_label,
         orbital_kind=orbital_kind,
-        z_max=z_max,
     )
     system.validate()
     return system
@@ -365,17 +363,18 @@ def build_trotter_sequence(
     fragment = np.cumsum(head) - 1
     starts = np.flatnonzero(head)
     order = np.arange(len(starts))
+    # each fragment's coefficient one-norm, added in term order from 0.0
+    l1 = np.bincount(fragment, np.abs(val), len(starts))
     if ordering != "flat-lexicographic":
         # diagonal fragments first; lexsort is stable, so the label breaks ties
         off_diagonal = np.bincount(fragment, cre != ann, len(starts)) > 0
         tail = np.zeros(len(starts))
         if ordering == "magnitude-descending":
-            # each fragment's coefficient one-norm, added in term order from 0.0
-            l1 = np.bincount(fragment, np.abs(val), len(starts))
             tail = np.where(off_diagonal, -l1, 0.0)
         order = np.lexsort((tail, off_diagonal))
-    if len(val):
-        _require_hermitian_fragments(fragment, cre, ann, val, order)
+    # the first fragment in sequence order that is not Hermitian is named
+    defect = _hermitian_defects(fragment, cre, ann, val, len(starts))
+    _require_hermitian(defect[order], l1[order], "fragment not Hermitian")
     pieces = list(zip(*(np.split(x, starts[1:]) for x in (cre, ann, val))))
     return TrotterSequence(
         fragments=[NormalOrderedOperator._from_arrays(*pieces[f]) for f in order.tolist()],
@@ -383,33 +382,6 @@ def build_trotter_sequence(
         granularity=granularity,
         n_spin_orbitals=system.n_spin_orbitals,
     )
-
-
-def _require_hermitian_fragments(fragment, cre, ann, val, order) -> None:
-    """``require_hermitian("fragment not Hermitian")`` on every fragment,
-    in sequence ``order``, from one pass over the terms of all of them.
-
-    Term i has key ``(cre[i], ann[i])``, coefficient ``val[i]`` and lies in
-    fragment ``fragment[i]``; a fragment's terms are listed in its term
-    order.  The terms and their negated adjoints are summed per
-    ``(fragment, cre, ann)``, each key's own term first, which are the
-    differences ``hermitian_defect`` takes fragment by fragment, bit for
-    bit, and each fragment's one-norm is added in its term order.
-    """
-    n_fragments = len(order)
-    owner = np.concatenate([fragment, fragment])
-    rows, diff = _accumulate(
-        (owner, np.concatenate([cre, ann]), np.concatenate([ann, cre])),
-        np.concatenate([val, -(val * adjoint_sign(cre, ann))]),
-        first_seen=False,
-    )
-    defect = np.zeros(n_fragments)
-    np.maximum.at(defect, owner[rows], np.abs(diff))
-    l1 = np.bincount(fragment, np.abs(val), n_fragments)
-    bad = defect[order] > HERMITIAN_REL_TOL * np.maximum(1.0, l1[order])
-    if bad.any():
-        worst = defect[order[np.argmax(bad)]]
-        raise ValidationError(f"fragment not Hermitian (defect {worst:.3e})")
 
 
 def _integral_terms(system):

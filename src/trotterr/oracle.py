@@ -36,7 +36,7 @@ def trotter_propagator(
     # to_dense's refusal, up front: a sequence with no fragments (a system
     # with only a core energy has none) would never reach to_dense, and the
     # identity below alone is dim^2 complex entries
-    _check_dense_size(basis)
+    _check_dense_size(basis.dim)
     import scipy.linalg
 
     halves = [

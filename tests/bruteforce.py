@@ -10,6 +10,7 @@ the package's vectorized kernels replace.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -167,6 +168,41 @@ def source_count_formula(op: NormalOrderedOperator, basis) -> int:
         elif basis.n_electrons >= a.bit_count():
             total += math.comb(free, basis.n_electrons - a.bit_count())
     return total
+
+
+# ---------------------------------------------------------------------------
+# Enumeration references for the bases: the combination loops the vectorized
+# sector enumerator and the sector filter of ``excitation_basis`` replace.
+# ---------------------------------------------------------------------------
+
+
+def combinations_sector(n_orbitals: int, n_electrons: int) -> np.ndarray:
+    """The ``n_electrons``-electron states, one combination of occupied
+    orbitals at a time, sorted ascending."""
+    states = [
+        sum(1 << p for p in occ) for occ in combinations(range(n_orbitals), n_electrons)
+    ]
+    return np.sort(np.array(states, dtype=np.int64))
+
+
+def loop_excitation_states(reference: int, level: int, n_orbitals: int) -> np.ndarray:
+    """The states within ``level`` excitations of ``reference``: j holes
+    among its occupied orbitals and j particles among its virtual ones, for
+    every j up to ``level``, sorted ascending."""
+    occupied = [p for p in range(n_orbitals) if reference >> p & 1]
+    virtual = [p for p in range(n_orbitals) if not reference >> p & 1]
+    states = set()
+    for j in range(min(level, len(occupied)) + 1):
+        for holes in combinations(occupied, j):
+            removed = reference
+            for p in holes:
+                removed ^= 1 << p
+            for parts in combinations(virtual, j):
+                state = removed
+                for p in parts:
+                    state |= 1 << p
+                states.add(state)
+    return np.array(sorted(states), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from trotterr.hamiltonian import parse_fcidump
 from trotterr.stateprep import cisd_support_dimension
 from trotterr.synthetic import random_system
 
+from bruteforce import loop_excitation_states
+
 
 def _system_with_spin(n_spatial, n_electrons, ms2):
     syst = random_system(np.random.default_rng(0), n_spatial)
@@ -85,6 +87,21 @@ class TestExcitationBasis:
     def test_all_states_in_sector(self):
         basis = excitation_basis(0b00111, 1, 6)
         assert all(int(s).bit_count() == 3 for s in basis.states)
+
+    def test_is_the_combinations_reference(self):
+        rng = np.random.default_rng(0)
+        for n_orbitals in range(13):
+            for n_electrons in range(n_orbitals + 1):
+                # the lowest orbitals, and a scattered choice of them
+                scattered = rng.choice(n_orbitals, n_electrons, replace=False)
+                for reference in (
+                    (1 << n_electrons) - 1,
+                    sum(1 << int(p) for p in scattered),
+                ):
+                    for level in range(n_orbitals - n_electrons + 1):
+                        got = excitation_basis(reference, level, n_orbitals).states
+                        want = loop_excitation_states(reference, level, n_orbitals)
+                        assert got.tobytes() == want.tobytes(), (reference, level)
 
     def test_level_out_of_range(self):
         for reference, level, n_orbitals, message in (

@@ -295,6 +295,39 @@ def test_refused_before_the_error_operator_is_built(
     assert (code, err) == (expected, f"trotterr: {message}\n")
 
 
+# 28 spin orbitals, 14 electrons: the dense refusal of each basis's state
+# count, comb(28, 14) and 2^28, without a state listed
+OVERSIZED_BASES = [
+    ("spectrum", "--sector", 40_116_600),
+    ("haar", "--sector", 40_116_600),
+    ("spectrum", "--full-fock", 1 << 28),
+    ("haar", "--full-fock", 1 << 28),
+]
+
+
+@pytest.mark.parametrize(
+    "command, space, dim",
+    OVERSIZED_BASES,
+    ids=[f"{command} {space}" for command, space, _ in OVERSIZED_BASES],
+)
+def test_oversized_basis_is_refused_before_any_state_is_listed(
+    tmp_path, capsys, monkeypatch, command, space, dim
+):
+    from trotterr.fock import DENSE_LIMIT, SectorBasis
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("states listed for a refused basis")
+
+    monkeypatch.setattr(SectorBasis, "sector", unreachable)
+    monkeypatch.setattr(SectorBasis, "full", unreachable)
+    path = tmp_path / "norb14.fcidump"
+    path.write_text("&FCI NORB=14,NELEC=14,MS2=0 /\n -1.0 1 1 0 0\n 0.5 0 0 0 0\n")
+    code, stdout, err = run(capsys, command, "--fcidump", str(path), space)
+    assert (code, stdout) == (EXIT_RESOURCE, "")
+    limit = f"dense matrix of dim {dim} exceeds limit {DENSE_LIMIT}"
+    assert err == f"trotterr: resource error: {limit}\n"
+
+
 @pytest.mark.parametrize("granularity", ["integral", "term"])
 def test_analyze_system_without_terms(tmp_path, capsys, granularity):
     path = tmp_path / "core_only.fcidump"

@@ -35,6 +35,7 @@ from trotterr.synthetic import random_system
 from trotterr.trotter import build_error_operator
 
 from bruteforce import (
+    combinations_sector,
     concatenated_table,
     dense_operator,
     per_term_apply,
@@ -96,6 +97,19 @@ class TestSectorBasis:
         assert basis.dim == math.comb(6, 2)
         assert all(int(s).bit_count() == 2 for s in basis.states)
         assert list(basis.states) == sorted(basis.states)
+
+    def test_sector_is_the_combinations_reference(self):
+        for n_orbitals in range(15):
+            for n_electrons in range(n_orbitals + 1):
+                got = SectorBasis.sector(n_orbitals, n_electrons).states
+                want = combinations_sector(n_orbitals, n_electrons)
+                assert got.tobytes() == want.tobytes(), (n_orbitals, n_electrons)
+
+    @pytest.mark.parametrize("n_electrons", [-1, 5])
+    def test_sector_rejects_electrons_outside_the_orbitals(self, n_electrons):
+        message = rf"n_electrons {n_electrons} outside \[0, 4\]"
+        with pytest.raises(ValidationError, match=message):
+            SectorBasis.sector(4, n_electrons)
 
     def test_index_of_roundtrip(self):
         basis = SectorBasis.sector(5, 3)
