@@ -15,10 +15,10 @@ any numerical library starts its worker pool.
 ``fock.DENSE_LIMIT`` is the largest basis diagonalized densely; no flag
 changes it.  Above it ``analyze`` switches to the Lanczos solvers, the only
 code the commands run that imports scipy; ``spectrum`` and ``haar`` need
-every eigenvalue, so they refuse with exit 4 before building the error
-operator.  Every input that can be rejected without the error operator is
-rejected first: ``haar`` checks ``--samples`` and ``--seed``, ``analyze``
-each ``--ci-levels`` entry.
+every eigenvalue, so they refuse with exit 4 from the basis's state count,
+before any state is listed.  Every input that can be rejected without the
+error operator is rejected first: ``haar`` checks ``--samples`` and
+``--seed``, ``analyze`` each ``--ci-levels`` entry.
 
 Each JSON payload embeds the schema version, tool version, input file
 hash, and every parameter that influenced the numbers, so a rerun with

@@ -14,6 +14,8 @@ from trotterr.fermion import (
     NormalOrderedOperator,
     _bits_desc,
     _combine,
+    _hermitian_defects,
+    _max_difference,
     _product_terms,
     _rank,
     ann,
@@ -28,6 +30,7 @@ from trotterr.fermion import (
     trace,
 )
 from trotterr.hamiltonian import build_trotter_sequence, load_fcidump
+from trotterr.synthetic import random_system
 from trotterr.trotter import build_error_operator
 
 from bruteforce import (
@@ -245,6 +248,20 @@ def test_hermitian_defect():
     assert herm.hermitian_defect() == pytest.approx(0.0)
     skew = normal_order(LadderTerm(0.5, (cre(0), ann(1))))
     assert skew.hermitian_defect() == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("n_spatial", [1, 2, 3])
+def test_grouped_hermitian_defects_are_the_adjoint_differences(n_spatial):
+    rng = np.random.default_rng(n_spatial)
+    h = random_system(rng, n_spatial).hamiltonian()
+    val = h.val * (1.0 + 1e-3 * rng.standard_normal(len(h)))
+    group = rng.integers(0, 4, len(h))
+    defects = _hermitian_defects(group, h.cre, h.ann, val, 4)
+    for g in range(4):
+        mine = group == g
+        part = NormalOrderedOperator._from_arrays(h.cre[mine], h.ann[mine], val[mine])
+        assert defects[g] == _max_difference(part, part.adjoint())
+        assert part.hermitian_defect() == defects[g]
 
 
 # ---------------------------------------------------------------------------
