@@ -11,11 +11,9 @@ caller chooses another.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ValidationError
 from .fermion import NormalOrderedOperator
-from .fock import CIVector, SectorBasis, ground_state
+from .fock import CIVector, SectorBasis, ground_state, sector_states
 from .hamiltonian import MolecularSystem, _electron_count_problem
 
 
@@ -55,13 +53,12 @@ def _check_excitation_level(reference: int, level: int, n_orbitals: int) -> None
 
 
 def excitation_basis(reference: int, level: int, n_orbitals: int) -> SectorBasis:
-    """All configurations within ``level`` excitations of ``reference``,
-    filtered from its sector: a state with j holes in the reference differs
-    from it in 2j orbitals."""
+    """All configurations within ``level`` excitations of ``reference``: the
+    states of its sector that differ from it in at most 2 * level orbitals,
+    since a state with j holes in the reference differs from it in 2j."""
     _check_excitation_level(reference, level, n_orbitals)
-    sector = SectorBasis.sector(n_orbitals, reference.bit_count())
-    near = np.bitwise_count(sector.states ^ reference) <= 2 * level
-    return SectorBasis(n_orbitals, sector.n_electrons, sector.states[near])
+    n = reference.bit_count()
+    return SectorBasis(n_orbitals, n, sector_states(n_orbitals, n, reference, 2 * level))
 
 
 def ci_ground_state(

@@ -551,6 +551,18 @@ class PairTerms(NamedTuple):
         self-adjoint key."""
         return len(self.val) + int(np.count_nonzero(self.cre != self.ann))
 
+    def expanded(self, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cre, ann, val)`` of every key the entries stand for, in
+        ``m + sign * m.adjoint()`` pieces: each entry's own key, then the
+        partner of each entry that has one, in entry order."""
+        two = self.cre != self.ann  # self-adjoint keys are their own partner
+        cre, ann = self.cre[two], self.ann[two]
+        return (
+            np.concatenate([self.cre, ann]),
+            np.concatenate([self.ann, cre]),
+            np.concatenate([self.val, self.val[two] * (sign * adjoint_sign(cre, ann))]),
+        )
+
 
 def hermitian_product(
     a: NormalOrderedOperator, b: NormalOrderedOperator, piece: int, sign: int = 1
@@ -592,7 +604,7 @@ def hermitian_product(
     m *= np.where(mirrored, sign * adjoint_sign(lo, hi)[pair], 1.0)
     val = np.bincount(pair, weights=m)
     val[lo == hi] *= 1.0 + sign  # the sum adds m[k] and sign * m[k] there
-    keep = np.abs(val) >= DEFAULT_DROP_TOLERANCE
+    keep = ~(np.abs(val) < DEFAULT_DROP_TOLERANCE)  # a NaN from overflow stays
     own, mirror = ~mirrored[first], mirrored[last]
     # one index for the whole piece: a read-only view, until sum_pairs
     # concatenates it
@@ -627,18 +639,15 @@ def expand_pairs(pairs: PairTerms, sign: int = 1) -> NormalOrderedOperator:
     by) restores that order; no key is packed, so it holds at any orbital
     count.
     """
-    cre, ann, val, own, mirror, piece = pairs
-    two = cre != ann  # self-adjoint keys are their own partner
-    c = np.concatenate([cre, ann[two]])
-    a = np.concatenate([ann, cre[two]])
-    v = np.concatenate([val, val[two] * (sign * adjoint_sign(cre[two], ann[two]))])
-    in_m = np.concatenate([own, mirror[two]])
+    c, a, v = pairs.expanded(sign)
+    two = pairs.cre != pairs.ann
+    in_m = np.concatenate([pairs.own, pairs.mirror[two]])
     order = np.lexsort(
         (
             np.where(in_m, a, c),
             np.where(in_m, c, a),
             ~in_m,
-            np.concatenate([piece, piece[two]]),
+            np.concatenate([pairs.piece, pairs.piece[two]]),
         )
     )
     return NormalOrderedOperator._from_arrays(c[order], a[order], v[order])
@@ -684,11 +693,15 @@ def expand_pairs(pairs: PairTerms, sign: int = 1) -> NormalOrderedOperator:
 # B at once: a row is admissible when T is inside C2, C2\T misses C1 and A2
 # misses A1\T.  ``np.flatnonzero`` lists the admissible (pair, row) cells
 # in row-major order, so terms come out by term of A, then T, then row of
-# B.  That order is fixed: ``_combine`` adds each key's values in input
-# order, so any other order could move the last bits of a sum, and with them
-# every report.  The pair axis is cut into slices of at most ``_CELL_BUDGET``
-# cells, so the temporaries beyond the product's own output stay a fixed
-# size however large the operands are.
+# B.  The order of the blocks is fixed; rows inside a block may come in any
+# order.  ``_combine`` adds each key's values in input order, so another
+# block order could move the last bits of a sum, and with them every
+# report.  Inside one (term of A, T) block the output key is the row's
+# (C2, A2) XORed with constants of the block, so no two rows of a block
+# share a key, and each key's values reach the sum in block order whatever
+# the order of B's rows.  The pair axis is cut into slices of at most
+# ``_CELL_BUDGET`` cells, so the temporaries beyond the product's own output
+# stay a fixed size however large the operands are.
 
 
 def _prefix_parity(masks: np.ndarray) -> np.ndarray:
@@ -724,9 +737,10 @@ def _product_terms(
     coeff = a.val[term]
     allowed = t | c1  # C2 & (T u C1) must be exactly T
     odd = -(np.bitwise_count(rest).astype(np.int64) & 1)  # all bits when |A1\T| is odd
-    cre_parity = _prefix_parity(t) ^ (_prefix_parity(c1) & ~t) ^ odd  # (a), (b), (d)
-    ann_parity = _prefix_parity(rest)  # (e)
-    const = np.bitwise_count(rest & _prefix_parity(t))  # (c)
+    # one prefix-parity pass for T, C1 and A1\T; the last is (e)
+    below_t, below_c1, ann_parity = _prefix_parity(np.stack([t, c1, rest]))
+    cre_parity = below_t ^ (below_c1 & ~t) ^ odd  # (a), (b), (d)
+    const = np.bitwise_count(rest & below_t)  # (c)
     cre_flip = t ^ c1  # C2 ^ T ^ C1 = C1 u (C2\T)
     b_cre, b_ann, b_val = b.cre, b.ann, b.val
     n_rows = len(b)

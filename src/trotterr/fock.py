@@ -88,24 +88,10 @@ class SectorBasis:
 
     @classmethod
     def sector(cls, n_orbitals: int, n_electrons: int) -> "SectorBasis":
-        """The ``n_electrons``-electron states, ascending, built orbital by
-        orbital: ``by_count[k]`` holds the ascending states with k electrons
-        among the orbitals seen so far, and orbital p appends
-        ``by_count[k - 1] | 1 << p``, all above them, to each.  A count too
-        small to reach ``n_electrons`` on the orbitals left is dropped."""
+        """The ``n_electrons``-electron states, ascending (see
+        :func:`sector_states`)."""
         _check_electrons(n_orbitals, n_electrons)
-        empty = np.zeros(0, dtype=np.int64)
-        by_count = [np.zeros(1, dtype=np.int64)] + [empty] * n_electrons
-        for p in range(n_orbitals):
-            least = max(0, n_electrons - (n_orbitals - 1 - p))
-            for k in range(n_electrons, max(least, 1) - 1, -1):
-                by_count[k] = np.concatenate([by_count[k], by_count[k - 1] | (1 << p)])
-            by_count[:least] = [empty] * least
-        return cls(n_orbitals, n_electrons, by_count[n_electrons])
-
-    @classmethod
-    def subset(cls, n_orbitals: int, n_electrons: int, states) -> "SectorBasis":
-        return cls(n_orbitals, n_electrons, np.sort(np.asarray(states, dtype=np.int64)))
+        return cls(n_orbitals, n_electrons, sector_states(n_orbitals, n_electrons))
 
     @property
     def dim(self) -> int:
@@ -120,6 +106,34 @@ class SectorBasis:
     def __repr__(self) -> str:
         sector = "full" if self.n_electrons is None else f"n={self.n_electrons}"
         return f"SectorBasis(N={self.n_orbitals}, {sector}, dim={self.dim})"
+
+
+def sector_states(
+    n_orbitals: int, n_electrons: int, reference: int = 0, max_distance: int | None = None
+) -> np.ndarray:
+    """The ``n_electrons``-electron states, ascending, or with
+    ``max_distance`` only those that differ from ``reference`` in at most
+    that many orbitals.
+
+    The states are built orbital by orbital: ``by_count[k]`` holds the
+    ascending states with k electrons among the orbitals seen so far, and
+    orbital p appends ``by_count[k - 1] | 1 << p``, all above them, to each.
+    A count too small to reach ``n_electrons`` on the orbitals left is
+    dropped, and so is a partial state that already differs from
+    ``reference`` in more than ``max_distance`` of the orbitals seen, since
+    later orbitals only add differences.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    by_count = [np.zeros(1, dtype=np.int64)] + [empty] * n_electrons
+    for p in range(n_orbitals):
+        least = max(0, n_electrons - (n_orbitals - 1 - p))
+        for k in range(n_electrons, max(least, 1) - 1, -1):
+            by_count[k] = np.concatenate([by_count[k], by_count[k - 1] | (1 << p)])
+        by_count[:least] = [empty] * least
+        if max_distance is not None:
+            seen = reference & ((2 << p) - 1)
+            by_count = [s[np.bitwise_count(s ^ seen) <= max_distance] for s in by_count]
+    return by_count[n_electrons]
 
 
 def _check_electrons(n_orbitals: int, n_electrons: int) -> None:

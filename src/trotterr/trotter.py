@@ -42,6 +42,21 @@ both keys, since it feeds the running sums D, and dropped after that step.
 The pieces are summed as pairs, and so is V, their sum; the other key of
 each pair is restored only once, at the end.
 
+The running sums S_beta and D_alpha are dense: one float per key of a
+sorted key universe, 0.0 for an absent key.  S's universe is the
+fragments' keys and D's every key of every C_beta, in both orientations,
+gathered during the forward loop.  A step adds the fragment, or C_alpha,
+at its keys' slots and resets a touched sum below the drop tolerance to
+0.0; the product kernel gets S_{beta-1}, or W_alpha = D_alpha - C_alpha/2,
+as the live slots in key order.  No step re-sorts a whole running sum.
+The values are those of ``+`` on the sums as operators, bit for bit: a
+live sum is never -0.0, so ``0.0 + S[k]`` is ``S[k]``, and a pruned key
+restarts from 0.0 as a key new to ``+`` does.  Only the row order of the
+operand differs (key order against first appearance), and the product is
+blind to it: inside one (term of H, contraction subset) block of the
+kernel no two rows give the same key, so each key's values still reach
+the sum in block order, and the product lists its keys sorted.
+
 The products hold far more unsummed terms than V (1.45M against 21k at 10
 spin orbitals), so the pieces are folded into a running sum as they come
 rather than summed once at the end: whenever the pieces pending since the
@@ -159,7 +174,10 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     """Assemble the leading error operator for ``sequence`` at ``delta_t``.
 
     A single-fragment sequence (or any mutually commuting one) yields the
-    zero operator.  Each C_beta is held as one entry per adjoint pair until
+    zero operator.  The running sums S_beta and D_alpha are dense arrays
+    over sorted key universes, handed to the product kernel in key order,
+    which gives the same bits as any other row order (see the module
+    docstring).  Each C_beta is held as one entry per adjoint pair until
     the backward loop uses it.  Each commutator piece is built as one entry
     per adjoint pair, tagged with its piece index and where in the piece
     each key is listed, and folded into a running sum whenever the pieces
@@ -175,41 +193,62 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     the same terms in the same order.  Each kept coefficient is then
     its sum times ``delta_t**2 / 12``.  A step at which a kept coefficient
     overflows, or underflows to zero or a subnormal value, raises
-    ``NumericalError``; the result is then checked by
+    ``NumericalError``, and so does a running sum or product that
+    overflows on the way; the result is then checked by
     :meth:`ErrorOperator.validate`.
     """
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
     fragments = sequence.fragments
-    # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1}, held
-    # as pairs until the backward loop uses it; the pair build prunes, so
-    # keys that commuting fragments cancel to exact 0.0 never reach a later
-    # product
-    cross: list[PairTerms] = []
-    prefix = NormalOrderedOperator.zero()
-    for frag in fragments:
-        cross.append(hermitian_product(frag, prefix, 0, -1))
-        prefix = prefix + frag
-    total = PairTerms.empty()
-    total_terms = 0
-    pending: list[PairTerms] = []  # pieces since the last fold
-    pending_terms = 0
-    suffix = NormalOrderedOperator.zero()  # D_alpha, accumulated backwards
-    for piece, frag in enumerate(reversed(fragments)):
-        c = expand_pairs(cross.pop(), -1)  # C_alpha, freed after this step
-        suffix = suffix + c
-        weight = suffix + c.scaled(-0.5)  # D_alpha - C_alpha/2, anti-Hermitian
-        if weight:
-            pending.append(hermitian_product(frag, weight, piece))
-            pending_terms += pending[-1].n_terms()
-            if pending_terms >= max(FOLD_TERMS, total_terms):
-                total = sum_pairs([total, *pending])
-                total_terms = total.n_terms()
-                pending, pending_terms = [], 0
-    total = expand_pairs(sum_pairs([total, *pending]))
-    keep = np.abs(total.val * (1.0 / 12.0)) >= DEFAULT_DROP_TOLERANCE
-    val = total.val[keep] * ((delta_t * delta_t) / 12.0)
-    if not np.isfinite(val).all():
+    width = 1 + max((frag.max_orbital() for frag in fragments), default=-1)
+    # an overflow leaves inf, and inf - inf or inf * 0 leaves NaN; no prune
+    # below drops either, and a running sum that holds one keeps it, so
+    # both are refused once, after the build
+    with np.errstate(over="ignore", invalid="ignore"):
+        none = np.zeros(0, dtype=np.int64)
+        no_keys = _pack(none, none, width)
+        prefix = _RunningSum(
+            _union(no_keys, *(_pack(f.cre, f.ann, width) for f in fragments)), width
+        )
+        # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1},
+        # held as pairs until the backward loop uses it; the pair build
+        # prunes, so keys that commuting fragments cancel to exact 0.0 never
+        # reach a later product.  The suffix universe is every key of every
+        # C_beta, merged whenever the keys pending outnumber it.
+        cross: list[PairTerms] = []
+        universe = no_keys
+        unmerged: list[np.ndarray] = []
+        n_unmerged = 0
+        for frag in fragments:
+            c = hermitian_product(frag, prefix.operator(), 0, -1)
+            cross.append(c)
+            unmerged += [_pack(c.cre, c.ann, width), _pack(c.ann, c.cre, width)]
+            n_unmerged += 2 * len(c.val)
+            if n_unmerged > len(universe):
+                universe, unmerged, n_unmerged = _union(universe, *unmerged), [], 0
+            prefix.add(frag.cre, frag.ann, frag.val)
+        suffix = _RunningSum(_union(universe, *unmerged), width)  # D_alpha
+        del universe, unmerged
+        total = PairTerms.empty()
+        total_terms = 0
+        pending: list[PairTerms] = []  # pieces since the last fold
+        pending_terms = 0
+        for piece, frag in enumerate(reversed(fragments)):
+            # C_alpha, freed after this step
+            cre, ann, val = cross.pop().expanded(-1)
+            slots = suffix.add(cre, ann, val)
+            weight = suffix.operator(slots, val * -0.5)  # D_alpha - C_alpha/2
+            if weight:
+                pending.append(hermitian_product(frag, weight, piece))
+                pending_terms += pending[-1].n_terms()
+                if pending_terms >= max(FOLD_TERMS, total_terms):
+                    total = sum_pairs([total, *pending])
+                    total_terms = total.n_terms()
+                    pending, pending_terms = [], 0
+        total = expand_pairs(sum_pairs([total, *pending]))
+        keep = ~(np.abs(total.val * (1.0 / 12.0)) < DEFAULT_DROP_TOLERANCE)
+        val = total.val[keep] * ((delta_t * delta_t) / 12.0)
+    if not all(np.isfinite(a).all() for a in (prefix.val, suffix.val, val)):
         raise NumericalError(
             f"error operator coefficients overflow at delta_t={delta_t!r}"
         )
@@ -227,6 +266,67 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     )
     error_op.validate()
     return error_op
+
+
+def _pack(cre: np.ndarray, ann: np.ndarray, width: int) -> np.ndarray:
+    """One key per ``(cre, ann)`` pair of masks below ``2**width``, in
+    ``(cre, ann)`` order: ``cre << width | ann`` while it fits in an int64,
+    else both masks big-endian in 16 bytes, which numpy orders bytewise."""
+    if 2 * width <= 63:
+        return cre << width | ann
+    keys = np.empty((len(cre), 2), dtype=">i8")
+    keys[:, 0], keys[:, 1] = cre, ann
+    return keys.view("V16").ravel()
+
+
+def _unpack(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(cre, ann)`` masks of ``_pack``'s keys."""
+    if keys.dtype == np.int64:
+        return keys >> width, keys & ((1 << width) - 1)
+    cre, ann = keys.view(">i8").reshape(-1, 2).T.astype(np.int64, order="C")
+    return cre, ann
+
+
+def _union(*keys: np.ndarray) -> np.ndarray:
+    """The distinct keys of ``keys``, ascending."""
+    merged = np.concatenate(keys)
+    merged.sort()
+    words = merged.view(np.int64).reshape(-1, merged.itemsize // 8)
+    new = np.ones(len(merged), dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+    return merged[new]
+
+
+class _RunningSum:
+    """A running sum of operators: one float per key of a sorted key
+    universe, 0.0 for an absent key, with the values of ``+`` to the bit
+    (see the module docstring)."""
+
+    __slots__ = ("keys", "width", "val")
+
+    def __init__(self, keys: np.ndarray, width: int):
+        self.keys, self.width = keys, width
+        self.val = np.zeros(len(keys))
+
+    def add(self, cre: np.ndarray, ann: np.ndarray, val: np.ndarray) -> np.ndarray:
+        """Add ``val`` at the distinct keys ``(cre, ann)``, all in the
+        universe, and return their slots."""
+        slots = np.searchsorted(self.keys, _pack(cre, ann, self.width))
+        self.val[slots] += val
+        self.val[slots[np.abs(self.val[slots]) < DEFAULT_DROP_TOLERANCE]] = 0.0
+        return slots
+
+    def operator(self, slots=None, val=None) -> NormalOrderedOperator:
+        """The sum, plus ``val`` at ``slots`` when given, as an operator in
+        key order, without the keys below ``DEFAULT_DROP_TOLERANCE``."""
+        total = self.val
+        if slots is not None:
+            total = total.copy()
+            total[slots] += val
+        live = ~(np.abs(total) < DEFAULT_DROP_TOLERANCE)
+        return NormalOrderedOperator._from_arrays(
+            *_unpack(self.keys[live], self.width), total[live]
+        )
 
 
 def check_time_and_delta(time: float, delta: float) -> None:

@@ -231,7 +231,7 @@ class TestAnsatzError:
 
     def test_embed_preserves_amplitudes_and_expectations(self, h2_local, h2_error):
         sector = SectorBasis.sector(4, 2)
-        sub = SectorBasis.subset(4, 2, [0b0011, 0b1100])
+        sub = SectorBasis(4, 2, np.sort([0b0011, 0b1100]))
         vec = CIVector(sub, np.array([0.6, 0.8]))
         padded = embed_in_sector(vec, sector)
         assert padded.basis is sector
@@ -241,14 +241,14 @@ class TestAnsatzError:
         assert np.count_nonzero(padded.amplitudes) == 2
 
     def test_embed_rejects_state_outside_sector(self):
-        sector = SectorBasis.subset(4, 2, [0b0011, 0b0101, 0b1100])
-        vec = CIVector(SectorBasis.subset(4, 2, [0b0011, 0b1010]), np.ones(2))
+        sector = SectorBasis(4, 2, np.sort([0b0011, 0b0101, 0b1100]))
+        vec = CIVector(SectorBasis(4, 2, np.sort([0b0011, 0b1010])), np.ones(2))
         with pytest.raises(ValidationError, match="1010 not in basis"):
             embed_in_sector(vec, sector)
-        past_the_end = CIVector(SectorBasis.subset(4, 2, [0b1100]), np.ones(1))
+        past_the_end = CIVector(SectorBasis(4, 2, np.sort([0b1100])), np.ones(1))
         embed_in_sector(past_the_end, sector)
         with pytest.raises(ValidationError):
-            embed_in_sector(past_the_end, SectorBasis.subset(4, 2, [0b0011]))
+            embed_in_sector(past_the_end, SectorBasis(4, 2, np.sort([0b0011])))
 
 
 # ---------------------------------------------------------------------------

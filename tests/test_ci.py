@@ -103,6 +103,34 @@ class TestExcitationBasis:
                         want = loop_excitation_states(reference, level, n_orbitals)
                         assert got.tobytes() == want.tobytes(), (reference, level)
 
+    def test_is_the_sector_filter(self, fixture_dir):
+        # the recurrence drops far partial states early; what it keeps is
+        # the whole sector filtered by distance from the reference
+        rng = np.random.default_rng(5)
+        systems = [parse_fcidump(p.read_text()) for p in sorted(fixture_dir.glob("*.fcidump"))]
+        cases = [(hartree_fock_state(s), s.n_spin_orbitals) for s in systems]
+        for n_orbitals in range(1, 11):
+            for _ in range(3):
+                n_electrons = int(rng.integers(0, n_orbitals + 1))
+                occupied = rng.choice(n_orbitals, n_electrons, replace=False)
+                cases.append((sum(1 << int(p) for p in occupied), n_orbitals))
+        for reference, n_orbitals in cases:
+            sector = SectorBasis.sector(n_orbitals, reference.bit_count()).states
+            distance = np.bitwise_count(sector ^ reference)
+            for level in range(n_orbitals - reference.bit_count() + 1):
+                got = excitation_basis(reference, level, n_orbitals).states
+                want = sector[distance <= 2 * level]
+                assert got.tobytes() == want.tobytes(), (reference, level)
+
+    def test_does_not_list_the_sector(self, monkeypatch):
+        # 40 spin orbitals, 14 electrons: a sector of 23 billion states
+        def unreachable(*args):
+            raise AssertionError("sector listed")
+
+        monkeypatch.setattr(SectorBasis, "sector", unreachable)
+        basis = excitation_basis((1 << 14) - 1, 2, 40)
+        assert basis.dim == cisd_support_dimension(40, 14)
+
     def test_level_out_of_range(self):
         for reference, level, n_orbitals, message in (
             (0b0011, 3, 4, "level 3 exceeds N - n = 2"),

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,17 +341,36 @@ def test_analyze_system_without_terms(tmp_path, capsys, granularity):
     assert report["n_fragments"] == 0 and report["error_term_count"] == 0
 
 
-@pytest.mark.parametrize("dt", ["1e-170", "1e160"], ids=["underflow", "overflow"])
-def test_error_operator_failure_reads_the_same_in_every_subcommand(h2_path, capsys, dt):
-    # the message names the operator once, whichever subcommand built it
+# 1e308 * 1e308 overflows inside the V build at any step; inf * 0 and
+# inf - inf then leave NaN, which no drop tolerance may pass over as small
+OVERFLOWING_PRODUCT = "&FCI NORB=2,NELEC=2 /\n 1e308 1 1 1 1\n 1e308 2 2 2 2\n 0.5 1 1 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "dt, integrals",
+    [("1e-170", None), ("1e160", None), ("1.0", OVERFLOWING_PRODUCT)],
+    ids=["underflow", "overflow", "overflowing-product"],
+)
+def test_error_operator_failure_reads_the_same_in_every_subcommand(
+    h2_path, tmp_path, capsys, dt, integrals
+):
+    # the message names the operator once, whichever subcommand built it,
+    # and no numpy warning comes before it
+    path = h2_path
+    if integrals is not None:
+        path = tmp_path / "overflow.fcidump"
+        path.write_text(integrals)
     lines = set()
     for command in ("analyze", "spectrum", "haar", "marginals"):
-        code, _, err = run(capsys, command, "--fcidump", h2_path, "--dt", dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, command, "--fcidump", str(path), "--dt", dt)
         assert code == EXIT_NUMERICAL == 5
         lines.add(err)
     assert len(lines) == 1
     (err,) = lines
-    assert err.count("error operator") == 1 and f"delta_t={float(dt)!r}" in err
+    assert err.count("\n") == 1 and err.count("error operator") == 1
+    assert f"delta_t={float(dt)!r}" in err
 
 
 class TestSpectrumCommand:

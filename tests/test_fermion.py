@@ -686,6 +686,22 @@ def test_hermitian_product_is_the_sum_with_the_adjoint(branch, data):
         _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
 
 
+@pytest.mark.parametrize("branch", sorted(KEY_BRANCHES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_products_do_not_depend_on_the_row_order_of_b(branch, data):
+    # inside one (term of a, contraction subset) block no two rows of b give
+    # the same key, so each key's values reach the sum in block order
+    # whatever order b's rows come in
+    a, b = data.draw(kernel_operands(*KEY_BRANCHES[branch]))
+    order = np.array(data.draw(st.permutations(range(len(b)))), dtype=np.intp)
+    shuffled = NormalOrderedOperator._from_arrays(b.cre[order], b.ann[order], b.val[order])
+    got, want = multiply(a, shuffled), multiply(a, b)
+    _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
+    for sign in (1, -1):
+        _assert_same_arrays(hermitian_product(a, shuffled, 0, sign), hermitian_product(a, b, 0, sign))
+
+
 def test_product_kernel_matches_loop_on_empty_and_identity():
     zero = NormalOrderedOperator.zero()
     one = NormalOrderedOperator.identity(-2.5)

@@ -13,7 +13,12 @@ from bruteforce import dense_operator
 from trotterr import trotter
 from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
-from trotterr.fermion import NormalOrderedOperator, commutator, number_operator
+from trotterr.fermion import (
+    NormalOrderedOperator,
+    commutator,
+    expand_pairs,
+    number_operator,
+)
 from trotterr.fock import RestrictedOperator, SectorBasis
 from trotterr.hamiltonian import (
     GRANULARITIES,
@@ -270,6 +275,95 @@ def test_folding_is_byte_identical(fixture_dir, monkeypatch, case, granularity):
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _in_key_order(op):
+    """``op``'s three arrays with its terms ascending by ``(cre, ann)``."""
+    order = np.lexsort((op.ann, op.cre))
+    return [a[order].tobytes() for a in (op.cre, op.ann, op.val)]
+
+
+def _step_cases():
+    for path in sorted(FIXTURES.glob("*.fcidump")):
+        yield path.stem
+    yield from range(1, 6)
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("case", list(_step_cases()), ids=str)
+def test_dense_running_sums_are_the_operator_sums(
+    fixture_dir, monkeypatch, case, ordering, granularity
+):
+    """Every S_beta and D_alpha the build holds, and every operand it hands
+    the product kernel (S_{beta-1}, then W_alpha = D_alpha - C_alpha/2),
+    equals the sum built with ``+`` key for key, to the bit, in key order."""
+    if isinstance(case, str):
+        syst = parse_fcidump((fixture_dir / f"{case}.fcidump").read_text())
+    else:
+        syst = random_system(np.random.default_rng(case), case)
+    seq = build_trotter_sequence(syst, ordering, granularity=granularity)
+    sums, operands = [], []
+    add, product = trotter._RunningSum.add, trotter.hermitian_product
+
+    def add_spy(self, *args):
+        slots = add(self, *args)
+        sums.append(self.operator())
+        return slots
+
+    def product_spy(a, b, *args):
+        operands.append(b)
+        return product(a, b, *args)
+
+    monkeypatch.setattr(trotter._RunningSum, "add", add_spy)
+    monkeypatch.setattr(trotter, "hermitian_product", product_spy)
+    build_error_operator(seq, 1.0)
+    # the same steps with the running sums as operators
+    want_sums, want_operands, cross = [], [], []
+    prefix = NormalOrderedOperator.zero()
+    for frag in seq.fragments:
+        want_operands.append(prefix)
+        cross.append(product(frag, prefix, 0, -1))
+        prefix = prefix + frag
+        want_sums.append(prefix)
+    suffix = NormalOrderedOperator.zero()
+    for frag in reversed(seq.fragments):
+        c = expand_pairs(cross.pop(), -1)
+        suffix = suffix + c
+        want_sums.append(suffix)
+        weight = suffix + c.scaled(-0.5)
+        if weight:
+            want_operands.append(weight)
+    assert len(sums) == len(want_sums) == 2 * len(seq.fragments)
+    assert len(operands) == len(want_operands)
+    for got, want in zip(sums + operands, want_sums + want_operands, strict=True):
+        assert [a.tobytes() for a in (got.cre, got.ann, got.val)] == _in_key_order(want)
+
+
+def test_high_orbital_build_matches_shifted(monkeypatch):
+    # orbitals 40..45 take the 16-byte key form of the running sums; the
+    # algebra is shift-invariant, so V must be the shifted low-orbital V to
+    # the bit.  The trace check weighs each diagonal term by 2^(N - k), so
+    # at 46 orbitals its rounding alone exceeds the budget: it is skipped.
+    seq = build_trotter_sequence(random_system(np.random.default_rng(4), 3))
+    low = build_error_operator(seq, 1.0).op
+    monkeypatch.setattr(ErrorOperator, "validate", lambda self: None)
+    high = build_error_operator(
+        TrotterSequence(
+            [NormalOrderedOperator._from_arrays(f.cre << 40, f.ann << 40, f.val)
+             for f in seq.fragments],
+            seq.ordering,
+            seq.granularity,
+            seq.n_spin_orbitals + 40,
+        ),
+        1.0,
+    ).op
+    assert trotter._pack(high.cre, high.ann, 46).dtype.itemsize == 16
+    assert len(low) > 0
+    assert (low.cre << 40).tobytes() == high.cre.tobytes()
+    assert (low.ann << 40).tobytes() == high.ann.tobytes()
+    assert low.val.tobytes() == high.val.tobytes()
+
 
 # SHA-256 of V's cre, ann and val bytes per case, pinned when V was still
 # built by summing both halves of every adjoint pair
