@@ -38,7 +38,9 @@ the tagged keys orders the terms by key and, within a key, by input
 position, so no two entries tie and the order is fully fixed.  Each key's values then
 reach ``np.bincount`` in input order, which adds them from 0.0 exactly as
 the term-map loop does, and each key's first sorted entry is its first
-appearance.
+appearance.  ``RunningSum``, a sum held as one float per key of a sorted
+key set, finds a key's slot by the same rule: its packed key while the
+two masks fit side by side, else its rank among the set's keys.
 
 A Hermitian sum ``m + m.adjoint()`` of a product, or the anti-Hermitian
 ``m - m.adjoint()``, can also be built as one entry per adjoint pair
@@ -343,15 +345,15 @@ def _accumulate(
     """Each distinct key's first input position and its summed coefficient.
 
     A key is a row across the non-negative integer (or bool) ``columns``;
-    keys order lexicographically over them, first column first.  Each term gets one
-    int64 sort key in that order: the columns shifted side by side while
-    they fit in 63 bits beside the position tag below, else the dense rank
-    of the term's key, counted from 1 in lexsort order.  The sort key is
-    shifted left and tagged with the term's input position in the freed
-    low bits, so one plain ``np.sort`` orders the terms by key and, within a
-    key, by input position.  ``np.bincount`` over the sorted labels then
-    adds each key's coefficients in input order starting from 0.0, bit for
-    bit what ``out[key] = out.get(key, 0.0) + c`` over the same input gives.
+    keys order lexicographically over them, first column first.  Each term
+    gets one int64 sort key in that order (``_sort_key``), with the term's
+    input position as a last column in the low bits: the columns side by
+    side while they fit in 63 bits beside it, else the dense rank of the
+    term's key, counted from 1 in lexsort order.  So one plain ``np.sort``
+    orders the terms by key and, within a key, by input position.
+    ``np.bincount`` over the sorted labels then adds each key's coefficients
+    in input order starting from 0.0, bit for bit what
+    ``out[key] = out.get(key, 0.0) + c`` over the same input gives.
     Keys come out ascending, or with ``first_seen`` in order of first
     appearance.  ``coeffs`` must not be empty.
     """
@@ -361,16 +363,9 @@ def _accumulate(
     # dropped before returning, to keep the peak and the retained heap down
     tag = (n - 1).bit_length()
     widths = [int(col.max()).bit_length() for col in columns]
-    if sum(widths) + tag <= _MASK_ORBITALS:
-        key = columns[0] << widths[1]
-        key |= columns[1]
-        for col, width in zip(columns[2:], widths[2:]):
-            key <<= width
-            key |= col
-    else:
-        key = _rank(*columns)
-    key <<= tag
-    key |= np.arange(n)
+    key = _sort_key((*columns, np.arange(n)), (*widths, tag))
+    if key is None:  # ranks run to at most n, so they take tag + 1 bits
+        key = _sort_key((_rank(*columns), np.arange(n)), (tag + 1, tag))
     key.sort()
     order = key & ((1 << tag) - 1)
     key >>= tag
@@ -398,6 +393,21 @@ def _term_order_sum(weights: np.ndarray) -> float:
     term-by-term loop would: ``np.sum`` adds pairwise, and the builtin
     ``sum`` of floats compensates its rounding since Python 3.12."""
     return float(np.bincount(np.zeros(len(weights), dtype=np.intp), weights, 1)[0])
+
+
+def _sort_key(columns: tuple[np.ndarray, ...], widths) -> np.ndarray | None:
+    """One int64 per row of the non-negative integer (or bool) ``columns``,
+    ascending in their lexicographic order: the columns side by side, the
+    first in the highest bits, each column ``i`` below ``2**widths[i]``.
+    None when the widths add up to more than 63 bits; the rows are then
+    ordered by their ``_rank``."""
+    if sum(widths) > _MASK_ORBITALS:
+        return None
+    key = columns[0].astype(np.int64)
+    for col, width in zip(columns[1:], widths[1:]):
+        key <<= width
+        key |= col
+    return key
 
 
 def _rank(*columns: np.ndarray) -> np.ndarray:
@@ -651,6 +661,89 @@ def expand_pairs(pairs: PairTerms, sign: int = 1) -> NormalOrderedOperator:
         )
     )
     return NormalOrderedOperator._from_arrays(c[order], a[order], v[order])
+
+
+class RunningSum:
+    """A running sum of operators on orbitals below ``n_orbitals``, held as
+    one float per key of a key set ascending by ``(cre, ann)``, 0.0 for an
+    absent key, so that a step touches only its own keys.
+
+    ``include`` puts keys in the set, ``add`` adds an operator's values at
+    its keys and resets a touched sum below ``DEFAULT_DROP_TOLERANCE`` to
+    0.0, and ``operator`` reads the sum back in key order.  The values are
+    those of ``+`` on the sums as operators, bit for bit: a live sum is
+    never -0.0, so ``0.0 + s`` is ``s``, and a pruned key restarts from 0.0
+    as a key new to ``+`` does.  Only the order of the terms differs.
+
+    A key's slot is found by ``np.searchsorted`` on the keys packed by
+    ``_sort_key`` while both masks fit side by side in 63 bits (up to 31
+    orbitals), else by ranking the set and the keys sought together, one
+    lexsort per lookup.  Included keys are merged into the set whenever the
+    keys pending outnumber it, so no buffer holds every key at once.
+    """
+
+    __slots__ = ("cre", "ann", "val", "_width", "_key", "_pending", "_n_pending")
+
+    def __init__(self, n_orbitals: int):
+        none = np.zeros(0, dtype=np.int64)
+        self.cre, self.ann, self.val = none, none, np.zeros(0)
+        self._width = n_orbitals
+        self._key = _sort_key((none, none), (n_orbitals, n_orbitals))
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._n_pending = 0
+
+    def include(self, cre: np.ndarray, ann: np.ndarray) -> None:
+        """Put the keys ``(cre, ann)`` in the set, each at 0.0 if new."""
+        self._pending.append((cre, ann))
+        self._n_pending += len(cre)
+        if self._n_pending > len(self.val):
+            self._merge()
+
+    def _merge(self) -> None:
+        cre = np.concatenate([self.cre, *(c for c, _ in self._pending)])
+        ann = np.concatenate([self.ann, *(a for _, a in self._pending)])
+        self._pending, self._n_pending = [], 0
+        if not len(cre):
+            return
+        # the set's keys come first and are distinct, so each is its own
+        # first appearance
+        rows, _ = _accumulate((cre, ann), np.zeros(len(cre)), first_seen=False)
+        old = rows < len(self.val)
+        val = np.zeros(len(rows))
+        val[old] = self.val[rows[old]]
+        self.cre, self.ann, self.val = cre[rows], ann[rows], val
+        self._key = _sort_key((self.cre, self.ann), (self._width, self._width))
+
+    def _slots(self, cre: np.ndarray, ann: np.ndarray) -> np.ndarray:
+        if self._pending:
+            self._merge()
+        if self._key is not None:
+            return np.searchsorted(self._key, _sort_key((cre, ann), (self._width,) * 2))
+        # the set's keys are distinct and sorted, so the dense rank of its
+        # key i is i + 1, and every key sought is one of them
+        rank = _rank(np.concatenate([self.cre, cre]), np.concatenate([self.ann, ann]))
+        return rank[len(self.cre):] - 1
+
+    def add(self, cre: np.ndarray, ann: np.ndarray, val: np.ndarray) -> np.ndarray:
+        """Add ``val`` at the distinct keys ``(cre, ann)``, all in the set,
+        and return their slots."""
+        slots = self._slots(cre, ann)
+        self.val[slots] += val
+        self.val[slots[np.abs(self.val[slots]) < DEFAULT_DROP_TOLERANCE]] = 0.0
+        return slots
+
+    def operator(self, slots=None, val=None) -> NormalOrderedOperator:
+        """The sum, plus ``val`` at ``slots`` (from ``add``) when given, as
+        an operator in key order, without the keys below
+        ``DEFAULT_DROP_TOLERANCE``."""
+        if self._pending:
+            self._merge()
+        total = self.val
+        if slots is not None:
+            total = total.copy()
+            total[slots] += val
+        live = ~(np.abs(total) < DEFAULT_DROP_TOLERANCE)
+        return NormalOrderedOperator._from_arrays(self.cre[live], self.ann[live], total[live])
 
 
 # -- bitmask product kernel --------------------------------------------------

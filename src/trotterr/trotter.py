@@ -42,20 +42,21 @@ both keys, since it feeds the running sums D, and dropped after that step.
 The pieces are summed as pairs, and so is V, their sum; the other key of
 each pair is restored only once, at the end.
 
-The running sums S_beta and D_alpha are dense: one float per key of a
-sorted key universe, 0.0 for an absent key.  S's universe is the
-fragments' keys and D's every key of every C_beta, in both orientations,
-gathered during the forward loop.  A step adds the fragment, or C_alpha,
-at its keys' slots and resets a touched sum below the drop tolerance to
-0.0; the product kernel gets S_{beta-1}, or W_alpha = D_alpha - C_alpha/2,
-as the live slots in key order.  No step re-sorts a whole running sum.
-The values are those of ``+`` on the sums as operators, bit for bit: a
-live sum is never -0.0, so ``0.0 + S[k]`` is ``S[k]``, and a pruned key
-restarts from 0.0 as a key new to ``+`` does.  Only the row order of the
-operand differs (key order against first appearance), and the product is
-blind to it: inside one (term of H, contraction subset) block of the
-kernel no two rows give the same key, so each key's values still reach
-the sum in block order, and the product lists its keys sorted.
+The running sums S_beta and D_alpha are dense (``fermion.RunningSum``):
+one float per key of a sorted key set, 0.0 for an absent key.  S's keys
+are the fragments' keys and D's every key of every C_beta, in both
+orientations, gathered during the forward loop.  A step adds the
+fragment, or C_alpha, at its keys' slots and resets a touched sum below
+the drop tolerance to 0.0; the product kernel gets S_{beta-1}, or
+W_alpha = D_alpha - C_alpha/2, as the live slots in key order.  No step
+re-sorts a whole running sum.  The values are those of ``+`` on the sums
+as operators, bit for bit: a live sum is never -0.0, so ``0.0 + S[k]`` is
+``S[k]``, and a pruned key restarts from 0.0 as a key new to ``+`` does.
+Only the row order of the operand differs (key order against first
+appearance), and the product is blind to it: inside one (term of H,
+contraction subset) block of the kernel no two rows give the same key, so
+each key's values still reach the sum in block order, and the product
+lists its keys sorted.
 
 The products hold far more unsummed terms than V (1.45M against 21k at 10
 spin orbitals), so the pieces are folded into a running sum as they come
@@ -93,6 +94,7 @@ from .fermion import (
     DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
     PairTerms,
+    RunningSum,
     commutator,  # noqa: F401  looked up here by bench/tracing.py
     expand_pairs,
     hermitian_product,
@@ -205,30 +207,21 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     # below drops either, and a running sum that holds one keeps it, so
     # both are refused once, after the build
     with np.errstate(over="ignore", invalid="ignore"):
-        none = np.zeros(0, dtype=np.int64)
-        no_keys = _pack(none, none, width)
-        prefix = _RunningSum(
-            _union(no_keys, *(_pack(f.cre, f.ann, width) for f in fragments)), width
-        )
+        prefix = RunningSum(width)  # S_beta
+        for frag in fragments:
+            prefix.include(frag.cre, frag.ann)
         # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1},
         # held as pairs until the backward loop uses it; the pair build
         # prunes, so keys that commuting fragments cancel to exact 0.0 never
-        # reach a later product.  The suffix universe is every key of every
-        # C_beta, merged whenever the keys pending outnumber it.
+        # reach a later product.  D's keys are those of every C_beta.
+        suffix = RunningSum(width)  # D_alpha
         cross: list[PairTerms] = []
-        universe = no_keys
-        unmerged: list[np.ndarray] = []
-        n_unmerged = 0
         for frag in fragments:
             c = hermitian_product(frag, prefix.operator(), 0, -1)
             cross.append(c)
-            unmerged += [_pack(c.cre, c.ann, width), _pack(c.ann, c.cre, width)]
-            n_unmerged += 2 * len(c.val)
-            if n_unmerged > len(universe):
-                universe, unmerged, n_unmerged = _union(universe, *unmerged), [], 0
+            suffix.include(c.cre, c.ann)
+            suffix.include(c.ann, c.cre)
             prefix.add(frag.cre, frag.ann, frag.val)
-        suffix = _RunningSum(_union(universe, *unmerged), width)  # D_alpha
-        del universe, unmerged
         total = PairTerms.empty()
         total_terms = 0
         pending: list[PairTerms] = []  # pieces since the last fold
@@ -266,67 +259,6 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     )
     error_op.validate()
     return error_op
-
-
-def _pack(cre: np.ndarray, ann: np.ndarray, width: int) -> np.ndarray:
-    """One key per ``(cre, ann)`` pair of masks below ``2**width``, in
-    ``(cre, ann)`` order: ``cre << width | ann`` while it fits in an int64,
-    else both masks big-endian in 16 bytes, which numpy orders bytewise."""
-    if 2 * width <= 63:
-        return cre << width | ann
-    keys = np.empty((len(cre), 2), dtype=">i8")
-    keys[:, 0], keys[:, 1] = cre, ann
-    return keys.view("V16").ravel()
-
-
-def _unpack(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(cre, ann)`` masks of ``_pack``'s keys."""
-    if keys.dtype == np.int64:
-        return keys >> width, keys & ((1 << width) - 1)
-    cre, ann = keys.view(">i8").reshape(-1, 2).T.astype(np.int64, order="C")
-    return cre, ann
-
-
-def _union(*keys: np.ndarray) -> np.ndarray:
-    """The distinct keys of ``keys``, ascending."""
-    merged = np.concatenate(keys)
-    merged.sort()
-    words = merged.view(np.int64).reshape(-1, merged.itemsize // 8)
-    new = np.ones(len(merged), dtype=bool)
-    np.any(words[1:] != words[:-1], axis=1, out=new[1:])
-    return merged[new]
-
-
-class _RunningSum:
-    """A running sum of operators: one float per key of a sorted key
-    universe, 0.0 for an absent key, with the values of ``+`` to the bit
-    (see the module docstring)."""
-
-    __slots__ = ("keys", "width", "val")
-
-    def __init__(self, keys: np.ndarray, width: int):
-        self.keys, self.width = keys, width
-        self.val = np.zeros(len(keys))
-
-    def add(self, cre: np.ndarray, ann: np.ndarray, val: np.ndarray) -> np.ndarray:
-        """Add ``val`` at the distinct keys ``(cre, ann)``, all in the
-        universe, and return their slots."""
-        slots = np.searchsorted(self.keys, _pack(cre, ann, self.width))
-        self.val[slots] += val
-        self.val[slots[np.abs(self.val[slots]) < DEFAULT_DROP_TOLERANCE]] = 0.0
-        return slots
-
-    def operator(self, slots=None, val=None) -> NormalOrderedOperator:
-        """The sum, plus ``val`` at ``slots`` when given, as an operator in
-        key order, without the keys below ``DEFAULT_DROP_TOLERANCE``."""
-        total = self.val
-        if slots is not None:
-            total = total.copy()
-            total[slots] += val
-        live = ~(np.abs(total) < DEFAULT_DROP_TOLERANCE)
-        return NormalOrderedOperator._from_arrays(
-            *_unpack(self.keys[live], self.width), total[live]
-        )
 
 
 def check_time_and_delta(time: float, delta: float) -> None:

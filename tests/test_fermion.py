@@ -12,6 +12,7 @@ from trotterr.fermion import (
     DEFAULT_DROP_TOLERANCE,
     LadderTerm,
     NormalOrderedOperator,
+    RunningSum,
     _bits_desc,
     _combine,
     _hermitian_defects,
@@ -623,6 +624,48 @@ def test_high_orbital_product_matches_shifted():
         for offset in (40, 59):
             high = multiply(shift(a, offset), shift(b, offset), drop_tolerance=0.0)
             assert shift(low, offset).terms == high.terms
+
+
+def test_running_sum_is_the_operator_sum_at_any_orbital_count():
+    # RunningSum finds a key's slot by its packed key up to 31 orbitals and
+    # by ranking its key set beyond; at both, each step must read back the
+    # sum built with ``+``, bit for bit, in key order, and the same steps
+    # shifted by 40 orbitals the shifted sums.
+    rng = np.random.default_rng(16)
+    ops = []
+    for _ in range(10):
+        op = keyed_operator(rng, 6, 8)
+        scale = 10.0 ** rng.integers(-14, 17, len(op))  # some below tolerance
+        ops.append(NormalOrderedOperator._from_arrays(op.cre, op.ann, rng.normal(size=len(op)) * scale))
+    ops[4], ops[7] = -ops[1], -ops[5]  # exact cancellations, then the keys return
+    ops[8] = ops[1]
+    read = {}
+    for offset in (0, 40):
+        shifted = [
+            NormalOrderedOperator._from_arrays(op.cre << offset, op.ann << offset, op.val)
+            for op in ops
+        ]
+        running = RunningSum(6 + offset)
+        want = NormalOrderedOperator.zero()
+        read[offset] = []
+        with mock.patch("numpy.searchsorted", wraps=np.searchsorted) as searchsorted:
+            for step, op in enumerate(shifted):
+                if step in (0, 5):  # keys enter in two batches, before and after adds
+                    for later in shifted[step:step + 5]:
+                        running.include(later.cre, later.ann)
+                slots = running.add(op.cre, op.ann, op.val)
+                got = [running.operator(), running.operator(slots, op.val * -0.5)]
+                want = want + op
+                for g, w in zip(got, [want, want + op.scaled(-0.5)]):
+                    order = np.lexsort((w.ann, w.cre))
+                    assert [a.tobytes() for a in (g.cre, g.ann, g.val)] == [
+                        a[order].tobytes() for a in (w.cre, w.ann, w.val)
+                    ]
+                read[offset] += [(g.cre >> offset, g.ann >> offset, g.val) for g in got]
+        assert searchsorted.called == (offset == 0)
+    assert any(len(val) for _, _, val in read[0])
+    for low, high in zip(read[0], read[40], strict=True):
+        assert [a.tobytes() for a in low] == [a.tobytes() for a in high]
 
 
 # ---------------------------------------------------------------------------

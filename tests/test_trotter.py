@@ -15,6 +15,7 @@ from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import (
     NormalOrderedOperator,
+    RunningSum,
     commutator,
     expand_pairs,
     number_operator,
@@ -304,7 +305,7 @@ def test_dense_running_sums_are_the_operator_sums(
         syst = random_system(np.random.default_rng(case), case)
     seq = build_trotter_sequence(syst, ordering, granularity=granularity)
     sums, operands = [], []
-    add, product = trotter._RunningSum.add, trotter.hermitian_product
+    add, product = RunningSum.add, trotter.hermitian_product
 
     def add_spy(self, *args):
         slots = add(self, *args)
@@ -315,7 +316,7 @@ def test_dense_running_sums_are_the_operator_sums(
         operands.append(b)
         return product(a, b, *args)
 
-    monkeypatch.setattr(trotter._RunningSum, "add", add_spy)
+    monkeypatch.setattr(RunningSum, "add", add_spy)
     monkeypatch.setattr(trotter, "hermitian_product", product_spy)
     build_error_operator(seq, 1.0)
     # the same steps with the running sums as operators
@@ -338,31 +339,6 @@ def test_dense_running_sums_are_the_operator_sums(
     assert len(operands) == len(want_operands)
     for got, want in zip(sums + operands, want_sums + want_operands, strict=True):
         assert [a.tobytes() for a in (got.cre, got.ann, got.val)] == _in_key_order(want)
-
-
-def test_high_orbital_build_matches_shifted(monkeypatch):
-    # orbitals 40..45 take the 16-byte key form of the running sums; the
-    # algebra is shift-invariant, so V must be the shifted low-orbital V to
-    # the bit.  The trace check weighs each diagonal term by 2^(N - k), so
-    # at 46 orbitals its rounding alone exceeds the budget: it is skipped.
-    seq = build_trotter_sequence(random_system(np.random.default_rng(4), 3))
-    low = build_error_operator(seq, 1.0).op
-    monkeypatch.setattr(ErrorOperator, "validate", lambda self: None)
-    high = build_error_operator(
-        TrotterSequence(
-            [NormalOrderedOperator._from_arrays(f.cre << 40, f.ann << 40, f.val)
-             for f in seq.fragments],
-            seq.ordering,
-            seq.granularity,
-            seq.n_spin_orbitals + 40,
-        ),
-        1.0,
-    ).op
-    assert trotter._pack(high.cre, high.ann, 46).dtype.itemsize == 16
-    assert len(low) > 0
-    assert (low.cre << 40).tobytes() == high.cre.tobytes()
-    assert (low.ann << 40).tobytes() == high.ann.tobytes()
-    assert low.val.tobytes() == high.val.tobytes()
 
 
 # SHA-256 of V's cre, ann and val bytes per case, pinned when V was still
