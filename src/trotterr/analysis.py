@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._version import __version__
+from ._version import SCHEMA_VERSION, __version__
 from .ci import _check_excitation_level, ci_ground_state, hartree_fock_state
 from .errors import NumericalError, ValidationError
 from .fermion import _term_order_sum
@@ -39,8 +39,6 @@ from .trotter import (
     check_time_and_delta,
     estimate_trotter_number,
 )
-
-SCHEMA_VERSION = 1
 
 SPACES = ("sector", "full")
 

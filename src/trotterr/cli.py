@@ -40,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._version import __version__
+from ._version import SCHEMA_VERSION, __version__
 from .errors import (
     FcidumpError,
     NumericalError,
@@ -95,7 +95,7 @@ def _emit(args, text: str) -> None:
 def _json_payload(kind: str, source_sha256: str, fields: dict) -> str:
     """A JSON report: ``fields`` under the envelope every report shares."""
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "kind": kind,
         "source_sha256": source_sha256,

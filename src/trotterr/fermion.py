@@ -39,7 +39,7 @@ position, so no two entries tie and the order is fully fixed.  Each key's values
 reach ``np.bincount`` in input order, which adds them from 0.0 exactly as
 the term-map loop does, and each key's first sorted entry is its first
 appearance.  ``RunningSum``, a sum held as one float per key of a sorted
-key set, finds a key's slot by the same rule: its packed key while the
+key set, finds or places a key by the same rule: its packed key while the
 two masks fit side by side, else its rank among the set's keys.
 
 A Hermitian sum ``m + m.adjoint()`` of a product, or the anti-Hermitian
@@ -668,65 +668,61 @@ class RunningSum:
     one float per key of a key set ascending by ``(cre, ann)``, 0.0 for an
     absent key, so that a step touches only its own keys.
 
-    ``include`` puts keys in the set, ``add`` adds an operator's values at
-    its keys and resets a touched sum below ``DEFAULT_DROP_TOLERANCE`` to
-    0.0, and ``operator`` reads the sum back in key order.  The values are
-    those of ``+`` on the sums as operators, bit for bit: a live sum is
-    never -0.0, so ``0.0 + s`` is ``s``, and a pruned key restarts from 0.0
-    as a key new to ``+`` does.  Only the order of the terms differs.
+    ``add`` adds an operator's values at its keys, a key new to the set
+    placed at 0.0 first, and resets a touched sum below
+    ``DEFAULT_DROP_TOLERANCE`` to 0.0; ``operator`` reads the sum back in
+    key order.  The values are those of ``+`` on the sums as operators, bit
+    for bit: a live sum is never -0.0, so ``0.0 + s`` is ``s``, and a new or
+    pruned key restarts from 0.0 as a key new to ``+`` does.  Only the order
+    of the terms differs.
 
-    A key's slot is found by ``np.searchsorted`` on the keys packed by
-    ``_sort_key`` while both masks fit side by side in 63 bits (up to 31
-    orbitals), else by ranking the set and the keys sought together, one
-    lexsort per lookup.  Included keys are merged into the set whenever the
-    keys pending outnumber it, so no buffer holds every key at once.
+    Up to 31 orbitals, while both masks fit side by side in 63 bits, the
+    slots are found by ``np.searchsorted`` on the keys packed by
+    ``_sort_key`` and the new keys are put in place by ``np.insert``, so the
+    set is never re-sorted.  Beyond, the set and the keys sought are ranked
+    together, one ``_rank`` lexsort per ``add``, and a key's rank is its slot.
     """
 
-    __slots__ = ("cre", "ann", "val", "_width", "_key", "_pending", "_n_pending")
+    __slots__ = ("cre", "ann", "val", "_width", "_key")
 
     def __init__(self, n_orbitals: int):
         none = np.zeros(0, dtype=np.int64)
         self.cre, self.ann, self.val = none, none, np.zeros(0)
         self._width = n_orbitals
         self._key = _sort_key((none, none), (n_orbitals, n_orbitals))
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._n_pending = 0
-
-    def include(self, cre: np.ndarray, ann: np.ndarray) -> None:
-        """Put the keys ``(cre, ann)`` in the set, each at 0.0 if new."""
-        self._pending.append((cre, ann))
-        self._n_pending += len(cre)
-        if self._n_pending > len(self.val):
-            self._merge()
-
-    def _merge(self) -> None:
-        cre = np.concatenate([self.cre, *(c for c, _ in self._pending)])
-        ann = np.concatenate([self.ann, *(a for _, a in self._pending)])
-        self._pending, self._n_pending = [], 0
-        if not len(cre):
-            return
-        # the set's keys come first and are distinct, so each is its own
-        # first appearance
-        rows, _ = _accumulate((cre, ann), np.zeros(len(cre)), first_seen=False)
-        old = rows < len(self.val)
-        val = np.zeros(len(rows))
-        val[old] = self.val[rows[old]]
-        self.cre, self.ann, self.val = cre[rows], ann[rows], val
-        self._key = _sort_key((self.cre, self.ann), (self._width, self._width))
 
     def _slots(self, cre: np.ndarray, ann: np.ndarray) -> np.ndarray:
-        if self._pending:
-            self._merge()
-        if self._key is not None:
-            return np.searchsorted(self._key, _sort_key((cre, ann), (self._width,) * 2))
-        # the set's keys are distinct and sorted, so the dense rank of its
-        # key i is i + 1, and every key sought is one of them
-        rank = _rank(np.concatenate([self.cre, cre]), np.concatenate([self.ann, ann]))
-        return rank[len(self.cre):] - 1
+        n = len(self.val)
+        if self._key is None:
+            # the set's keys are distinct and sorted, so their ranks among
+            # the set and the keys sought are ascending: scattered by rank,
+            # they and the new keys make the grown set in key order
+            cre, ann = np.concatenate([self.cre, cre]), np.concatenate([self.ann, ann])
+            rank = _rank(cre, ann) - 1
+            size = int(rank.max(initial=-1)) + 1
+            if size > n:
+                self.cre, self.ann = np.empty(size, np.int64), np.empty(size, np.int64)
+                self.cre[rank], self.ann[rank] = cre, ann
+                self.val, val = np.zeros(size), self.val
+                self.val[rank[:n]] = val
+            return rank[n:]
+        key = _sort_key((cre, ann), (self._width,) * 2)
+        slots = np.searchsorted(self._key, key)
+        found = slots < n
+        found[found] = self._key[slots[found]] == key[found]
+        if not found.all():
+            # in key order, so new keys sharing a gap go in in key order
+            new = np.flatnonzero(~found)[np.argsort(key[~found])]
+            at = slots[new]
+            self._key = np.insert(self._key, at, key[new])
+            self.cre, self.ann = np.insert(self.cre, at, cre[new]), np.insert(self.ann, at, ann[new])
+            self.val = np.insert(self.val, at, 0.0)
+            slots = np.searchsorted(self._key, key)
+        return slots
 
     def add(self, cre: np.ndarray, ann: np.ndarray, val: np.ndarray) -> np.ndarray:
-        """Add ``val`` at the distinct keys ``(cre, ann)``, all in the set,
-        and return their slots."""
+        """Add ``val`` at the distinct keys ``(cre, ann)``, a key new to the
+        set placed at 0.0 first, and return their slots."""
         slots = self._slots(cre, ann)
         self.val[slots] += val
         self.val[slots[np.abs(self.val[slots]) < DEFAULT_DROP_TOLERANCE]] = 0.0
@@ -736,8 +732,6 @@ class RunningSum:
         """The sum, plus ``val`` at ``slots`` (from ``add``) when given, as
         an operator in key order, without the keys below
         ``DEFAULT_DROP_TOLERANCE``."""
-        if self._pending:
-            self._merge()
         total = self.val
         if slots is not None:
             total = total.copy()

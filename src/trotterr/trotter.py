@@ -43,11 +43,10 @@ The pieces are summed as pairs, and so is V, their sum; the other key of
 each pair is restored only once, at the end.
 
 The running sums S_beta and D_alpha are dense (``fermion.RunningSum``):
-one float per key of a sorted key set, 0.0 for an absent key.  S's keys
-are the fragments' keys and D's every key of every C_beta, in both
-orientations, gathered during the forward loop.  A step adds the
-fragment, or C_alpha, at its keys' slots and resets a touched sum below
-the drop tolerance to 0.0; the product kernel gets S_{beta-1}, or
+one float per key of a sorted key set, 0.0 for an absent key.  A step
+adds the fragment, or C_alpha, at its keys' slots, putting a key the sum
+has not held yet in its place first, and resets a touched sum below the
+drop tolerance to 0.0; the product kernel gets S_{beta-1}, or
 W_alpha = D_alpha - C_alpha/2, as the live slots in key order.  No step
 re-sorts a whole running sum.  The values are those of ``+`` on the sums
 as operators, bit for bit: a live sum is never -0.0, so ``0.0 + S[k]`` is
@@ -106,7 +105,7 @@ from .fermion import (
 from .hamiltonian import TrotterSequence
 
 # budget of each ErrorOperator.validate check, relative to the coefficient
-# one-norm
+# one-norm (the trace's to its weighted diagonal terms)
 VALIDATE_REL_TOL = 1e-8
 
 # terms build_error_operator holds, counted as the keys its pair entries
@@ -153,8 +152,9 @@ class ErrorOperator:
         return float(np.abs(excess * op.val).max(initial=0.0))
 
     def validate(self) -> None:
-        """Hermiticity, trace and particle number, each within
-        ``VALIDATE_REL_TOL`` times the coefficient one-norm."""
+        """Hermiticity and particle number, each within ``VALIDATE_REL_TOL``
+        times the coefficient one-norm; the trace within ``VALIDATE_REL_TOL``
+        times its terms' magnitudes summed with the same 2^(N-k) weights."""
         scale = self.coefficient_l1()
         if not scale:
             return
@@ -162,8 +162,12 @@ class ErrorOperator:
         defect = self.hermitian_defect()
         if defect > budget:
             raise ValidationError(f"error operator not Hermitian: defect {defect:.3e}")
+        op = self.op
+        diagonal = op.cre == op.ann
+        k = np.bitwise_count(op.cre[diagonal]).astype(np.int64)
+        weighted = np.ldexp(np.abs(op.val[diagonal]), self.n_spin_orbitals - k).sum()
         residual = self.trace_residual()
-        if residual > budget:
+        if residual > VALIDATE_REL_TOL * weighted:
             raise ValidationError(f"error operator trace {residual:.3e} not ~0")
         number = self.number_commutator_residual()
         if number > budget:
@@ -177,7 +181,7 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
 
     A single-fragment sequence (or any mutually commuting one) yields the
     zero operator.  The running sums S_beta and D_alpha are dense arrays
-    over sorted key universes, handed to the product kernel in key order,
+    over sorted key sets, handed to the product kernel in key order,
     which gives the same bits as any other row order (see the module
     docstring).  Each C_beta is held as one entry per adjoint pair until
     the backward loop uses it.  Each commutator piece is built as one entry
@@ -208,20 +212,15 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     # both are refused once, after the build
     with np.errstate(over="ignore", invalid="ignore"):
         prefix = RunningSum(width)  # S_beta
-        for frag in fragments:
-            prefix.include(frag.cre, frag.ann)
         # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1},
         # held as pairs until the backward loop uses it; the pair build
         # prunes, so keys that commuting fragments cancel to exact 0.0 never
-        # reach a later product.  D's keys are those of every C_beta.
-        suffix = RunningSum(width)  # D_alpha
+        # reach a later product
         cross: list[PairTerms] = []
         for frag in fragments:
-            c = hermitian_product(frag, prefix.operator(), 0, -1)
-            cross.append(c)
-            suffix.include(c.cre, c.ann)
-            suffix.include(c.ann, c.cre)
+            cross.append(hermitian_product(frag, prefix.operator(), 0, -1))
             prefix.add(frag.cre, frag.ann, frag.val)
+        suffix = RunningSum(width)  # D_alpha
         total = PairTerms.empty()
         total_terms = 0
         pending: list[PairTerms] = []  # pieces since the last fold

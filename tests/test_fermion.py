@@ -627,10 +627,12 @@ def test_high_orbital_product_matches_shifted():
 
 
 def test_running_sum_is_the_operator_sum_at_any_orbital_count():
-    # RunningSum finds a key's slot by its packed key up to 31 orbitals and
-    # by ranking its key set beyond; at both, each step must read back the
-    # sum built with ``+``, bit for bit, in key order, and the same steps
-    # shifted by 40 orbitals the shifted sums.
+    # RunningSum finds or places a key by its packed key up to 31 orbitals
+    # and by ranking its key set beyond; at both, each step must read back
+    # the sum built with ``+``, bit for bit, in key order, and the same
+    # steps shifted by 40 orbitals the shifted sums.  Keys enter only
+    # through ``add``: most steps bring keys first seen after earlier adds,
+    # and some keys return after an exact cancellation.
     rng = np.random.default_rng(16)
     ops = []
     for _ in range(10):
@@ -648,12 +650,11 @@ def test_running_sum_is_the_operator_sum_at_any_orbital_count():
         running = RunningSum(6 + offset)
         want = NormalOrderedOperator.zero()
         read[offset] = []
+        sizes = []
         with mock.patch("numpy.searchsorted", wraps=np.searchsorted) as searchsorted:
-            for step, op in enumerate(shifted):
-                if step in (0, 5):  # keys enter in two batches, before and after adds
-                    for later in shifted[step:step + 5]:
-                        running.include(later.cre, later.ann)
+            for op in shifted:
                 slots = running.add(op.cre, op.ann, op.val)
+                sizes.append(len(running.val))
                 got = [running.operator(), running.operator(slots, op.val * -0.5)]
                 want = want + op
                 for g, w in zip(got, [want, want + op.scaled(-0.5)]):
@@ -663,9 +664,25 @@ def test_running_sum_is_the_operator_sum_at_any_orbital_count():
                     ]
                 read[offset] += [(g.cre >> offset, g.ann >> offset, g.val) for g in got]
         assert searchsorted.called == (offset == 0)
+        # the set grows at later adds too, and a cancelled key keeps its slot
+        assert sizes[0] < sizes[5] and sizes[4] == sizes[3]
     assert any(len(val) for _, _, val in read[0])
     for low, high in zip(read[0], read[40], strict=True):
         assert [a.tobytes() for a in low] == [a.tobytes() for a in high]
+
+
+@pytest.mark.parametrize("offset", [0, 40], ids=["packed", "ranked"])
+def test_running_sum_gives_a_new_key_its_own_slot(offset):
+    # a key between two keys of the set must not land on a neighbour
+    running = RunningSum(6 + offset)
+    masks = np.array([1, 4], dtype=np.int64) << offset
+    running.add(masks, masks, np.array([1.0, 2.0]))
+    new = np.array([2], dtype=np.int64) << offset
+    slots = running.add(new, new, np.array([5.0]))
+    got = running.operator()
+    assert running.cre[slots].tolist() == new.tolist()
+    assert (got.cre >> offset).tolist() == [1, 2, 4] == (got.ann >> offset).tolist()
+    assert got.val.tolist() == [1.0, 5.0, 2.0]
 
 
 # ---------------------------------------------------------------------------

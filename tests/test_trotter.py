@@ -133,6 +133,60 @@ def test_validate_rejects_injected_nonconserving_term():
         broken.validate()
 
 
+def _weighted_diagonal(err):
+    """The sum of V's |diagonal terms|, each weighted by the 2^(N-k) basis
+    states it counts in the trace."""
+    op = err.op
+    diagonal = op.cre == op.ann
+    k = np.bitwise_count(op.cre[diagonal]).astype(np.int64)
+    return np.ldexp(np.abs(op.val[diagonal]), err.n_spin_orbitals - k).sum()
+
+
+def test_validate_rejects_injected_trace():
+    syst = random_system(np.random.default_rng(2), 3)
+    err = build_error_operator(build_trotter_sequence(syst), 0.1)
+    budget = 1e-8 * _weighted_diagonal(err)
+    assert err.trace_residual() <= budget
+    # n_0 is Hermitian and conserves particle number, so only the trace
+    # check can catch it; it counts once per basis state holding orbital 0
+    leak = NormalOrderedOperator({((0,), (0,)): 1e3 * budget / 2 ** (err.n_spin_orbitals - 1)})
+    broken = ErrorOperator(
+        op=err.op + leak,
+        delta_t=err.delta_t,
+        ordering_label=err.ordering_label,
+        n_fragments=err.n_fragments,
+        n_spin_orbitals=err.n_spin_orbitals,
+    )
+    assert broken.trace_residual() == pytest.approx(1e3 * budget, rel=1e-3)
+    with pytest.raises(ValidationError, match="trace"):
+        broken.validate()
+
+
+@pytest.mark.parametrize("seed", [4, 0, 1])
+def test_high_orbital_build_matches_shifted(seed):
+    # the build is shift-invariant, so V of fragments moved up by 40
+    # orbitals (N = 46, past the packed keys' 31 orbitals) must be the
+    # shifted V to the bit, and must pass validation as the low one does
+    seq = build_trotter_sequence(random_system(np.random.default_rng(seed), 3))
+    low = build_error_operator(seq, 1.0)
+    high = build_error_operator(
+        TrotterSequence(
+            fragments=[
+                NormalOrderedOperator._from_arrays(f.cre << 40, f.ann << 40, f.val)
+                for f in seq.fragments
+            ],
+            ordering=seq.ordering,
+            granularity=seq.granularity,
+            n_spin_orbitals=seq.n_spin_orbitals + 40,
+        ),
+        1.0,
+    )
+    assert len(low.op) and high.op.max_orbital() >= 40
+    assert [a.tobytes() for a in (high.op.cre, high.op.ann, high.op.val)] == [
+        a.tobytes() for a in (low.op.cre << 40, low.op.ann << 40, low.op.val)
+    ]
+
+
 def test_number_residual_matches_explicit_commutator():
     op = NormalOrderedOperator(
         {((2, 1), (0,)): 0.3, ((1,), (2, 0)): -0.7, ((3,), (1,)): 1.1, ((), (2,)): 0.2}
