@@ -45,7 +45,8 @@ two masks fit side by side, else its rank among the set's keys.
 A Hermitian sum ``m + m.adjoint()`` of a product, or the anti-Hermitian
 ``m - m.adjoint()``, can also be built as one entry per adjoint pair
 (``hermitian_product``, ``PairTerms``), with the coefficients of the full
-sum bit for bit.  ``sum_pairs`` adds such pieces pair by pair, and
+sum bit for bit.  A ``RunningSum`` with no drop tolerance adds such pieces
+pair by pair, each pair keeping the tags of the piece that placed it, and
 ``expand_pairs`` restores both keys of every pair and the term order of
 the sum over the full pieces.
 
@@ -556,11 +557,6 @@ class PairTerms(NamedTuple):
         no = np.zeros(0, dtype=bool)
         return cls(none, none, np.zeros(0), no, no, none)
 
-    def n_terms(self) -> int:
-        """The number of keys the entries stand for: two per pair, one per
-        self-adjoint key."""
-        return len(self.val) + int(np.count_nonzero(self.cre != self.ann))
-
     def expanded(self, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(cre, ann, val)`` of every key the entries stand for, in
         ``m + sign * m.adjoint()`` pieces: each entry's own key, then the
@@ -616,24 +612,12 @@ def hermitian_product(
     val[lo == hi] *= 1.0 + sign  # the sum adds m[k] and sign * m[k] there
     keep = ~(np.abs(val) < DEFAULT_DROP_TOLERANCE)  # a NaN from overflow stays
     own, mirror = ~mirrored[first], mirrored[last]
-    # one index for the whole piece: a read-only view, until sum_pairs
-    # concatenates it
+    # one index for the whole piece: a read-only view, read only where a
+    # running sum places a key
     return PairTerms(
         lo[keep], hi[keep], val[keep], own[keep], mirror[keep],
         np.broadcast_to(np.int64(piece), (np.count_nonzero(keep),)),
     )
-
-
-def sum_pairs(parts: list[PairTerms]) -> PairTerms:
-    """One accumulation pass over the entries of ``parts`` (at least one):
-    each pair's coefficients are added in input order from 0.0, with no
-    drop tolerance, and its first entry's ``own``, ``mirror`` and
-    ``piece`` are kept."""
-    total = PairTerms(*(np.concatenate(col) for col in zip(*parts)))
-    if not len(total.val):
-        return total
-    rows, sums = _accumulate((total.cre, total.ann), total.val, first_seen=False)
-    return PairTerms(*(col[rows] for col in total))._replace(val=sums)
 
 
 def expand_pairs(pairs: PairTerms, sign: int = 1) -> NormalOrderedOperator:
@@ -669,74 +653,97 @@ class RunningSum:
     absent key, so that a step touches only its own keys.
 
     ``add`` adds an operator's values at its keys, a key new to the set
-    placed at 0.0 first, and resets a touched sum below
-    ``DEFAULT_DROP_TOLERANCE`` to 0.0; ``operator`` reads the sum back in
-    key order.  The values are those of ``+`` on the sums as operators, bit
-    for bit: a live sum is never -0.0, so ``0.0 + s`` is ``s``, and a new or
-    pruned key restarts from 0.0 as a key new to ``+`` does.  Only the order
-    of the terms differs.
+    placed at 0.0 first, and resets a touched sum below ``drop_tolerance``
+    to 0.0; ``operator`` reads the sum back in key order.  The values are
+    those of ``+`` on the sums as operators, bit for bit: a live sum is
+    never -0.0, so ``0.0 + s`` is ``s``, and a new or pruned key restarts
+    from 0.0 as a key new to ``+`` does.  Only the order of the terms
+    differs.  At ``drop_tolerance`` 0.0 no sum is reset, so the set keeps
+    an exact zero like any other sum.  A key also keeps the ``tags`` of the
+    ``add`` that placed it (one array per dtype the constructor names);
+    later adds at the key do not overwrite them.
 
-    Up to 31 orbitals, while both masks fit side by side in 63 bits, the
-    slots are found by ``np.searchsorted`` on the keys packed by
-    ``_sort_key`` and the new keys are put in place by ``np.insert``, so the
-    set is never re-sorted.  Beyond, the set and the keys sought are ranked
-    together, one ``_rank`` lexsort per ``add``, and a key's rank is its slot.
+    The set grows by one scatter per column: the keys sought go to their
+    slots in the grown set, the new ones at 0.0, and the old keys, in
+    order, to the slots a mask marks as old, so the set is never re-sorted.
+    Up to 31 orbitals, while both masks fit side by side in 63 bits, a
+    key's slot is its ``np.searchsorted`` slot among the set's keys packed
+    by ``_sort_key`` plus the number of new keys below it, and the old
+    slots are the others.  Beyond, the set and the keys sought are ranked
+    together, one ``_rank`` lexsort per ``add``, and a key's rank is its
+    slot.
     """
 
-    __slots__ = ("cre", "ann", "val", "_width", "_key")
+    __slots__ = ("cre", "ann", "val", "tags", "_drop", "_width", "_key")
 
-    def __init__(self, n_orbitals: int):
+    def __init__(
+        self, n_orbitals: int, drop_tolerance: float = DEFAULT_DROP_TOLERANCE, tags: tuple = ()
+    ):
         none = np.zeros(0, dtype=np.int64)
         self.cre, self.ann, self.val = none, none, np.zeros(0)
+        self.tags = tuple(np.zeros(0, dtype=dtype) for dtype in tags)
+        self._drop = drop_tolerance
         self._width = n_orbitals
         self._key = _sort_key((none, none), (n_orbitals, n_orbitals))
 
-    def _slots(self, cre: np.ndarray, ann: np.ndarray) -> np.ndarray:
+    def _slots(self, cre: np.ndarray, ann: np.ndarray, tags) -> np.ndarray:
         n = len(self.val)
         if self._key is None:
             # the set's keys are distinct and sorted, so their ranks among
-            # the set and the keys sought are ascending: scattered by rank,
-            # they and the new keys make the grown set in key order
-            cre, ann = np.concatenate([self.cre, cre]), np.concatenate([self.ann, ann])
-            rank = _rank(cre, ann) - 1
+            # the set and the keys sought are ascending
+            rank = _rank(np.concatenate([self.cre, cre]), np.concatenate([self.ann, ann])) - 1
+            slots = rank[n:]
             size = int(rank.max(initial=-1)) + 1
-            if size > n:
-                self.cre, self.ann = np.empty(size, np.int64), np.empty(size, np.int64)
-                self.cre[rank], self.ann[rank] = cre, ann
-                self.val, val = np.zeros(size), self.val
-                self.val[rank[:n]] = val
-            return rank[n:]
-        key = _sort_key((cre, ann), (self._width,) * 2)
-        slots = np.searchsorted(self._key, key)
-        found = slots < n
-        found[found] = self._key[slots[found]] == key[found]
-        if not found.all():
-            # in key order, so new keys sharing a gap go in in key order
-            new = np.flatnonzero(~found)[np.argsort(key[~found])]
-            at = slots[new]
-            self._key = np.insert(self._key, at, key[new])
-            self.cre, self.ann = np.insert(self.cre, at, cre[new]), np.insert(self.ann, at, ann[new])
-            self.val = np.insert(self.val, at, 0.0)
+            if size == n:
+                return slots
+            old = np.zeros(size, dtype=bool)
+            old[rank[:n]] = True
+        else:
+            key = _sort_key((cre, ann), (self._width,) * 2)
             slots = np.searchsorted(self._key, key)
+            found = slots < n
+            found[found] = self._key[slots[found]] == key[found]
+            if found.all():
+                return slots
+            new = ~found
+            slots += np.searchsorted(np.sort(key[new]), key)
+            size = n + int(np.count_nonzero(new))
+            old = np.ones(size, dtype=bool)
+            old[slots[new]] = False
+
+        def grown(was: np.ndarray, sought) -> np.ndarray:
+            # the keys sought, then the old keys over the ones found
+            out = np.empty(size, dtype=was.dtype)
+            out[slots] = sought
+            out[old] = was
+            return out
+
+        # one column at a time, each old column freed before the next grows
+        if self._key is not None:
+            self._key = grown(self._key, key)
+        self.cre = grown(self.cre, cre)
+        self.ann = grown(self.ann, ann)
+        self.tags = tuple(grown(*col) for col in zip(self.tags, tags, strict=True))
+        self.val = grown(self.val, 0.0)
         return slots
 
-    def add(self, cre: np.ndarray, ann: np.ndarray, val: np.ndarray) -> np.ndarray:
+    def add(self, cre: np.ndarray, ann: np.ndarray, val: np.ndarray, *tags) -> np.ndarray:
         """Add ``val`` at the distinct keys ``(cre, ann)``, a key new to the
-        set placed at 0.0 first, and return their slots."""
-        slots = self._slots(cre, ann)
+        set placed at 0.0 with its ``tags`` first, and return their slots."""
+        slots = self._slots(cre, ann, tags)
         self.val[slots] += val
-        self.val[slots[np.abs(self.val[slots]) < DEFAULT_DROP_TOLERANCE]] = 0.0
+        self.val[slots[np.abs(self.val[slots]) < self._drop]] = 0.0
         return slots
 
     def operator(self, slots=None, val=None) -> NormalOrderedOperator:
         """The sum, plus ``val`` at ``slots`` (from ``add``) when given, as
-        an operator in key order, without the keys below
-        ``DEFAULT_DROP_TOLERANCE``."""
+        an operator in key order, without the keys below the drop
+        tolerance."""
         total = self.val
         if slots is not None:
             total = total.copy()
             total[slots] += val
-        live = ~(np.abs(total) < DEFAULT_DROP_TOLERANCE)
+        live = ~(np.abs(total) < self._drop)
         return NormalOrderedOperator._from_arrays(self.cre[live], self.ann[live], total[live])
 
 

@@ -39,16 +39,14 @@ adjoint pair, on the canonical key (cre <= ann), from one grouping of the
 product's terms.  Each C_beta is held as pairs, about half the memory of
 its full keys, until the backward loop reaches it; it is then expanded to
 both keys, since it feeds the running sums D, and dropped after that step.
-The pieces are summed as pairs, and so is V, their sum; the other key of
-each pair is restored only once, at the end.
 
-The running sums S_beta and D_alpha are dense (``fermion.RunningSum``):
-one float per key of a sorted key set, 0.0 for an absent key.  A step
-adds the fragment, or C_alpha, at its keys' slots, putting a key the sum
-has not held yet in its place first, and resets a touched sum below the
-drop tolerance to 0.0; the product kernel gets S_{beta-1}, or
-W_alpha = D_alpha - C_alpha/2, as the live slots in key order.  No step
-re-sorts a whole running sum.  The values are those of ``+`` on the sums
+The running sums are dense (``fermion.RunningSum``): one float per key of
+a sorted key set, 0.0 for an absent key.  A step adds the fragment to
+S_beta, C_alpha to D_alpha, or a piece to V at its keys' slots, putting a
+key the sum has not held yet in its place first; no step re-sorts a whole
+running sum.  S and D reset a touched sum below the drop tolerance to 0.0,
+and the product kernel gets S_{beta-1}, or W_alpha = D_alpha - C_alpha/2,
+as the live slots in key order.  The values are those of ``+`` on the sums
 as operators, bit for bit: a live sum is never -0.0, so ``0.0 + S[k]`` is
 ``S[k]``, and a pruned key restarts from 0.0 as a key new to ``+`` does.
 Only the row order of the operand differs (key order against first
@@ -57,28 +55,19 @@ contraction subset) block of the kernel no two rows give the same key, so
 each key's values still reach the sum in block order, and the product
 lists its keys sorted.
 
-The products hold far more unsummed terms than V (1.45M against 21k at 10
-spin orbitals), so the pieces are folded into a running sum as they come
-rather than summed once at the end: whenever the pieces pending since the
-last fold hold at least max(FOLD_TERMS, |sum|) terms, one accumulation pass
-(``fermion.sum_pairs``) replaces them and the sum by their total.  Terms
-are the keys the pair entries stand for, two per pair and one per
-self-adjoint key, so the folds fall where they would for the full pieces.
-The memory held is then a few times the larger of the budget and V
-itself, and each entry is re-sorted O(1) times on average.
-
-The result is byte-identical to summing the full pieces in order, m + m^+
-included.  Values: each pair's entries are added one by one in piece order
-from +0.0, the running value first; a sum started from +0.0 is never -0.0,
-so the next fold adds the same value, and the partner's running sum adds
-the same values negated when s = -1, so it is s times the pair's value to
-the bit.  Order: that sum lists its keys in order of first appearance.  A
-pair first appears in its first piece, for both keys, since pruning drops
-both keys of a pair or neither; the fold keeps each pair's first entry, and
-with it the piece's index and where inside the piece each key is listed.
-One lexsort on those tags restores the order after the last fold
-(``fermion.expand_pairs``).  Without a drop tolerance in the folds an
-exact zero keeps its place, so only the final pruning removes keys.
+V's sum runs over the canonical pair keys, with no drop tolerance, and
+holds one float per pair of V (10,755 pairs for 21,125 terms at 10 spin
+orbitals, against 1.45M unsummed product terms).  It is byte-identical to
+summing the full pieces in order, m + m^+ included.  Values: each pair's
+entries are added one by one in piece order from +0.0, and the partner's
+sum adds the same values negated when s = -1, so it is s times the pair's
+value to the bit.  Order: that sum lists its keys in order of first
+appearance.  A pair first appears in its first piece, for both keys, since
+pruning drops both keys of a pair or neither; the key keeps the tags of
+the piece that placed it, its index and where inside the piece each key
+is listed.  One lexsort on those tags restores the order at the end
+(``fermion.expand_pairs``).  With no drop tolerance an exact zero keeps
+its place, so only the final pruning removes keys.
 """
 
 from __future__ import annotations
@@ -99,7 +88,6 @@ from .fermion import (
     hermitian_product,
     multiply,  # noqa: F401  looked up here by bench/tracing.py
     operator_sum,  # noqa: F401  looked up here by bench/tracing.py
-    sum_pairs,
     trace,
 )
 from .hamiltonian import TrotterSequence
@@ -107,11 +95,6 @@ from .hamiltonian import TrotterSequence
 # budget of each ErrorOperator.validate check, relative to the coefficient
 # one-norm (the trace's to its weighted diagonal terms)
 VALIDATE_REL_TOL = 1e-8
-
-# terms build_error_operator holds, counted as the keys its pair entries
-# stand for, before folding them into its running sum (more once the sum
-# itself is larger)
-FOLD_TERMS = 1 << 16
 
 
 @dataclass
@@ -185,13 +168,12 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     which gives the same bits as any other row order (see the module
     docstring).  Each C_beta is held as one entry per adjoint pair until
     the backward loop uses it.  Each commutator piece is built as one entry
-    per adjoint pair, tagged with its piece index and where in the piece
-    each key is listed, and folded into a running sum whenever the pieces
-    pending stand for at least ``max(FOLD_TERMS, len(sum))`` terms; this
-    bounds the memory held by the larger of the budget and ``V``.  After
-    the last fold each pair is expanded to its two keys and one lexsort on
-    the tags restores the term order of a single sum over the full pieces,
-    so the result is byte-identical to it (see the module docstring).
+    per adjoint pair and added into a third running sum over those pair
+    keys, with no drop tolerance; a pair keeps the tags of the piece that
+    placed it, its index and where in the piece each key is listed.  At the
+    end each pair is expanded to its two keys and one lexsort on the tags
+    restores the term order of a single sum over the full pieces, so the
+    result is byte-identical to it (see the module docstring).
 
     Pruning happens once, after the full accumulation, and at the
     ``delta_t = 1`` scale: a term is kept when its unscaled sum times 1/12
@@ -221,23 +203,18 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
             cross.append(hermitian_product(frag, prefix.operator(), 0, -1))
             prefix.add(frag.cre, frag.ann, frag.val)
         suffix = RunningSum(width)  # D_alpha
-        total = PairTerms.empty()
-        total_terms = 0
-        pending: list[PairTerms] = []  # pieces since the last fold
-        pending_terms = 0
+        # V, one entry per adjoint pair with the own, mirror and piece tags
+        # of PairTerms
+        pairs = RunningSum(width, 0.0, (bool, bool, np.int64))
         for piece, frag in enumerate(reversed(fragments)):
             # C_alpha, freed after this step
             cre, ann, val = cross.pop().expanded(-1)
             slots = suffix.add(cre, ann, val)
             weight = suffix.operator(slots, val * -0.5)  # D_alpha - C_alpha/2
             if weight:
-                pending.append(hermitian_product(frag, weight, piece))
-                pending_terms += pending[-1].n_terms()
-                if pending_terms >= max(FOLD_TERMS, total_terms):
-                    total = sum_pairs([total, *pending])
-                    total_terms = total.n_terms()
-                    pending, pending_terms = [], 0
-        total = expand_pairs(sum_pairs([total, *pending]))
+                pairs.add(*hermitian_product(frag, weight, piece))
+        total = expand_pairs(PairTerms(pairs.cre, pairs.ann, pairs.val, *pairs.tags))
+        del pairs  # not held through the validation
         keep = ~(np.abs(total.val * (1.0 / 12.0)) < DEFAULT_DROP_TOLERANCE)
         val = total.val[keep] * ((delta_t * delta_t) / 12.0)
     if not all(np.isfinite(a).all() for a in (prefix.val, suffix.val, val)):

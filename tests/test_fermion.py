@@ -632,7 +632,10 @@ def test_running_sum_is_the_operator_sum_at_any_orbital_count():
     # the sum built with ``+``, bit for bit, in key order, and the same
     # steps shifted by 40 orbitals the shifted sums.  Keys enter only
     # through ``add``: most steps bring keys first seen after earlier adds,
-    # and some keys return after an exact cancellation.
+    # and some keys return after an exact cancellation.  A second sum with
+    # no drop tolerance must read back the unpruned sum, sums below 1e-12
+    # and exact zeros included, and keep at each key the tag of the add
+    # that placed it.
     rng = np.random.default_rng(16)
     ops = []
     for _ in range(10):
@@ -648,11 +651,24 @@ def test_running_sum_is_the_operator_sum_at_any_orbital_count():
             for op in ops
         ]
         running = RunningSum(6 + offset)
+        exact = RunningSum(6 + offset, 0.0, (np.int64,))
+        placed_by = {}
         want = NormalOrderedOperator.zero()
         read[offset] = []
         sizes = []
         with mock.patch("numpy.searchsorted", wraps=np.searchsorted) as searchsorted:
-            for op in shifted:
+            for step, op in enumerate(shifted):
+                exact.add(op.cre, op.ann, op.val, np.full(len(op), step))
+                unpruned = operator_sum(shifted[: step + 1], drop_tolerance=0.0)
+                got = exact.operator()
+                assert [a.tobytes() for a in (got.cre, got.ann, got.val)] == [
+                    a[np.lexsort((unpruned.ann, unpruned.cre))].tobytes()
+                    for a in (unpruned.cre, unpruned.ann, unpruned.val)
+                ]
+                for key in zip(op.cre.tolist(), op.ann.tolist()):
+                    placed_by.setdefault(key, step)
+                keys = zip(exact.cre.tolist(), exact.ann.tolist())
+                assert exact.tags[0].tolist() == [placed_by[k] for k in keys]
                 slots = running.add(op.cre, op.ann, op.val)
                 sizes.append(len(running.val))
                 got = [running.operator(), running.operator(slots, op.val * -0.5)]
@@ -666,6 +682,11 @@ def test_running_sum_is_the_operator_sum_at_any_orbital_count():
         assert searchsorted.called == (offset == 0)
         # the set grows at later adds too, and a cancelled key keeps its slot
         assert sizes[0] < sizes[5] and sizes[4] == sizes[3]
+        # keys kept below the tolerance, some cancelled to exact zeros, and
+        # tags of later adds than the first
+        small = np.abs(exact.val) < DEFAULT_DROP_TOLERANCE
+        assert (small & (exact.val != 0.0)).any() and (exact.val == 0.0).any()
+        assert len(np.unique(exact.tags[0])) > 2
     assert any(len(val) for _, _, val in read[0])
     for low, high in zip(read[0], read[40], strict=True):
         assert [a.tobytes() for a in low] == [a.tobytes() for a in high]
@@ -741,7 +762,6 @@ def test_hermitian_product_is_the_sum_with_the_adjoint(branch, data):
         pairs = hermitian_product(a, b, 0, sign)
         assert (pairs.cre <= pairs.ann).all()
         assert len(pairs.val) == np.count_nonzero(want.cre <= want.ann)
-        assert pairs.n_terms() == len(want)
         got = expand_pairs(pairs, sign)
         _assert_same_arrays((got.cre, got.ann, got.val), (want.cre, want.ann, want.val))
 

@@ -14,11 +14,13 @@ from trotterr import trotter
 from trotterr.analysis import analyze
 from trotterr.errors import NumericalError, ValidationError
 from trotterr.fermion import (
+    DEFAULT_DROP_TOLERANCE,
     NormalOrderedOperator,
     RunningSum,
     commutator,
     expand_pairs,
     number_operator,
+    operator_sum,
 )
 from trotterr.fock import RestrictedOperator, SectorBasis
 from trotterr.hamiltonian import (
@@ -297,36 +299,31 @@ def _fold_cases():
 
 @pytest.mark.parametrize("case, granularity", list(_fold_cases()), ids=str)
 def test_folding_is_byte_identical(fixture_dir, monkeypatch, case, granularity):
-    """Folding the pieces as often as the rule allows, once at the end, or at
-    the default budget gives the same bytes."""
+    """Folding each piece into V's running pair sum as it comes gives the
+    bytes of one sum over the full pieces, both keys of every pair, at the
+    end."""
     if isinstance(case, str):
         syst = parse_fcidump((fixture_dir / f"{case}.fcidump").read_text())
     else:
         syst = random_system(np.random.default_rng(case[1]), case[0])
     seq = build_trotter_sequence(syst, granularity=granularity)
-    sum_pairs = trotter.sum_pairs
-    calls = []
+    product = trotter.hermitian_product
+    pieces = []
 
-    def spy(parts):
-        calls.append(len(parts))
-        return sum_pairs(parts)
+    def spy(a, b, piece, sign=1):
+        pairs = product(a, b, piece, sign)
+        if sign == 1:  # a piece of V, not a C_beta
+            pieces.append(expand_pairs(pairs))
+        return pairs
 
-    monkeypatch.setattr(trotter, "sum_pairs", spy)
-    default = trotter.FOLD_TERMS
-    built = {}
-    folds = {}
-    for budget in (1, 1 << 62, default):
-        monkeypatch.setattr(trotter, "FOLD_TERMS", budget)
-        calls.clear()
-        op = build_error_operator(seq, 1.0).op
-        built[budget] = [a.tobytes() for a in (op.cre, op.ann, op.val)]
-        folds[budget] = len(calls)
-    assert built[1] == built[1 << 62] == built[default]
-    assert folds[1 << 62] == 1
-    if len(op):
-        # at budget 1 every case with a nonzero V folds at least twice in the
-        # loop before the last fold
-        assert folds[1] >= 3
+    monkeypatch.setattr(trotter, "hermitian_product", spy)
+    op = build_error_operator(seq, 1.0).op
+    total = operator_sum(pieces, drop_tolerance=0.0)
+    keep = ~(np.abs(total.val * (1.0 / 12.0)) < DEFAULT_DROP_TOLERANCE)
+    want = (total.cre[keep], total.ann[keep], total.val[keep] * (1.0 / 12.0))
+    assert [a.tobytes() for a in (op.cre, op.ann, op.val)] == [a.tobytes() for a in want]
+    if len(op):  # more than one piece went into the sum
+        assert len(pieces) >= 2
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -363,7 +360,8 @@ def test_dense_running_sums_are_the_operator_sums(
 
     def add_spy(self, *args):
         slots = add(self, *args)
-        sums.append(self.operator())
+        if not self.tags:  # S or D; V's pair sum is tagged
+            sums.append(self.operator())
         return slots
 
     def product_spy(a, b, *args):
@@ -454,7 +452,8 @@ def test_error_operator_is_hermitian_to_the_bit(case):
 # unsummed piece terms, 21,125 terms in V): 105 MiB when every piece is held
 # for one final sum, 24.9 MiB with the pieces folded at a budget of 2^18
 # terms, 8.1 MiB with one entry per adjoint pair folded at 2^15 entries,
-# 5.7 MiB with each C_beta held as pairs until it is used
+# 5.7 MiB with each C_beta held as pairs until it is used, 5.4 MiB with
+# each piece added straight into a dense running sum over the pair keys
 SYN5_BUILD_PEAK_BUDGET = 7 * 2**20
 
 # tracemalloc peak of V's action table on the synthetic-5 sector (210
