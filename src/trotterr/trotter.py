@@ -36,24 +36,25 @@ Each is Hermitian or anti-Hermitian to the bit: P[k^+] = s P[k] and
 C[k^+] = -s C[k], where s = +-1 is the sign the adjoint puts on the key k
 (``fermion.hermitian_product``).  So both are built as one entry per
 adjoint pair, on the canonical key (cre <= ann), from one grouping of the
-product's terms.  Each C_beta is held as pairs, about half the memory of
-its full keys, until the backward loop reaches it; it is then expanded to
-both keys, since it feeds the running sums D, and dropped after that step.
-
-The running sums are dense (``fermion.RunningSum``): one float per key of
-a sorted key set, 0.0 for an absent key.  A step adds the fragment to
-S_beta, C_alpha to D_alpha, or a piece to V at its keys' slots, putting a
-key the sum has not held yet in its place first; no step re-sorts a whole
-running sum.  S and D reset a touched sum below the drop tolerance to 0.0,
-and the product kernel gets S_{beta-1}, or W_alpha = D_alpha - C_alpha/2,
-as the live slots in key order.  The values are those of ``+`` on the sums
-as operators, bit for bit: a live sum is never -0.0, so ``0.0 + S[k]`` is
-``S[k]``, and a pruned key restarts from 0.0 as a key new to ``+`` does.
-Only the row order of the operand differs (key order against first
-appearance), and the product is blind to it: inside one (term of H,
-contraction subset) block of the kernel no two rows give the same key, so
-each key's values still reach the sum in block order, and the product
-lists its keys sorted.
+product's terms.  One backward loop builds V.  Step alpha groups the terms
+of H_0 .. H_{alpha-1}, stacked once, by key (``fermion._accumulate``) into
+S_{alpha-1}, pruned once, keys ascending; it builds C_alpha, adds it into D
+and drops it.  D is a dense running sum (``fermion.RunningSum``): one float
+per key of a sorted key set, 0.0 for an absent key; a step adds C_alpha at
+its keys' slots, placing new keys first, and resets a touched sum below the
+drop tolerance to 0.0.  Both are the sums ``+`` builds step by step, bit
+for bit: each key's values are added in order from 0.0, a live sum is never
+-0.0, so ``0.0 + D[k]`` is ``D[k]``, and a pruned key restarts from 0.0 as
+a key new to ``+`` does.  S is pruned only once, but no sequence
+``build_trotter_sequence`` makes lets a key's partial sum fall below the
+tolerance before a later fragment adds to it: a key lies in at most two
+fragments (the Coulomb and exchange classes of a same-spin key; one at term
+granularity) and every fragment coefficient reaches the tolerance.  The
+product kernel gets S_{alpha-1}, then W_alpha = D_alpha - C_alpha/2, in key
+order, not ``+``'s order of first appearance, and is blind to it: inside
+one (term of H, contraction subset) block of the kernel no two rows give
+the same key, so each key's values still reach the sum in block order, and
+the product lists its keys sorted.
 
 V's sum runs over the canonical pair keys, with no drop tolerance, and
 holds one float per pair of V (10,755 pairs for 21,125 terms at 10 spin
@@ -83,6 +84,8 @@ from .fermion import (
     NormalOrderedOperator,
     PairTerms,
     RunningSum,
+    _accumulate,
+    _stacked,
     commutator,  # noqa: F401  looked up here by bench/tracing.py
     expand_pairs,
     hermitian_product,
@@ -163,17 +166,13 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     """Assemble the leading error operator for ``sequence`` at ``delta_t``.
 
     A single-fragment sequence (or any mutually commuting one) yields the
-    zero operator.  The running sums S_beta and D_alpha are dense arrays
-    over sorted key sets, handed to the product kernel in key order,
-    which gives the same bits as any other row order (see the module
-    docstring).  Each C_beta is held as one entry per adjoint pair until
-    the backward loop uses it.  Each commutator piece is built as one entry
-    per adjoint pair and added into a third running sum over those pair
-    keys, with no drop tolerance; a pair keeps the tags of the piece that
-    placed it, its index and where in the piece each key is listed.  At the
-    end each pair is expanded to its two keys and one lexsort on the tags
-    restores the term order of a single sum over the full pieces, so the
-    result is byte-identical to it (see the module docstring).
+    zero operator.  One backward loop over the fragments sums S_{alpha-1},
+    builds C_alpha from it, adds C_alpha into D and the piece
+    [H_alpha, D_alpha - C_alpha/2] into V's running sum over adjoint pairs,
+    a pair keeping the tags of the piece that placed it.  At the end each
+    pair is expanded to its two keys and one lexsort on the tags restores
+    the term order of a single sum over the full pieces; every sum has the
+    bits of the same sum built with ``+`` (see the module docstring).
 
     Pruning happens once, after the full accumulation, and at the
     ``delta_t = 1`` scale: a term is kept when its unscaled sum times 1/12
@@ -181,34 +180,34 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
     the same terms in the same order.  Each kept coefficient is then
     its sum times ``delta_t**2 / 12``.  A step at which a kept coefficient
     overflows, or underflows to zero or a subnormal value, raises
-    ``NumericalError``, and so does a running sum or product that
-    overflows on the way; the result is then checked by
-    :meth:`ErrorOperator.validate`.
+    ``NumericalError``, and so does an overflow on the way that reaches D
+    or V; the result is then checked by :meth:`ErrorOperator.validate`.
     """
     if not math.isfinite(delta_t) or delta_t <= 0:
         raise ValidationError(f"delta_t must be positive and finite, got {delta_t}")
     fragments = sequence.fragments
     width = 1 + max((frag.max_orbital() for frag in fragments), default=-1)
+    h_cre, h_ann, h_val = _stacked(fragments)
+    ends = np.cumsum([0, *map(len, fragments[:-1])])  # terms before each fragment
     # an overflow leaves inf, and inf - inf or inf * 0 leaves NaN; no prune
     # below drops either, and a running sum that holds one keeps it, so
     # both are refused once, after the build
     with np.errstate(over="ignore", invalid="ignore"):
-        prefix = RunningSum(width)  # S_beta
-        # C_beta = [H_beta, S_{beta-1}] = m - m^+ for m = H_beta S_{beta-1},
-        # held as pairs until the backward loop uses it; the pair build
-        # prunes, so keys that commuting fragments cancel to exact 0.0 never
-        # reach a later product
-        cross: list[PairTerms] = []
-        for frag in fragments:
-            cross.append(hermitian_product(frag, prefix.operator(), 0, -1))
-            prefix.add(frag.cre, frag.ann, frag.val)
         suffix = RunningSum(width)  # D_alpha
         # V, one entry per adjoint pair with the own, mirror and piece tags
         # of PairTerms
         pairs = RunningSum(width, 0.0, (bool, bool, np.int64))
-        for piece, frag in enumerate(reversed(fragments)):
-            # C_alpha, freed after this step
-            cre, ann, val = cross.pop().expanded(-1)
+        for piece, (frag, end) in enumerate(zip(reversed(fragments), reversed(ends))):
+            prefix = NormalOrderedOperator.zero()  # S_{alpha-1}, in key order
+            if end:
+                rows, sums = _accumulate((h_cre[:end], h_ann[:end]), h_val[:end], first_seen=False)
+                live = ~(np.abs(sums) < DEFAULT_DROP_TOLERANCE)
+                rows = rows[live]
+                prefix = NormalOrderedOperator._from_arrays(h_cre[rows], h_ann[rows], sums[live])
+            # C_alpha = [H_alpha, S_{alpha-1}] = m - m^+ for m = H_alpha S_{alpha-1},
+            # freed after this step; the pair build prunes, so keys that
+            # commuting fragments cancel to exact 0.0 never reach a later product
+            cre, ann, val = hermitian_product(frag, prefix, 0, -1).expanded(-1)
             slots = suffix.add(cre, ann, val)
             weight = suffix.operator(slots, val * -0.5)  # D_alpha - C_alpha/2
             if weight:
@@ -217,7 +216,7 @@ def build_error_operator(sequence: TrotterSequence, delta_t: float) -> ErrorOper
         del pairs  # not held through the validation
         keep = ~(np.abs(total.val * (1.0 / 12.0)) < DEFAULT_DROP_TOLERANCE)
         val = total.val[keep] * ((delta_t * delta_t) / 12.0)
-    if not all(np.isfinite(a).all() for a in (prefix.val, suffix.val, val)):
+    if not all(np.isfinite(a).all() for a in (suffix.val, val)):
         raise NumericalError(
             f"error operator coefficients overflow at delta_t={delta_t!r}"
         )

@@ -347,9 +347,9 @@ def _step_cases():
 def test_dense_running_sums_are_the_operator_sums(
     fixture_dir, monkeypatch, case, ordering, granularity
 ):
-    """Every S_beta and D_alpha the build holds, and every operand it hands
-    the product kernel (S_{beta-1}, then W_alpha = D_alpha - C_alpha/2),
-    equals the sum built with ``+`` key for key, to the bit, in key order."""
+    """Every D_alpha the build holds, and every operand it hands the product
+    kernel (S_{alpha-1}, then W_alpha = D_alpha - C_alpha/2), equals the sum
+    built with ``+`` key for key, to the bit, in key order."""
     if isinstance(case, str):
         syst = parse_fcidump((fixture_dir / f"{case}.fcidump").read_text())
     else:
@@ -360,7 +360,7 @@ def test_dense_running_sums_are_the_operator_sums(
 
     def add_spy(self, *args):
         slots = add(self, *args)
-        if not self.tags:  # S or D; V's pair sum is tagged
+        if not self.tags:  # D; V's pair sum is tagged
             sums.append(self.operator())
         return slots
 
@@ -371,26 +371,66 @@ def test_dense_running_sums_are_the_operator_sums(
     monkeypatch.setattr(RunningSum, "add", add_spy)
     monkeypatch.setattr(trotter, "hermitian_product", product_spy)
     build_error_operator(seq, 1.0)
-    # the same steps with the running sums as operators
-    want_sums, want_operands, cross = [], [], []
-    prefix = NormalOrderedOperator.zero()
-    for frag in seq.fragments:
-        want_operands.append(prefix)
-        cross.append(product(frag, prefix, 0, -1))
-        prefix = prefix + frag
-        want_sums.append(prefix)
+    # the same steps with the running sums as operators, S pruned at every +
+    prefixes = [NormalOrderedOperator.zero()]
+    for frag in seq.fragments[:-1]:
+        prefixes.append(prefixes[-1] + frag)
+    want_sums, want_operands = [], []
     suffix = NormalOrderedOperator.zero()
-    for frag in reversed(seq.fragments):
-        c = expand_pairs(cross.pop(), -1)
+    for frag, prefix in zip(reversed(seq.fragments), reversed(prefixes)):
+        want_operands.append(prefix)
+        c = expand_pairs(product(frag, prefix, 0, -1), -1)
         suffix = suffix + c
         want_sums.append(suffix)
         weight = suffix + c.scaled(-0.5)
         if weight:
             want_operands.append(weight)
-    assert len(sums) == len(want_sums) == 2 * len(seq.fragments)
+    assert len(sums) == len(want_sums) == len(seq.fragments)
     assert len(operands) == len(want_operands)
     for got, want in zip(sums + operands, want_sums + want_operands, strict=True):
         assert [a.tobytes() for a in (got.cre, got.ann, got.val)] == _in_key_order(want)
+
+
+def _sequence_cases():
+    for path in sorted(FIXTURES.glob("*.fcidump")):
+        yield path.stem
+    for n in range(1, 6):
+        for seed in sorted({0, 1, 2, n}):
+            yield n, seed
+
+
+@pytest.mark.parametrize("case", list(_sequence_cases()), ids=str)
+def test_prefix_sums_pruned_once_are_pruned_at_every_add(case):
+    """S_{alpha-1} is summed from the fragments' terms and pruned once; it
+    equals the sum pruned after every fragment because no partial sum of a
+    key can fall below the drop tolerance before a later fragment adds to
+    it.  That holds when no key lies in more than two fragments (one at
+    term granularity) and every fragment coefficient reaches the
+    tolerance: a key's first partial sum is then one coefficient, and its
+    second the whole sum."""
+    if isinstance(case, str):
+        syst = parse_fcidump((FIXTURES / f"{case}.fcidump").read_text())
+    else:
+        syst = random_system(np.random.default_rng(case[1]), case[0])
+    for granularity in GRANULARITIES:
+        for ordering in ORDERINGS:
+            fragments = build_trotter_sequence(syst, ordering, granularity=granularity).fragments
+            cre = np.concatenate([f.cre for f in fragments])
+            ann = np.concatenate([f.ann for f in fragments])
+            # a fragment lists each key once, so a key's count is its fragments'
+            _, count = np.unique(np.stack([cre, ann]), axis=1, return_counts=True)
+            assert count.max() <= (1 if granularity == "term" else 2), (granularity, ordering)
+            for frag in fragments:
+                assert (np.abs(frag.val) >= DEFAULT_DROP_TOLERANCE).all(), (granularity, ordering)
+
+
+def test_overflowing_prefix_sum_is_numerical_error():
+    # S_1 = 2e308 (a+_0 a_1 + a+_1 a_0) overflows to inf, and C_2 = [n_0, S_1]
+    # carries it into D and V
+    hop = NormalOrderedOperator({((0,), (1,)): 1e308, ((1,), (0,)): 1e308})
+    number = NormalOrderedOperator({((0,), (0,)): 1.0})
+    with pytest.raises(NumericalError, match="overflow"):
+        build_error_operator(_sequence_of([hop, hop, number]), 1.0)
 
 
 # SHA-256 of V's cre, ann and val bytes per case, pinned when V was still
@@ -453,7 +493,8 @@ def test_error_operator_is_hermitian_to_the_bit(case):
 # for one final sum, 24.9 MiB with the pieces folded at a budget of 2^18
 # terms, 8.1 MiB with one entry per adjoint pair folded at 2^15 entries,
 # 5.7 MiB with each C_beta held as pairs until it is used, 5.4 MiB with
-# each piece added straight into a dense running sum over the pair keys
+# each piece added straight into a dense running sum over the pair keys,
+# 4.5 MiB with each C_alpha built at the step that uses it and none stored
 SYN5_BUILD_PEAK_BUDGET = 7 * 2**20
 
 # tracemalloc peak of V's action table on the synthetic-5 sector (210
