@@ -2,8 +2,9 @@
 """Regenerate the shipped FCIDUMP fixtures from first principles.
 
 A tiny s-type Gaussian integral engine (overlap, kinetic, nuclear
-attraction, electron repulsion via the Boys function) drives three
-orthogonal orbital constructions for each molecule:
+attraction, electron repulsion via the Boys function), written as array
+expressions over primitive pairs, drives three orthogonal orbital
+constructions for a linear hydrogen chain:
 
   local      symmetric (Lowdin) orthogonalization of the atomic orbitals,
   canonical  restricted Hartree-Fock molecular orbitals,
@@ -34,112 +35,95 @@ STO6G_H_COEFFS = np.array(
     [0.00916359628, 0.04936149294, 0.16853830490, 0.37056279970, 0.41649152980, 0.13033408410]
 )
 
-H2_BOND_BOHR = 1.4011  # equilibrium separation
+SPACING_BOHR = 1.4011  # H2's equilibrium bond length, also the chain spacing
+RHF_MAX_ITER = 200
+RHF_TOL = 1e-12
+FCIDUMP_THRESHOLD = 1e-12
+
+# numpy's array power may take a SIMD path that differs from libm's pow in
+# the last bit; the fixtures were written through scalar pow
+_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def boys0(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
     small = t < 1e-12
     safe = np.where(small, 1.0, t)
     val = 0.5 * np.sqrt(np.pi / safe) * erf(np.sqrt(safe))
     return np.where(small, 1.0 - t / 3.0, val)
 
 
-class ContractedS:
-    """A normalized contracted s-type Gaussian on one center."""
+def _contract(terms):
+    """Sum over the last axis one term at a time, from the first.
 
-    def __init__(self, center, exponents, coeffs):
-        self.center = np.asarray(center, dtype=float)
-        self.exponents = np.asarray(exponents, dtype=float)
+    The fixtures were written by scalar loops; np.sum adds pairwise, which
+    moves the last bits.
+    """
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+class ContractedS:
+    """A normalized STO-6G hydrogen 1s function centred at z on the chain axis."""
+
+    exponents = STO6G_H_EXPONENTS
+
+    def __init__(self, z):
+        self.z = z
         # fold primitive norms into the coefficients, then renormalize the
         # contraction so <chi|chi> = 1 exactly
-        prim_norm = (2.0 * self.exponents / np.pi) ** 0.75
-        c = np.asarray(coeffs, dtype=float) * prim_norm
-        self.coeffs = c
-        self.coeffs = c / math.sqrt(_contract2(_overlap_pp, self, self))
+        self.coeffs = STO6G_H_COEFFS * (2.0 * self.exponents / np.pi) ** 0.75
+        pairs = _Pairs([self])
+        self.coeffs = self.coeffs / math.sqrt(_contract(pairs.c * pairs.overlap)[0, 0])
 
 
-def _gauss_product(a, A, b, B):
-    p = a + b
-    diff = A - B
-    k = np.exp(-a * b / p * float(diff @ diff))
-    P = (a * A + b * B) / p
-    return p, P, k
+class _Pairs:
+    """Gaussian-product quantities of every primitive pair of `shells`.
+
+    Arrays are indexed (shell i, shell j, primitive pair), the pair axis
+    running over (primitive a of i, primitive b of j) with a outermost, so
+    `_contract` adds in the order of nested loops over a and b.  All centres
+    lie on one axis, so squared distances are exact.
+    """
+
+    def __init__(self, shells):
+        n, m = len(shells), len(shells[0].exponents)
+        exps = np.array([s.exponents for s in shells])
+        coeffs = np.array([s.coeffs for s in shells])
+        z = np.array([s.z for s in shells], dtype=float)
+        i, j, a, b = (x.reshape(n, n, m * m) for x in np.indices((n, n, m, m)))
+        self.ca, self.cb = coeffs[i, a], coeffs[j, b]
+        self.c = self.ca * self.cb
+        self.p = exps[i, a] + exps[j, b]
+        self.mu = exps[i, a] * exps[j, b] / self.p
+        self.r2 = np.square(z[i] - z[j])
+        self.k = np.exp(-self.mu * self.r2)
+        self.P = (exps[i, a] * z[i] + exps[j, b] * z[j]) / self.p
+        self.vol = _pow(np.pi / self.p, 1.5).astype(float)  # (pi/p)^(3/2)
+        self.overlap = self.vol * self.k
 
 
-def _overlap_pp(a, A, b, B):
-    p, _, k = _gauss_product(a, A, b, B)
-    return (np.pi / p) ** 1.5 * k
+def ao_integrals(shells):
+    """One- and two-electron AO integrals plus the nuclear repulsion.
 
-
-def _kinetic_pp(a, A, b, B):
-    p, _, k = _gauss_product(a, A, b, B)
-    mu = a * b / p
-    diff = A - B
-    return mu * (3.0 - 2.0 * mu * float(diff @ diff)) * (np.pi / p) ** 1.5 * k
-
-
-def _nuclear_pp(a, A, b, B, C):
-    p, P, k = _gauss_product(a, A, b, B)
-    d = P - C
-    return -2.0 * np.pi / p * k * float(boys0(p * float(d @ d)))
-
-
-def _eri_pppp(a, A, b, B, c, C, d, D):
-    p, P, kab = _gauss_product(a, A, b, B)
-    q, Q, kcd = _gauss_product(c, C, d, D)
-    diff = P - Q
-    t = p * q / (p + q) * float(diff @ diff)
-    return (
-        2.0 * np.pi**2.5 / (p * q * math.sqrt(p + q)) * kab * kcd * float(boys0(t))
-    )
-
-
-def _contract2(f, x: ContractedS, y: ContractedS):
-    total = 0.0
-    for a, ca in zip(x.exponents, x.coeffs):
-        for b, cb in zip(y.exponents, y.coeffs):
-            total += ca * cb * f(a, x.center, b, y.center)
-    return total
-
-
-def ao_integrals(shells, charges, centers):
-    """One- and two-electron AO integrals plus the nuclear repulsion."""
+    Every shell centre carries a unit nuclear charge.
+    """
     n = len(shells)
-    S = np.empty((n, n))
-    T = np.empty((n, n))
-    V = np.zeros((n, n))
+    z = np.array([s.z for s in shells], dtype=float)
+    pq = _Pairs(shells)
+    S = _contract(pq.c * pq.overlap)
+    T = _contract(pq.c * (pq.mu * (3.0 - 2.0 * pq.mu * pq.r2) * pq.vol * pq.k))
+    # axes (i, j, nucleus, pair): contract the pairs, then the nuclei in order
+    c, p, P, k = (x[:, :, None, :] for x in (pq.c, pq.p, pq.P, pq.k))
+    V = _contract(_contract(c * (-2.0 * np.pi / p * k * boys0(p * np.square(P - z[:, None])))))
+    # axes (j, k, l, bra pair, ket pair), one first shell i at a time
+    eri = np.empty((n, n, n, n))
+    cc, cd, q, Q, kcd = (x[None, :, :, None, :] for x in (pq.ca, pq.cb, pq.p, pq.P, pq.k))
     for i in range(n):
-        for j in range(n):
-            S[i, j] = _contract2(_overlap_pp, shells[i], shells[j])
-            T[i, j] = _contract2(_kinetic_pp, shells[i], shells[j])
-            for Z, C in zip(charges, centers):
-                V[i, j] += Z * _contract2(
-                    lambda a, A, b, B: _nuclear_pp(a, A, b, B, np.asarray(C, float)),
-                    shells[i],
-                    shells[j],
-                )
-    eri = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    total = 0.0
-                    for a, ca in zip(shells[i].exponents, shells[i].coeffs):
-                        for b, cb in zip(shells[j].exponents, shells[j].coeffs):
-                            for c, cc in zip(shells[k].exponents, shells[k].coeffs):
-                                for d, cd in zip(shells[l].exponents, shells[l].coeffs):
-                                    total += ca * cb * cc * cd * _eri_pppp(
-                                        a, shells[i].center, b, shells[j].center,
-                                        c, shells[k].center, d, shells[l].center,
-                                    )
-                    eri[i, j, k, l] = total
-    enuc = 0.0
-    for i in range(len(charges)):
-        for j in range(i):
-            enuc += charges[i] * charges[j] / float(
-                np.linalg.norm(np.asarray(centers[i], float) - np.asarray(centers[j], float))
-            )
+        cab, p, P, kab = (x[i][:, None, None, :, None] for x in (pq.c, pq.p, pq.P, pq.k))
+        t = p * q / (p + q) * np.square(P - Q)
+        prim = 2.0 * np.pi**2.5 / (p * q * np.sqrt(p + q)) * kab * kcd * boys0(t)
+        eri[i] = _contract((cab * cc * cd * prim).reshape(n, n, n, -1))
+    i, j = np.tril_indices(n, -1)
+    enuc = float(_contract(1.0 / (z[i] - z[j])))
     return S, T, V, eri, enuc
 
 
@@ -150,14 +134,14 @@ def lowdin(S):
     return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
-def rhf(S, Hcore, eri, n_electrons, enuc, max_iter=200, tol=1e-12):
+def rhf(S, Hcore, eri, n_electrons, enuc):
     """Closed-shell SCF; returns (orbital matrix, total energy)."""
     nocc = n_electrons // 2
     X = lowdin(S)
     F = Hcore
     energy = 0.0
     D = np.zeros_like(S)
-    for _ in range(max_iter):
+    for _ in range(RHF_MAX_ITER):
         Fp = X.T @ F @ X
         _, Cp = np.linalg.eigh(Fp)
         C = X @ Cp
@@ -167,20 +151,20 @@ def rhf(S, Hcore, eri, n_electrons, enuc, max_iter=200, tol=1e-12):
         K = np.einsum("ikjl,kl->ij", eri, D)
         F = Hcore + J - 0.5 * K
         new_energy = 0.5 * np.sum(D * (Hcore + F)) + enuc
-        if abs(new_energy - energy) < tol:
+        if abs(new_energy - energy) < RHF_TOL:
             energy = new_energy
             break
         energy = new_energy
     # canonical orbitals of the converged Fock matrix
     Fp = X.T @ F @ X
-    eps, Cp = np.linalg.eigh(Fp)
+    _, Cp = np.linalg.eigh(Fp)
     C = X @ Cp
     # fix arbitrary signs so the fixtures are reproducible
     for col in range(C.shape[1]):
         pivot = np.argmax(np.abs(C[:, col]))
         if C[pivot, col] < 0:
             C[:, col] *= -1.0
-    return C, float(energy), eps
+    return C, float(energy)
 
 
 def transform(C, Hcore, eri):
@@ -222,11 +206,11 @@ def natural_orbitals(h1_mo, g_mo, n_electrons):
     return U, occ[order], float(energy)
 
 
-def write_fcidump(path: Path, h1, g, enuc, n_electrons, ms2=0, threshold=1e-12):
+def write_fcidump(path: Path, h1, g, enuc, n_electrons):
     """Write integrals with the conventional eightfold-unique record set."""
     norb = h1.shape[0]
     lines = [
-        f"&FCI NORB={norb},NELEC={n_electrons},MS2={ms2},",
+        f"&FCI NORB={norb},NELEC={n_electrons},MS2=0,",
         "  ORBSYM=" + "1," * norb,
         "  ISYM=1,",
         " &END",
@@ -241,63 +225,46 @@ def write_fcidump(path: Path, h1, g, enuc, n_electrons, ms2=0, threshold=1e-12):
                 lmax = j if k == i else k
                 for l in range(lmax + 1):
                     v = g[i, j, k, l]
-                    if abs(v) > threshold:
+                    if abs(v) > FCIDUMP_THRESHOLD:
                         rec(v, i + 1, j + 1, k + 1, l + 1)
     for i in range(norb):
         for j in range(i + 1):
-            if abs(h1[i, j]) > threshold:
+            if abs(h1[i, j]) > FCIDUMP_THRESHOLD:
                 rec(h1[i, j], i + 1, j + 1, 0, 0)
     rec(enuc, 0, 0, 0, 0)
     path.write_text("\n".join(lines) + "\n")
 
 
-def h_shell(center):
-    return ContractedS(center, STO6G_H_EXPONENTS, STO6G_H_COEFFS)
+def build_chain(outdir: Path, n_atoms: int, kinds):
+    """Write h{n_atoms}_sto6g_{kind}.fcidump for each orbital kind in `kinds`.
 
-
-def build_h2(outdir: Path):
-    centers = [np.zeros(3), np.array([0.0, 0.0, H2_BOND_BOHR])]
-    shells = [h_shell(c) for c in centers]
-    S, T, V, eri, enuc = ao_integrals(shells, charges=[1.0, 1.0], centers=centers)
+    The chain is neutral and closed-shell; `kinds` draws from "local",
+    "canonical" and "natural".
+    """
+    shells = [ContractedS(z) for z in np.arange(n_atoms) * SPACING_BOHR]
+    S, T, V, eri, enuc = ao_integrals(shells)
     Hcore = T + V
-
-    X = lowdin(S)
-    h1_loc, g_loc = transform(X, Hcore, eri)
-    write_fcidump(outdir / "h2_sto6g_local.fcidump", h1_loc, g_loc, enuc, 2)
-
-    C, e_rhf, eps = rhf(S, Hcore, eri, 2, enuc)
-    h1_can, g_can = transform(C, Hcore, eri)
-    write_fcidump(outdir / "h2_sto6g_canonical.fcidump", h1_can, g_can, enuc, 2)
-
-    U, occ, e_fci = natural_orbitals(h1_can, g_can, 2)
-    Cnat = C @ U
-    h1_nat, g_nat = transform(Cnat, Hcore, eri)
-    write_fcidump(outdir / "h2_sto6g_natural.fcidump", h1_nat, g_nat, enuc, 2)
-
-    print(f"H2/STO-6G R={H2_BOND_BOHR} bohr:")
-    print(f"  RHF energy    {e_rhf:+.10f}")
-    print(f"  FCI energy    {e_fci + enuc:+.10f}")
-    print(f"  natural occ   {occ}")
-    return e_rhf, e_fci + enuc
-
-
-def build_h4(outdir: Path, spacing=1.4011):
-    """Linear H4 chain in the local basis; exercises larger-N paths."""
-    centers = [np.array([0.0, 0.0, i * spacing]) for i in range(4)]
-    shells = [h_shell(c) for c in centers]
-    S, T, V, eri, enuc = ao_integrals(shells, charges=[1.0] * 4, centers=centers)
-    Hcore = T + V
-    X = lowdin(S)
-    h1_loc, g_loc = transform(X, Hcore, eri)
-    write_fcidump(outdir / "h4_sto6g_local.fcidump", h1_loc, g_loc, enuc, 4)
-    print(f"H4 chain spacing={spacing} bohr: files written")
+    print(f"H{n_atoms}/STO-6G chain, spacing {SPACING_BOHR} bohr:")
+    orbitals = {"local": lowdin(S)}
+    if "canonical" in kinds or "natural" in kinds:
+        C, e_rhf = rhf(S, Hcore, eri, n_atoms, enuc)
+        print(f"  RHF energy    {e_rhf:+.10f}")
+        orbitals["canonical"] = C
+    if "natural" in kinds:
+        U, occ, e_fci = natural_orbitals(*transform(C, Hcore, eri), n_atoms)
+        print(f"  FCI energy    {e_fci + enuc:+.10f}")
+        print(f"  natural occ   {occ}")
+        orbitals["natural"] = C @ U
+    for kind in kinds:
+        h1, g = transform(orbitals[kind], Hcore, eri)
+        write_fcidump(outdir / f"h{n_atoms}_sto6g_{kind}.fcidump", h1, g, enuc, n_atoms)
 
 
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent / "fixtures"
     outdir.mkdir(parents=True, exist_ok=True)
-    build_h2(outdir)
-    build_h4(outdir)
+    build_chain(outdir, 2, ("local", "canonical", "natural"))
+    build_chain(outdir, 4, ("local",))
     print(f"fixtures in {outdir}")
 
 

@@ -253,7 +253,7 @@ def _cmd_prep_cost(args) -> None:
     if args.ci_vector:
         from .ci import ci_ground_state
 
-        _, vector = ci_ground_state(system, 2)
+        _, vector = ci_ground_state(system, min(2, system.n_spin_orbitals - system.n_electrons))
     report = prep_cost_report(system, args.delta, vector)
     payload = {"support_from_solved_vector": bool(args.ci_vector), **asdict(report)}
     _emit(args, _json_payload("prep-cost", digest, payload))

@@ -900,24 +900,25 @@ def operator_sum(
     return _sum(ops, drop_tolerance)
 
 
-def trace(op: NormalOrderedOperator, n_orbitals: int) -> float:
-    """Trace over the full Fock space of ``n_orbitals`` spin orbitals.
+def trace_contributions(op: NormalOrderedOperator, n_orbitals: int) -> np.ndarray:
+    """Full-Fock-space trace of each diagonal key of ``op``, in term order:
+    a key whose creation and annihilation groups coincide, with k orbitals,
+    equals ``(-1)^(k(k-1)/2) * prod n_p``, so it gives its coefficient times
+    that sign once per configuration holding all k orbitals, ``2^(N-k)``
+    of them, scaled exactly by ldexp, so no contribution is rounded."""
+    diagonal = op.cre == op.ann
+    k = np.bitwise_count(op.cre[diagonal]).astype(np.int64)
+    sign = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
+    return np.ldexp(op.val[diagonal] * sign, n_orbitals - k)
 
-    Only keys whose creation and annihilation groups coincide have diagonal
-    matrix elements.  Such a key with k orbitals equals
-    ``(-1)^(k(k-1)/2) * prod n_p``, so it contributes its coefficient times
-    that sign once per basis configuration containing all k orbitals,
-    ``2^(N-k)`` of them.  The contributions are added in term order.
-    """
+
+def trace(op: NormalOrderedOperator, n_orbitals: int) -> float:
+    """Trace over the full Fock space: the contributions added in term order."""
     if n_orbitals <= op.max_orbital():
         raise ValidationError(
             f"operator touches orbital {op.max_orbital()} but n_orbitals={n_orbitals}"
         )
-    diagonal = op.cre == op.ann
-    k = np.bitwise_count(op.cre[diagonal]).astype(np.int64)
-    sign = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
-    # ldexp scales by 2^(N-k) exactly, so no contribution is rounded
-    return _term_order_sum(np.ldexp(op.val[diagonal] * sign, n_orbitals - k))
+    return _term_order_sum(trace_contributions(op, n_orbitals))
 
 
 def number_operator(n_orbitals: int) -> NormalOrderedOperator:

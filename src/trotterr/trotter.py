@@ -92,6 +92,7 @@ from .fermion import (
     multiply,  # noqa: F401  looked up here by bench/tracing.py
     operator_sum,  # noqa: F401  looked up here by bench/tracing.py
     trace,
+    trace_contributions,
 )
 from .hamiltonian import TrotterSequence
 
@@ -148,10 +149,7 @@ class ErrorOperator:
         defect = self.hermitian_defect()
         if defect > budget:
             raise ValidationError(f"error operator not Hermitian: defect {defect:.3e}")
-        op = self.op
-        diagonal = op.cre == op.ann
-        k = np.bitwise_count(op.cre[diagonal]).astype(np.int64)
-        weighted = np.ldexp(np.abs(op.val[diagonal]), self.n_spin_orbitals - k).sum()
+        weighted = np.abs(trace_contributions(self.op, self.n_spin_orbitals)).sum()
         residual = self.trace_residual()
         if residual > VALIDATE_REL_TOL * weighted:
             raise ValidationError(f"error operator trace {residual:.3e} not ~0")

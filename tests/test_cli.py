@@ -544,6 +544,22 @@ class TestPrepCostCommand:
         assert 1 <= payload["support_dim"] < 6
         assert payload["support_from_solved_vector"] is True
 
+    @pytest.mark.parametrize("header", ["NELEC=3,MS2=1,", "NELEC=4,MS2=0,"])
+    def test_solved_vector_under_two_virtual_spin_orbitals(
+        self, header, tmp_path, fixture_dir, capsys
+    ):
+        # N - n < 2: the doubles space is the whole sector, solved at N - n
+        path = tmp_path / "crowded.fcidump"
+        text = (fixture_dir / "h2_sto6g_canonical.fcidump").read_text()
+        path.write_text(text.replace("NELEC=2,MS2=0,", header, 1))
+        code, stdout, err = run(
+            capsys, "prep-cost", "--fcidump", str(path), "--delta", "1e-3", "--ci-vector"
+        )
+        assert code == EXIT_OK, err
+        payload = json.loads(stdout)
+        assert payload["support_dim"] >= 1
+        assert payload["support_from_solved_vector"] is True
+
 
 BLAS_VARS = (
     "OMP_NUM_THREADS",
